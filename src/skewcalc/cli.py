@@ -836,10 +836,22 @@ def _caps_positive(args):
             raise _UsageError(f"--{attr.replace('_', '-')} must be positive")
 
 
+def _glue_poly_values(argv):
+    """Rewrite `--poly -1,0,1` as `--poly=-1,0,1`: argparse takes a
+    value with a leading minus for an option unless it is one number."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--poly" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = "--poly=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_poly_values(argv))
         _caps_positive(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

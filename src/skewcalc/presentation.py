@@ -20,6 +20,7 @@ monomials, always kept in normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from heapq import heappop, heappush
 
 from .errors import (
     AlgebraMismatchError,
@@ -126,9 +127,13 @@ class Element:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, self.algebra.field.zero()) + c
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+                continue
+            s = s + c
             if s.is_zero():
-                out.pop(m, None)
+                del out[m]
             else:
                 out[m] = s
         return Element(self.algebra, out)
@@ -159,8 +164,13 @@ class Element:
         if n < 0:
             raise ValueError("use explicit inverse monomials for negative powers")
         out = self.algebra.one()
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- rendering ----------------------------------------------------------
@@ -238,6 +248,7 @@ class Presentation:
         self.family = family
         self.notes = tuple(notes)
         self._mul_cache = {}
+        self._rewriting = None
         self._report = None
 
     # -- flags --------------------------------------------------------------
@@ -261,6 +272,7 @@ class Presentation:
             family=self.family, notes=self.notes,
         )
         p._report = self._report
+        p._rewriting = self._rewriting
         return p
 
     # -- element constructors ----------------------------------------------
@@ -321,85 +333,145 @@ class Presentation:
                 out.extend([(pos, -1)] * (-e))
         return out
 
-    def _reducible_positions(self, w):
-        out = []
-        for k in range(len(w) - 1):
-            (g1, s1), (g2, s2) = w[k], w[k + 1]
-            if g1 == g2 and s1 != s2:
-                out.append(k)
-            elif g1 > g2:
-                out.append(k)
-        return out
-
     def _elim_pair(self, e: Monomial):
         for (i, j) in self.elim:
             if e[i] > 0 and e[j] > 0:
                 return (i, j)
         return None
 
+    # Inside `word_normal_form` a letter (pos, sign) is the int code
+    # 2*(m-1-pos), plus 1 for sign -1: higher generators get smaller codes,
+    # so a word sorts before the words it rewrites to. Words are bytes
+    # (tuples past 128 generators): bytes hash and compare fast, and
+    # unlike short tuples are not kept on a free list once released.
+
+    def _build_rewriting(self):
+        """Letter decoding, letter codes, the word type, and the pair
+        table: table[a][b] is None when the letter pair a*b is reduced,
+        else a tuple of (factor, replacement word) with factor None
+        standing for 1."""
+        m = len(self.gens)
+        word = bytes if 2 * m <= 256 else tuple
+        letters = [None] * (2 * m)
+        for pos, g in enumerate(self.gens):
+            letters[2 * (m - 1 - pos)] = (pos, 1)
+            if g.invertible:
+                letters[2 * (m - 1 - pos) + 1] = (pos, -1)
+        code = {letter: c for c, letter in enumerate(letters) if letter}
+        one = self.field.one()
+
+        def codes(mono):
+            return word(code[letter] for letter in self._letters(mono))
+
+        def entry(a, b):
+            (g1, s1), (g2, s2) = a, b
+            if g1 == g2 and s1 != s2:
+                return ((None, word()),)
+            if g1 <= g2:
+                return None
+            rule = self.rules[(g1, g2)]
+            out = [(rule.leading if s1 == s2 else rule.leading.inv(), word((code[b], code[a])))]
+            if s1 == 1 and s2 == 1:
+                out.extend((ct, codes(mono_t)) for mono_t, ct in rule.tail)
+            return tuple((None if f == one else f, rep) for f, rep in out)
+
+        table = [
+            [entry(a, b) if a and b else None for b in letters] for a in letters
+        ]
+        elim = {
+            pair: tuple((None if ct == one else ct, codes(mono_t)) for mono_t, ct in tail)
+            for pair, tail in self.elim.items()
+        }
+        return letters, code, word, table, elim
+
     def word_normal_form(self, word, pick=None) -> dict:
         """Normalize a product of generator letters (gen position, +-1).
+
+        Pending words wait in a dict that sums their coefficients; a heap
+        hands out the longest word first, then the one whose earliest
+        letters have the highest generators. A rewrite step leads to a
+        shorter word or, unless a tail brings in a higher generator, a
+        later one, so a word is rewritten once, after all its
+        contributions are summed; a word reached again after that is
+        queued again. A word with a single successor is followed
+        directly, without the heap.
 
         `pick` selects among reducible positions (used by the confluence
         checker and randomized-strategy tests); default takes the first.
         """
-        field = self.field
+        if self._rewriting is None:
+            self._rewriting = self._build_rewriting()
+        letters, code, as_word, table, elim = self._rewriting
+        m = len(self.gens)
+        w = as_word(code[letter] for letter in word)
+        coef = self.field.one()
+        lo = 0  # no reducible pair starts before lo
+        pending = {}
+        heap = []
         result = {}
-        agenda = [(field.one(), list(word))]
-        while agenda:
-            coef, w = agenda.pop()
-            if coef.is_zero():
-                continue
-            red = self._reducible_positions(w)
-            if red:
-                k = red[0] if pick is None else pick(red, w)
-                (g1, s1), (g2, s2) = w[k], w[k + 1]
-                if g1 == g2 and s1 != s2:
-                    agenda.append((coef, w[:k] + w[k + 2:]))
-                    continue
-                rule = self.rules[(g1, g2)]
-                if s1 == 1 and s2 == 1:
-                    agenda.append(
-                        (coef * rule.leading, w[:k] + [w[k + 1], w[k]] + w[k + 2:])
-                    )
-                    for mono_t, ct in rule.tail:
-                        agenda.append(
-                            (coef * ct, w[:k] + self._letters(mono_t) + w[k + 2:])
-                        )
+        while True:
+            while not coef.is_zero():
+                succ = None
+                if pick is None:
+                    for k in range(lo, len(w) - 1):
+                        succ = table[w[k]][w[k + 1]]
+                        if succ is not None:
+                            break
                 else:
-                    factor = rule.leading if s1 == s2 else rule.leading.inv()
-                    agenda.append(
-                        (coef * factor, w[:k] + [w[k + 1], w[k]] + w[k + 2:])
+                    red = [
+                        k for k in range(len(w) - 1)
+                        if table[w[k]][w[k + 1]] is not None
+                    ]
+                    if red:
+                        k = pick(red, [letters[c] for c in w])
+                        succ = table[w[k]][w[k + 1]]
+                if succ is not None:
+                    head, tail = w[:k], w[k + 2:]
+                    lo = k - 1 if k else 0
+                else:
+                    # sorted; collapse to an exponent vector
+                    e = [0] * m
+                    for c in w:
+                        pos, s = letters[c]
+                        e[pos] += s
+                    e = tuple(e)
+                    pair = self._elim_pair(e) if elim else None
+                    if pair is None:
+                        cur = result.get(e)
+                        result[e] = coef if cur is None else cur + coef
+                        break
+                    i, j = pair
+                    rest = list(e)
+                    rest[i] -= 1
+                    rest[j] -= 1
+                    head = as_word(code[x] for x in self._letters(rest[:i + 1]))
+                    tail = as_word(
+                        code[x] for x in self._letters([0] * (i + 1) + rest[i + 1:])
                     )
-                continue
-            # sorted; collapse to an exponent vector
-            e = [0] * len(self.gens)
-            for g, s in w:
-                e[g] += s
-            e = tuple(e)
-            pair = self._elim_pair(e)
-            if pair is not None:
-                i, j = pair
-                pre, post = [], []
-                for pos, ee in enumerate(e):
-                    letters = self._letters_single(pos, ee if pos not in (i, j) else (ee - 1))
-                    if pos <= i:
-                        pre.extend(letters)
+                    succ = elim[pair]
+                    lo = 0
+                if len(succ) == 1:
+                    (f, rep), = succ
+                    w = head + rep + tail
+                    if f is not None:
+                        coef = coef * f
+                    continue
+                for f, rep in succ:
+                    nw = head + rep + tail
+                    c = coef if f is None else coef * f
+                    cur = pending.get(nw)
+                    if cur is None:
+                        pending[nw] = c
+                        heappush(heap, (-len(nw), nw))
                     else:
-                        post.extend(letters)
-                for mono_t, ct in self.elim[(i, j)]:
-                    agenda.append((coef * ct, pre + self._letters(mono_t) + post))
-                continue
-            cur = result.get(e)
-            result[e] = coef if cur is None else cur + coef
-        return {m: c for m, c in result.items() if not c.is_zero()}
-
-    def _letters_single(self, pos, e):
-        if e > 0:
-            return [(pos, 1)] * e
-        if e < 0:
-            return [(pos, -1)] * (-e)
-        return []
+                        pending[nw] = cur + c
+                break
+            if not heap:
+                break
+            w = heappop(heap)[1]
+            coef = pending.pop(w)
+            lo = 0
+        return {e: c for e, c in result.items() if not c.is_zero()}
 
     def _mono_mul(self, a: Monomial, b: Monomial) -> dict:
         key = (a, b)
@@ -411,15 +483,18 @@ class Presentation:
 
     def multiply(self, x: Element, y: Element) -> Element:
         self.require_validated()
-        field = self.field
         out = {}
         for ma, ca in x.terms.items():
             for mb, cb in y.terms.items():
                 c = ca * cb
                 for m, cm in self._mono_mul(ma, mb).items():
-                    s = out.get(m, field.zero()) + c * cm
+                    s = out.get(m)
+                    if s is None:
+                        out[m] = c * cm
+                        continue
+                    s = s + c * cm
                     if s.is_zero():
-                        out.pop(m, None)
+                        del out[m]
                     else:
                         out[m] = s
         return Element(self, out)
@@ -904,10 +979,7 @@ class _ElementParser(_ScalarParser):
         if exp < 0:
             base = _invert_monomial_element(base)
             exp = -exp
-        out = self.pres.one()
-        for _ in range(exp):
-            out = out * base
-        return out
+        return base ** exp
 
     def elem_factor(self) -> Element:
         c = self.peek()
@@ -942,7 +1014,7 @@ class _ElementParser(_ScalarParser):
             self.fail("expected element expression")
         if self.peek() == "^":
             self.pos += 1
-            v = self._powered(v, self.int_literal())
+            v = self._powered(v, self.exponent_literal())
         return v
 
 

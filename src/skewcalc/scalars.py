@@ -24,12 +24,16 @@ from .errors import (
     DivisionByZeroError,
     ExprSyntaxError,
     FieldMismatchError,
+    ResourceLimitError,
 )
 
 RATIONAL = "rational"
 PRIME = "prime"
 RATFUNC_Q = "ratfunc"
 CYCLOTOMIC = "cyclotomic"
+
+# largest |n| accepted after `^` in scalar and element expressions
+MAX_EXPONENT = 10_000
 
 
 def is_prime(n: int) -> bool:
@@ -465,7 +469,7 @@ class _ScalarParser:
         v = self.atom()
         if self.peek() == "^":
             self.pos += 1
-            v = v ** self.int_literal()
+            v = v ** self.exponent_literal()
         return v
 
     def int_literal(self) -> int:
@@ -478,6 +482,22 @@ class _ScalarParser:
         if self.pos == start or self.text[start:self.pos] == "-":
             self.fail("expected integer")
         return int(self.text[start:self.pos])
+
+    def exponent_literal(self) -> int:
+        """An exponent after `^`; its absolute value is capped at
+        MAX_EXPONENT."""
+        start = self.pos
+        try:
+            n = self.int_literal()
+        except ValueError:  # too many digits for int(), far above the cap
+            n = None
+        if n is None or abs(n) > MAX_EXPONENT:
+            raise ResourceLimitError(
+                f"exponent at position {start} exceeds the cap "
+                f"MAX_EXPONENT = {MAX_EXPONENT}",
+                cap="MAX_EXPONENT", limit=MAX_EXPONENT, pos=start,
+            )
+        return n
 
     def atom(self) -> Scalar:
         c = self.peek()

@@ -112,3 +112,23 @@ def test_registry_command():
     report = json.loads(out.stdout)
     ids = {f["id"] for f in report["result"]["fixtures"]}
     assert ids == {"ex5_5_1", "ex5_5_2"}
+
+
+def test_poly_accepts_leading_minus():
+    out = _run("decompose", "--poly", "-1,0,1")
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["result"]["factor_count"] == 2
+    out = _run("nilradical", "--poly", "-1,0,1")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["result"]["nilradical_dim"] == 0
+
+
+def test_exponent_cap_exits_4_promptly():
+    out = subprocess.run(
+        [sys.executable, "-m", "skewcalc.cli", "mul", str(FIXTURES / "poly2.alg"),
+         "--lhs", "x^100000000", "--rhs", "x"],
+        capture_output=True, timeout=60,
+    )
+    assert out.returncode == 4
+    assert b"MAX_EXPONENT" in out.stderr

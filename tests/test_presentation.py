@@ -4,6 +4,7 @@ import pytest
 
 from skewcalc.errors import (
     NegativeExponentError,
+    ResourceLimitError,
     ValidationError,
 )
 from skewcalc.families import (
@@ -26,7 +27,9 @@ from skewcalc.presentation import (
     parse_element,
     tensor_product,
 )
-from skewcalc.scalars import CYCLOTOMIC, RATFUNC_Q, RATIONAL, FieldDescriptor
+from skewcalc.scalars import (
+    CYCLOTOMIC, MAX_EXPONENT, RATFUNC_Q, RATIONAL, FieldDescriptor, scalar_parse,
+)
 
 Q = FieldDescriptor(RATIONAL)
 
@@ -186,3 +189,24 @@ def test_require_validated_raises_on_bad_presentation():
     )
     with pytest.raises(ValidationError):
         bad.require_validated()
+
+
+def test_power_by_squaring_matches_repeated_product():
+    p = quantum_weyl1()
+    e = parse_element(p, "x + y - q")
+    powers = [p.one()]
+    for _ in range(7):
+        powers.append(powers[-1] * e)
+    assert [e ** n for n in range(8)] == powers
+    assert parse_element(p, "(x + y - q)^7") == powers[7]
+
+
+def test_exponent_literal_cap():
+    p = laurent(1, Q)
+    assert parse_element(p, f"x1^{MAX_EXPONENT}") == p.from_terms({(MAX_EXPONENT,): Q.one()})
+    for text in (f"x1^{MAX_EXPONENT + 1}", f"x1^-{MAX_EXPONENT + 1}",
+                 f"2^{MAX_EXPONENT + 1}", "x1^" + "7" * 5000):
+        with pytest.raises(ResourceLimitError, match="MAX_EXPONENT"):
+            parse_element(p, text)
+    with pytest.raises(ResourceLimitError, match="MAX_EXPONENT"):
+        scalar_parse(FieldDescriptor(RATFUNC_Q), f"q^{MAX_EXPONENT + 1}")
