@@ -126,11 +126,8 @@ def _rational_roots(field: FieldDescriptor, p: list) -> list:
 
     roots = []
     if field.kind == PRIME:
-        for r in range(field.param):
-            cand = field.from_int(r)
-            if _poly_eval_scalar(p, cand, field).is_zero():
-                roots.append(cand)
-        return roots
+        return [field.from_int(r)
+                for r in _gf_roots([c.value for c in p], field.param)]
     if field.kind == RATIONAL:
         fracs = [s.value for s in p]
         from math import lcm
@@ -162,6 +159,93 @@ def _rational_roots(field: FieldDescriptor, p: list) -> list:
         if _poly_eval_scalar(p, cand, field).is_zero() and cand not in roots:
             roots.append(cand)
     return roots
+
+
+def _gf_divmod(a, b, p):
+    """Quotient and remainder of integer coefficient lists over GF(p)."""
+    r = [x % p for x in a]
+    n = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(r) - n, 0)
+    for k in range(len(r) - 1 - n, -1, -1):
+        c = r[k + n] * inv % p
+        q[k] = c
+        if c:
+            for i, y in enumerate(b):
+                r[k + i] = (r[k + i] - c * y) % p
+    r = r[:n]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _gf_mulmod(a, b, f, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _gf_divmod(out, f, p)[1]
+
+
+def _gf_powmod(base, e, f, p):
+    """base^e mod f over GF(p) by square-and-multiply; f not constant."""
+    out = [1]
+    base = _gf_divmod(base, f, p)[1]
+    while e:
+        if e & 1:
+            out = _gf_mulmod(out, base, f, p)
+        e >>= 1
+        if e:
+            base = _gf_mulmod(base, base, f, p)
+    return out
+
+
+def _gf_gcd(a, b, p):
+    """Monic gcd over GF(p); a is nonzero."""
+    while b:
+        a, b = b, _gf_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _gf_minus(a, c, p):
+    """a - c over GF(p), trimmed."""
+    out = list(a) + [0] * max(len(c) - len(a), 0)
+    for i, y in enumerate(c):
+        out[i] = (out[i] - y) % p
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _gf_roots(f, p):
+    """Distinct roots in range(p), ascending, of a nonzero polynomial over
+    GF(p) (integer coefficients, ascending degree). Its linear factors are
+    g = gcd(f, x^p - x), split by gcd(g, (x + a)^((p-1)/2) - 1) for
+    a = 0, 1, ... (equal-degree splitting, deterministic)."""
+    f = [x % p for x in f]
+    while f and not f[-1]:
+        f.pop()
+    if not f:
+        raise BadParamsError("the zero polynomial vanishes everywhere")
+    if p == 2:  # f(0) = f[0], f(1) = sum(f)
+        return [r for r, v in ((0, f[0]), (1, sum(f))) if v % 2 == 0]
+    if len(f) == 1:
+        return []
+    g = _gf_gcd(f, _gf_minus(_gf_powmod([0, 1], p, f, p), [0, 1], p), p)
+    roots, todo = [], [g]
+    while todo:
+        g = todo.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        elif len(g) > 2:
+            for a in range(p):
+                w = _gf_minus(_gf_powmod([a, 1], (p - 1) // 2, g, p), [1], p)
+                h = _gf_gcd(g, w, p)
+                if 1 < len(h) < len(g):
+                    todo += [h, _gf_divmod(g, h, p)[0]]
+                    break
+    return sorted(roots)
 
 
 def _divisors(n: int):

@@ -10,14 +10,28 @@ Four field kinds are supported:
                        Q[q] modulo the l-th cyclotomic polynomial.
 
 Every Scalar has a unique canonical representation, so equality is plain
-structural equality and values are hashable.
+structural equality and values are hashable:
+
+* rational: a ``Fraction``;
+* prime: an ``int`` in ``range(p)``;
+* cyclotomic: ``(coeffs, den)``, integer coefficients of degree below
+  phi(l) and a positive integer denominator coprime to their content;
+  zero is ``((), 1)``;
+* ratfunc: ``(num, den)``, integer polynomials coprime over Q[q] with
+  joint content 1 and a positive leading coefficient of ``den``; zero is
+  ``((), (1,))``.
+
+Integer polynomials are tuples of ints in ascending degree without
+trailing zeros. Values print through the monic-denominator ``Fraction``
+form, in ascending degree: ``(1/2 + 1/2*q)/(-1/2 + q)``, ``1/2*q``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
-from functools import lru_cache
+from math import gcd
 
 from .errors import (
     BadParamsError,
@@ -35,39 +49,55 @@ CYCLOTOMIC = "cyclotomic"
 # largest |n| accepted after `^` in scalar and element expressions
 MAX_EXPONENT = 10_000
 
+# Miller-Rabin with the prime bases 2..41 is deterministic below this
+# bound (Sorenson and Webster, 2015); larger moduli are refused
+PRIME_CAP = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (trial division; parameters are small)."""
+    """Deterministic Miller-Rabin primality test for n < PRIME_CAP."""
+    if n >= PRIME_CAP:
+        raise ResourceLimitError(
+            f"primality of {n} is decided only below the cap "
+            f"PRIME_CAP = {PRIME_CAP}",
+            cap="PRIME_CAP", limit=PRIME_CAP,
+        )
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Fraction, as tuples without trailing zeros
-
-def _ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+# dense univariate polynomials over the integers
 
 
 def _padd(a, b):
-    n = max(len(a), len(b))
-    return _ptrim(
-        tuple(
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)
-        )
-    )
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] += x
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def _pneg(a):
@@ -75,93 +105,213 @@ def _pneg(a):
 
 
 def _pmul(a, b):
+    """Product as a list (nonzero inputs have a nonzero product)."""
     if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _ptrim(out)
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+def _pscale(a, c):
+    return tuple(c * x for x in a)
+
+
+def _pexquo(a, b):
+    """a / b for integer polynomials when b divides a with an integer
+    quotient (b primitive, or b monic)."""
     r = list(a)
-    lead = b[-1]
-    while len(r) >= len(b):
-        c = r[-1] / lead
-        k = len(r) - len(b)
-        q[k] = c
-        for j, cb in enumerate(b):
-            r[k + j] -= c * cb
-        while r and r[-1] == 0:
+    nb, lb = len(b), b[-1]
+    out = [0] * (len(a) - nb + 1)
+    for k in range(len(out) - 1, -1, -1):
+        c = r[k + nb - 1] // lb
+        out[k] = c
+        if c:
+            for i, y in enumerate(b):
+                r[k + i] -= c * y
+    return tuple(out)
+
+
+def _pprim(a):
+    """Primitive part with a positive leading coefficient."""
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else tuple(x // c for x in a)
+
+
+def _prem(a, b):
+    """A pseudo-remainder of a by b (len(a) >= len(b)): lc(b)^k * a mod b."""
+    r = list(a)
+    nb, lb = len(b), b[-1]
+    while len(r) >= nb:
+        c = r[-1]
+        k = len(r) - nb
+        r = [lb * x for x in r]
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        r.pop()
+        while r and not r[-1]:
             r.pop()
-    return _ptrim(q), _ptrim(r)
+    return r
 
 
 def _pgcd(a, b):
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = tuple(c / lead for c in a)
-    return a
+    """Primitive gcd of two nonzero integer polynomials by primitive PRS
+    (Collins 1967, Brown 1971); (1,) when they are coprime over Q[q]."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _pprim(a), _pprim(b)
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        a, b = b, _pprim(r)
+    return (1,)
 
 
-def _pmonic_pair(num, den):
-    """Reduce num/den: coprime, den monic. Zero is ((), (1,))."""
+def _is_monomial(a):
+    return not any(a[:-1])
+
+
+def cyclotomic_polynomial(l: int):
+    """Integer coefficients of the l-th cyclotomic polynomial, ascending
+    degree: x^m - 1 divided by the Phi_d of its proper divisors d."""
+    if l < 1:
+        raise BadParamsError("cyclotomic order must be >= 1")
+    phi = {}
+    for m in range(1, l + 1):
+        if l % m:
+            continue
+        num = (-1,) + (0,) * (m - 1) + (1,)
+        for d, phi_d in phi.items():
+            if m % d == 0:
+                num = _pexquo(num, phi_d)
+        phi[m] = num
+    return phi[l]
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic(l) values (coeffs, den)
+
+_CZERO = ((), 1)
+
+
+def _cyc_make(c, den):
+    """Canonical value of c/den; c without trailing zeros."""
+    if not c:
+        return _CZERO
+    if den < 0:
+        c, den = [-x for x in c], -den
+    if den != 1:
+        g = gcd(den, *c)
+        if g != 1:
+            return tuple(x // g for x in c), den // g
+    return tuple(c), den
+
+
+def _cyc_reduce(r, red):
+    """Reduce a coefficient list of degree <= len(red) + phi - 1 modulo
+    Phi_l, where red[k] = q^(phi+k) mod Phi_l; trailing zeros removed."""
+    n = len(red[0])
+    if len(r) > n:
+        out = r[:n]
+        for k in range(n, len(r)):
+            x = r[k]
+            if x:
+                for i, t in enumerate(red[k - n]):
+                    out[i] += x * t
+        r = out
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _times_q(a, top):
+    """q * a modulo Phi_l for a of length phi, where top = q^phi mod Phi_l."""
+    out = [0] + a[:-1]
+    for i, t in enumerate(top):
+        out[i] += a[-1] * t
+    return out
+
+
+def _cyc_add(a, b):
+    (c1, d1), (c2, d2) = a, b
+    if d1 == d2:
+        c = _padd(c1, c2)
+        return _cyc_make(c, d1) if d1 != 1 else (c, 1)
+    return _cyc_make(_padd(_pscale(c1, d2), _pscale(c2, d1)), d1 * d2)
+
+
+def _cyc_mul(a, b, red):
+    (c1, d1), (c2, d2) = a, b
+    r = _cyc_reduce(_pmul(c1, c2), red)
+    d = d1 * d2
+    return _cyc_make(r, d) if d != 1 else (tuple(r), 1)
+
+
+def _cyc_inv(a, l, red, pows):
+    """1/a through the norm: a times the product of its Galois conjugates
+    q -> q^j (1 < j < l, gcd(j, l) = 1) is a nonzero integer. pows[m] is
+    q^m mod Phi_l."""
+    c, den = a
+    n = len(red[0])
+    conj_prod = [1]
+    for j in range(2, l):
+        if gcd(j, l) != 1:
+            continue
+        conj = [0] * n
+        for i, x in enumerate(c):
+            if x:
+                for t, y in enumerate(pows[i * j % l]):
+                    conj[t] += x * y
+        conj_prod = _cyc_reduce(_pmul(conj_prod, conj), red)
+    (norm,) = _cyc_reduce(_pmul(c, conj_prod), red)
+    return _cyc_make([den * x for x in conj_prod], norm)
+
+
+# ---------------------------------------------------------------------------
+# ratfunc values (num, den)
+
+_RZERO = ((), (1,))
+
+
+def _rf_make(num, den):
+    """Canonical value of num/den (integer coefficient sequences)."""
     if not den:
         raise DivisionByZeroError("zero denominator")
     if not num:
-        return (), (Fraction(1),)
-    g = _pgcd(num, den)
-    if len(g) > 1:
-        num = _pdivmod(num, g)[0]
-        den = _pdivmod(den, g)[0]
-    lead = den[-1]
-    num = tuple(c / lead for c in num)
-    den = tuple(c / lead for c in den)
-    return num, den
+        return _RZERO
+    if not num[0] and not den[0]:  # strip the common power of q
+        v = 1
+        while not num[v] and not den[v]:
+            v += 1
+        num, den = num[v:], den[v:]
+    if not (_is_monomial(den) or _is_monomial(num)):
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            num, den = _pexquo(num, g), _pexquo(den, g)
+    c = gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        return tuple(x // c for x in num), tuple(x // c for x in den)
+    return tuple(num), tuple(den)
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(l: int):
-    """Coefficients of the l-th cyclotomic polynomial, ascending degree."""
-    if l < 1:
-        raise BadParamsError("cyclotomic order must be >= 1")
-    # x^l - 1 divided by the product of the lower-order cyclotomics
-    num = tuple(
-        Fraction(-1) if i == 0 else (Fraction(1) if i == l else Fraction(0))
-        for i in range(l + 1)
-    )
-    for d in range(1, l):
-        if l % d == 0:
-            num = _pdivmod(num, cyclotomic_polynomial(d))[0]
-    return num
+def _rf_add(a, b):
+    (n1, d1), (n2, d2) = a, b
+    if d1 == d2:
+        return _rf_make(_padd(n1, n2), d1)
+    return _rf_make(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
 
 
-def _pmod(a, modulus):
-    return _pdivmod(a, modulus)[1]
-
-
-def _pinv_mod(a, modulus):
-    """Inverse of a mod modulus via extended Euclid (fails on zero divisor)."""
-    if not a:
-        raise DivisionByZeroError("inverse of zero")
-    r0, r1 = modulus, a
-    s0, s1 = (), (Fraction(1),)
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1)))
-    if len(r0) != 1:
-        raise DivisionByZeroError("element is a zero divisor mod modulus")
-    c = r0[0]
-    return _ptrim(tuple(x / c for x in s0))
+def _rf_mul(a, b):
+    (n1, d1), (n2, d2) = a, b
+    return _rf_make(_pmul(n1, n2), _pmul(d1, d2))
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +321,10 @@ def _pinv_mod(a, modulus):
 class FieldDescriptor:
     kind: str
     param: int | None = None
+    # zero, one and the cyclotomic tables, built on first use
+    _cache: dict = _dc_field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
         if self.kind == RATIONAL or self.kind == RATFUNC_Q:
@@ -188,12 +342,19 @@ class FieldDescriptor:
     # -- constants ----------------------------------------------------------
 
     def zero(self) -> "Scalar":
-        return self.from_int(0)
+        z = self._cache.get(0)
+        return z if z is not None else self.from_int(0)
 
     def one(self) -> "Scalar":
-        return self.from_int(1)
+        u = self._cache.get(1)
+        return u if u is not None else self.from_int(1)
 
     def from_int(self, n: int) -> "Scalar":
+        if n == 0 or n == 1:  # shared, since scalars are immutable
+            c = self._cache.get(n)
+            if c is None:
+                c = self._cache[n] = self.from_fraction(Fraction(n))
+            return c
         return self.from_fraction(Fraction(n))
 
     def from_fraction(self, f: Fraction) -> "Scalar":
@@ -205,22 +366,43 @@ class FieldDescriptor:
             if den == 0:
                 raise DivisionByZeroError(f"{f} has no image in GF({p})")
             return Scalar(self, (f.numerator * pow(den, -1, p)) % p)
+        if f == 0:
+            return Scalar(self, _RZERO if self.kind == RATFUNC_Q else _CZERO)
         if self.kind == RATFUNC_Q:
-            if f == 0:
-                return Scalar(self, ((), (Fraction(1),)))
-            return Scalar(self, ((f,), (Fraction(1),)))
-        num = (f,) if f != 0 else ()
-        return Scalar(self, num)
+            return Scalar(self, ((f.numerator,), (f.denominator,)))
+        return Scalar(self, ((f.numerator,), f.denominator))
 
     def q(self) -> "Scalar":
         """The distinguished scalar q (ratfunc and cyclotomic fields only)."""
         if self.kind == RATFUNC_Q:
-            return Scalar(self, ((Fraction(0), Fraction(1)), (Fraction(1),)))
+            return Scalar(self, ((0, 1), (1,)))
         if self.kind == CYCLOTOMIC:
-            mod = cyclotomic_polynomial(self.param)
-            val = _pmod((Fraction(0), Fraction(1)), mod)
-            return Scalar(self, _ptrim(val))
+            return Scalar(self, (tuple(_cyc_reduce([0, 1], self._reduction())), 1))
         raise FieldMismatchError(f"field {self} has no element named q")
+
+    def _reduction(self):
+        """red[k] = q^(phi+k) mod Phi_l for k < max(phi - 1, 1), phi the
+        degree of Phi_l: enough to reduce any product of two reduced
+        values, and q itself. Integral because Phi_l is monic."""
+        red = self._cache.get("red")
+        if red is None:
+            phi = cyclotomic_polynomial(self.param)
+            red = [[-c for c in phi[:-1]]]
+            for _ in range(max(len(phi) - 2, 1) - 1):
+                red.append(_times_q(red[-1], red[0]))
+            red = self._cache["red"] = tuple(tuple(r) for r in red)
+        return red
+
+    def _powers(self):
+        """q^m mod Phi_l for m < l, the Galois conjugation table."""
+        pows = self._cache.get("pows")
+        if pows is None:
+            top = list(self._reduction()[0])
+            pows = [[1] + [0] * (len(top) - 1)]
+            for _ in range(self.param - 1):
+                pows.append(_times_q(pows[-1], top))
+            pows = self._cache["pows"] = tuple(tuple(p) for p in pows)
+        return pows
 
     def characteristic(self) -> int:
         return self.param if self.kind == PRIME else 0
@@ -235,24 +417,30 @@ class FieldDescriptor:
         return "rational"
 
 
-@dataclass(frozen=True)
 class Scalar:
     """An exact field element in canonical form."""
 
-    field: FieldDescriptor
-    value: object
+    __slots__ = ("field", "value")
+
+    def __init__(self, field: FieldDescriptor, value):
+        self.field = field
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return self.value == other.value and (
+            self.field is other.field or self.field == other.field
+        )
+
+    def __hash__(self):
+        return hash((self.field, self.value))
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        k = self.field.kind
-        if k == RATIONAL:
-            return self.value == 0
-        if k == PRIME:
-            return self.value == 0
-        if k == RATFUNC_Q:
-            return not self.value[0]
-        return not self.value
+        v = self.value
+        return not v[0] if v.__class__ is tuple else not v
 
     def is_one(self) -> bool:
         return self == self.field.one()
@@ -262,66 +450,65 @@ class Scalar:
     def _check(self, other):
         if not isinstance(other, Scalar):
             raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatchError(
                 f"cannot combine {self.field} with {other.field}"
             )
 
     def __add__(self, other):
-        self._check(other)
-        k = self.field.kind
+        f = self.field
+        if other.__class__ is not Scalar or other.field is not f:
+            self._check(other)
+        k = f.kind
         if k == RATIONAL:
-            return Scalar(self.field, self.value + other.value)
+            return Scalar(f, self.value + other.value)
         if k == PRIME:
-            return Scalar(self.field, (self.value + other.value) % self.field.param)
-        if k == RATFUNC_Q:
-            n1, d1 = self.value
-            n2, d2 = other.value
-            num = _padd(_pmul(n1, d2), _pmul(n2, d1))
-            return Scalar(self.field, _pmonic_pair(num, _pmul(d1, d2)))
-        return Scalar(self.field, _padd(self.value, other.value))
+            return Scalar(f, (self.value + other.value) % f.param)
+        if k == CYCLOTOMIC:
+            return Scalar(f, _cyc_add(self.value, other.value))
+        return Scalar(f, _rf_add(self.value, other.value))
 
     def __neg__(self):
-        k = self.field.kind
+        f = self.field
+        k = f.kind
         if k == RATIONAL:
-            return Scalar(self.field, -self.value)
+            return Scalar(f, -self.value)
         if k == PRIME:
-            return Scalar(self.field, (-self.value) % self.field.param)
-        if k == RATFUNC_Q:
-            n, d = self.value
-            return Scalar(self.field, (_pneg(n), d))
-        return Scalar(self.field, _pneg(self.value))
+            return Scalar(f, (-self.value) % f.param)
+        a, b = self.value
+        return Scalar(f, (_pneg(a), b))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        self._check(other)
-        k = self.field.kind
+        f = self.field
+        if other.__class__ is not Scalar or other.field is not f:
+            self._check(other)
+        k = f.kind
         if k == RATIONAL:
-            return Scalar(self.field, self.value * other.value)
+            return Scalar(f, self.value * other.value)
         if k == PRIME:
-            return Scalar(self.field, (self.value * other.value) % self.field.param)
-        if k == RATFUNC_Q:
-            n1, d1 = self.value
-            n2, d2 = other.value
-            return Scalar(self.field, _pmonic_pair(_pmul(n1, n2), _pmul(d1, d2)))
-        mod = cyclotomic_polynomial(self.field.param)
-        return Scalar(self.field, _pmod(_pmul(self.value, other.value), mod))
+            return Scalar(f, (self.value * other.value) % f.param)
+        if k == CYCLOTOMIC:
+            return Scalar(f, _cyc_mul(self.value, other.value, f._reduction()))
+        return Scalar(f, _rf_mul(self.value, other.value))
 
     def inv(self):
         if self.is_zero():
             raise DivisionByZeroError("division by zero")
-        k = self.field.kind
+        f = self.field
+        k = f.kind
         if k == RATIONAL:
-            return Scalar(self.field, 1 / self.value)
+            return Scalar(f, 1 / self.value)
         if k == PRIME:
-            return Scalar(self.field, pow(self.value, -1, self.field.param))
-        if k == RATFUNC_Q:
-            n, d = self.value
-            return Scalar(self.field, _pmonic_pair(d, n))
-        mod = cyclotomic_polynomial(self.field.param)
-        return Scalar(self.field, _pinv_mod(self.value, mod))
+            return Scalar(f, pow(self.value, -1, f.param))
+        if k == CYCLOTOMIC:
+            return Scalar(
+                f, _cyc_inv(self.value, f.param, f._reduction(), f._powers())
+            )
+        n, d = self.value
+        return Scalar(f, (d, n) if n[-1] > 0 else (_pneg(d), _pneg(n)))
 
     def __truediv__(self, other):
         self._check(other)
@@ -343,23 +530,19 @@ class Scalar:
 
     def __str__(self):
         k = self.field.kind
-        if k == RATIONAL:
+        if k == RATIONAL or k == PRIME:
             return str(self.value)
-        if k == PRIME:
-            return str(self.value)
-        if k == RATFUNC_Q:
-            n, d = self.value
-            ns = _poly_str(n)
-            if d == (Fraction(1),):
-                return ns
-            return f"({ns})/({_poly_str(d)})"
-        return _poly_str(self.value)
+        if k == CYCLOTOMIC:
+            c, d = self.value
+            return _poly_str([Fraction(x, d) for x in c] if d != 1 else c)
+        n, d = self.value
+        lc = d[-1]
+        ns = _poly_str([Fraction(x, lc) for x in n])
+        if len(d) == 1:
+            return ns
+        return f"({ns})/({_poly_str([Fraction(x, lc) for x in d])})"
 
     __repr__ = __str__
-
-
-def _fraction_str(f: Fraction) -> str:
-    return str(f)
 
 
 def _poly_str(coeffs) -> str:
@@ -370,7 +553,7 @@ def _poly_str(coeffs) -> str:
         if c == 0:
             continue
         if i == 0:
-            parts.append(_fraction_str(c))
+            parts.append(str(c))
         else:
             var = "q" if i == 1 else f"q^{i}"
             if c == 1:
@@ -378,7 +561,7 @@ def _poly_str(coeffs) -> str:
             elif c == -1:
                 parts.append(f"-{var}")
             else:
-                parts.append(f"{_fraction_str(c)}*{var}")
+                parts.append(f"{c}*{var}")
     out = parts[0]
     for p in parts[1:]:
         out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -473,6 +656,8 @@ class _ScalarParser:
         return v
 
     def int_literal(self) -> int:
+        """An integer literal; one longer than the interpreter converts
+        (sys.get_int_max_str_digits) is a resource limit."""
         self.skip_ws()
         start = self.pos
         if self.peek() == "-":
@@ -481,7 +666,15 @@ class _ScalarParser:
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             self.fail("expected integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ResourceLimitError(
+                f"integer literal at position {start} has more digits than "
+                f"the interpreter's limit int_max_str_digits = {limit}",
+                cap="int_max_str_digits", limit=limit, pos=start,
+            ) from None
 
     def exponent_literal(self) -> int:
         """An exponent after `^`; its absolute value is capped at
@@ -489,7 +682,7 @@ class _ScalarParser:
         start = self.pos
         try:
             n = self.int_literal()
-        except ValueError:  # too many digits for int(), far above the cap
+        except ResourceLimitError:  # too many digits, far above the cap
             n = None
         if n is None or abs(n) > MAX_EXPONENT:
             raise ResourceLimitError(

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from skewcalc.cancel import (
+    _rational_roots,
     ImplicationDAG,
     certify,
     commutative_quotient,
@@ -180,3 +182,26 @@ def test_dag_never_uses_dotted_edges():
     props = {v.property for v in verdicts if v.status != "REFUTED_BY_EXAMPLE"}
     assert "SIGMA_ALG_CANCELLATIVE_STRONG" not in props
     assert "DELTA_CANCELLATIVE" not in props
+
+
+SMALL_PRIMES = [p for p in range(2, 114) if all(p % d for d in range(2, p))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_gf_roots_equal_exhaustive_scan(data):
+    p = data.draw(st.sampled_from(SMALL_PRIMES))
+    field = FieldDescriptor(PRIME, p)
+    residues = st.integers(0, p - 1)
+    if data.draw(st.booleans()):  # a product of linear factors, repeats allowed
+        coeffs = [1]
+        for r in data.draw(st.lists(residues, min_size=1, max_size=6)):
+            coeffs = [(a - r * b) % p for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs = [c * data.draw(st.integers(1, p - 1)) % p for c in coeffs]
+    else:
+        coeffs = data.draw(st.lists(residues, min_size=1, max_size=9))
+    assume(any(coeffs))
+    poly = [field.from_int(c) for c in coeffs]
+    scan = [r for r in range(p)
+            if sum(c * pow(r, i, p) for i, c in enumerate(coeffs)) % p == 0]
+    assert _rational_roots(field, poly) == [field.from_int(r) for r in scan]

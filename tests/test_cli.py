@@ -132,3 +132,46 @@ def test_exponent_cap_exits_4_promptly():
     )
     assert out.returncode == 4
     assert b"MAX_EXPONENT" in out.stderr
+
+
+def _weyl_over(tmp_path, modulus):
+    path = tmp_path / "w.alg"
+    path.write_text(
+        f"algebra w {{\n  field gf({modulus});\n  gens x, y;\n"
+        "  rule y*x = x*y + 1;\n}\n"
+    )
+    return str(path)
+
+
+def test_check_over_a_large_prime_field_is_prompt(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-m", "skewcalc.cli", "check",
+         _weyl_over(tmp_path, 1000000000000000003)],
+        capture_output=True, timeout=10,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["algebra"]["field"] == "gf(1000000000000000003)"
+
+
+def test_field_moduli_composite_or_past_the_primality_cap(tmp_path):
+    out = _run("check", _weyl_over(tmp_path, 1000000000000000001))
+    assert out.returncode == 2
+    out = _run("check", _weyl_over(tmp_path, 2**89 - 1))
+    assert out.returncode == 4
+    assert b"PRIME_CAP" in out.stderr
+
+
+def test_long_coefficient_literal_exits_4():
+    out = _run("mul", str(FIXTURES / "poly2.alg"), "--lhs", "7" * 5000, "--rhs", "x")
+    assert out.returncode == 4
+    assert b"int_max_str_digits" in out.stderr
+
+
+def test_decompose_over_a_large_prime_field_is_prompt():
+    out = subprocess.run(
+        [sys.executable, "-m", "skewcalc.cli", "decompose",
+         "--field", "gf(1000003)", "--poly", "1,0,1,0,1"],
+        capture_output=True, timeout=20,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["result"]["factor_count"] == 4

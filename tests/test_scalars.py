@@ -1,14 +1,26 @@
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skewcalc.errors import BadParamsError, DivisionByZeroError, ExprSyntaxError
+from skewcalc.errors import (
+    BadParamsError,
+    DivisionByZeroError,
+    ExprSyntaxError,
+    FieldMismatchError,
+    ResourceLimitError,
+)
 from skewcalc.scalars import (
     CYCLOTOMIC,
     PRIME,
+    PRIME_CAP,
     RATFUNC_Q,
     RATIONAL,
     FieldDescriptor,
+    is_prime,
     scalar_arith,
     scalar_parse,
 )
@@ -88,3 +100,470 @@ def test_characteristics():
     assert F5.characteristic() == 5
     assert RQ.characteristic() == 0
     assert C3.characteristic() == 0
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the previous Fraction-based kernel. The arithmetic is
+# kept verbatim; the classes are renamed (FieldDescriptor -> RefField,
+# Scalar -> RefScalar) and the field keeps only its constructors.
+
+
+def _ptrim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _padd(a, b):
+    n = max(len(a), len(b))
+    return _ptrim(
+        tuple(
+            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+            for i in range(n)
+        )
+    )
+
+
+def _pneg(a):
+    return tuple(-c for c in a)
+
+
+def _pmul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _ptrim(out)
+
+
+def _pdivmod(a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    lead = b[-1]
+    while len(r) >= len(b):
+        c = r[-1] / lead
+        k = len(r) - len(b)
+        q[k] = c
+        for j, cb in enumerate(b):
+            r[k + j] -= c * cb
+        while r and r[-1] == 0:
+            r.pop()
+    return _ptrim(q), _ptrim(r)
+
+
+def _pgcd(a, b):
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    if a:
+        lead = a[-1]
+        a = tuple(c / lead for c in a)
+    return a
+
+
+def _pmonic_pair(num, den):
+    """Reduce num/den: coprime, den monic. Zero is ((), (1,))."""
+    if not den:
+        raise DivisionByZeroError("zero denominator")
+    if not num:
+        return (), (Fraction(1),)
+    g = _pgcd(num, den)
+    if len(g) > 1:
+        num = _pdivmod(num, g)[0]
+        den = _pdivmod(den, g)[0]
+    lead = den[-1]
+    num = tuple(c / lead for c in num)
+    den = tuple(c / lead for c in den)
+    return num, den
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(l: int):
+    """Coefficients of the l-th cyclotomic polynomial, ascending degree."""
+    if l < 1:
+        raise BadParamsError("cyclotomic order must be >= 1")
+    # x^l - 1 divided by the product of the lower-order cyclotomics
+    num = tuple(
+        Fraction(-1) if i == 0 else (Fraction(1) if i == l else Fraction(0))
+        for i in range(l + 1)
+    )
+    for d in range(1, l):
+        if l % d == 0:
+            num = _pdivmod(num, cyclotomic_polynomial(d))[0]
+    return num
+
+
+def _pmod(a, modulus):
+    return _pdivmod(a, modulus)[1]
+
+
+def _pinv_mod(a, modulus):
+    """Inverse of a mod modulus via extended Euclid (fails on zero divisor)."""
+    if not a:
+        raise DivisionByZeroError("inverse of zero")
+    r0, r1 = modulus, a
+    s0, s1 = (), (Fraction(1),)
+    while r1:
+        q, r = _pdivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1)))
+    if len(r0) != 1:
+        raise DivisionByZeroError("element is a zero divisor mod modulus")
+    c = r0[0]
+    return _ptrim(tuple(x / c for x in s0))
+
+
+@dataclass(frozen=True)
+class RefField:
+    kind: str
+    param: int | None = None
+
+    def zero(self) -> "RefScalar":
+        return self.from_int(0)
+
+    def one(self) -> "RefScalar":
+        return self.from_int(1)
+
+    def from_int(self, n: int) -> "RefScalar":
+        return self.from_fraction(Fraction(n))
+
+    def from_fraction(self, f: Fraction) -> "RefScalar":
+        if self.kind == RATIONAL:
+            return RefScalar(self, f)
+        if self.kind == PRIME:
+            p = self.param
+            den = f.denominator % p
+            if den == 0:
+                raise DivisionByZeroError(f"{f} has no image in GF({p})")
+            return RefScalar(self, (f.numerator * pow(den, -1, p)) % p)
+        if self.kind == RATFUNC_Q:
+            if f == 0:
+                return RefScalar(self, ((), (Fraction(1),)))
+            return RefScalar(self, ((f,), (Fraction(1),)))
+        num = (f,) if f != 0 else ()
+        return RefScalar(self, num)
+
+    def q(self) -> "RefScalar":
+        """The distinguished scalar q (ratfunc and cyclotomic fields only)."""
+        if self.kind == RATFUNC_Q:
+            return RefScalar(self, ((Fraction(0), Fraction(1)), (Fraction(1),)))
+        if self.kind == CYCLOTOMIC:
+            mod = cyclotomic_polynomial(self.param)
+            val = _pmod((Fraction(0), Fraction(1)), mod)
+            return RefScalar(self, _ptrim(val))
+        raise FieldMismatchError(f"field {self} has no element named q")
+
+
+@dataclass(frozen=True)
+class RefScalar:
+    """An exact field element in canonical form."""
+
+    field: RefField
+    value: object
+
+    # -- predicates ---------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        k = self.field.kind
+        if k == RATIONAL:
+            return self.value == 0
+        if k == PRIME:
+            return self.value == 0
+        if k == RATFUNC_Q:
+            return not self.value[0]
+        return not self.value
+
+    def is_one(self) -> bool:
+        return self == self.field.one()
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def _check(self, other):
+        if not isinstance(other, RefScalar):
+            raise TypeError(f"expected Scalar, got {type(other).__name__}")
+        if other.field != self.field:
+            raise FieldMismatchError(
+                f"cannot combine {self.field} with {other.field}"
+            )
+
+    def __add__(self, other):
+        self._check(other)
+        k = self.field.kind
+        if k == RATIONAL:
+            return RefScalar(self.field, self.value + other.value)
+        if k == PRIME:
+            return RefScalar(self.field, (self.value + other.value) % self.field.param)
+        if k == RATFUNC_Q:
+            n1, d1 = self.value
+            n2, d2 = other.value
+            num = _padd(_pmul(n1, d2), _pmul(n2, d1))
+            return RefScalar(self.field, _pmonic_pair(num, _pmul(d1, d2)))
+        return RefScalar(self.field, _padd(self.value, other.value))
+
+    def __neg__(self):
+        k = self.field.kind
+        if k == RATIONAL:
+            return RefScalar(self.field, -self.value)
+        if k == PRIME:
+            return RefScalar(self.field, (-self.value) % self.field.param)
+        if k == RATFUNC_Q:
+            n, d = self.value
+            return RefScalar(self.field, (_pneg(n), d))
+        return RefScalar(self.field, _pneg(self.value))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        self._check(other)
+        k = self.field.kind
+        if k == RATIONAL:
+            return RefScalar(self.field, self.value * other.value)
+        if k == PRIME:
+            return RefScalar(self.field, (self.value * other.value) % self.field.param)
+        if k == RATFUNC_Q:
+            n1, d1 = self.value
+            n2, d2 = other.value
+            return RefScalar(self.field, _pmonic_pair(_pmul(n1, n2), _pmul(d1, d2)))
+        mod = cyclotomic_polynomial(self.field.param)
+        return RefScalar(self.field, _pmod(_pmul(self.value, other.value), mod))
+
+    def inv(self):
+        if self.is_zero():
+            raise DivisionByZeroError("division by zero")
+        k = self.field.kind
+        if k == RATIONAL:
+            return RefScalar(self.field, 1 / self.value)
+        if k == PRIME:
+            return RefScalar(self.field, pow(self.value, -1, self.field.param))
+        if k == RATFUNC_Q:
+            n, d = self.value
+            return RefScalar(self.field, _pmonic_pair(d, n))
+        mod = cyclotomic_polynomial(self.field.param)
+        return RefScalar(self.field, _pinv_mod(self.value, mod))
+
+    def __truediv__(self, other):
+        self._check(other)
+        return self * other.inv()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inv() ** (-n)
+        out = self.field.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    # -- rendering ----------------------------------------------------------
+
+    def __str__(self):
+        k = self.field.kind
+        if k == RATIONAL:
+            return str(self.value)
+        if k == PRIME:
+            return str(self.value)
+        if k == RATFUNC_Q:
+            n, d = self.value
+            ns = _poly_str(n)
+            if d == (Fraction(1),):
+                return ns
+            return f"({ns})/({_poly_str(d)})"
+        return _poly_str(self.value)
+
+    __repr__ = __str__
+
+
+def _fraction_str(f: Fraction) -> str:
+    return str(f)
+
+
+def _poly_str(coeffs) -> str:
+    if not coeffs:
+        return "0"
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(_fraction_str(c))
+        else:
+            var = "q" if i == 1 else f"q^{i}"
+            if c == 1:
+                parts.append(var)
+            elif c == -1:
+                parts.append(f"-{var}")
+            else:
+                parts.append(f"{_fraction_str(c)}*{var}")
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the reference, on random expression trees
+
+KERNEL_FIELDS = (
+    [(RATIONAL, None), (PRIME, 7), (PRIME, 32003), (RATFUNC_Q, None)]
+    + [(CYCLOTOMIC, l) for l in range(2, 13)]
+)
+ORACLE_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                           database=None)
+
+
+def _trees(with_q):
+    leaf = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    if with_q:
+        leaf = leaf | st.just("q")
+    return st.recursive(
+        leaf,
+        lambda kids: (
+            st.tuples(st.sampled_from("+-*/"), kids, kids)
+            | st.tuples(st.sampled_from(["neg", "inv"]), kids)
+            | st.tuples(st.just("^"), kids, st.integers(-3, 4))
+        ),
+        max_leaves=8,
+    )
+
+
+def _evaluate(field, tree):
+    """Value of `tree` in `field`, or the type of the error it raises."""
+    def ev(t):
+        if isinstance(t, Fraction):
+            return field.from_fraction(t)
+        if t == "q":
+            return field.q()
+        op = t[0]
+        if op == "neg":
+            return -ev(t[1])
+        if op == "inv":
+            return ev(t[1]).inv()
+        if op == "^":
+            return ev(t[1]) ** t[2]
+        a, b = ev(t[1]), ev(t[2])
+        return {"+": a + b, "-": a - b, "*": a * b}[op] if op != "/" else a / b
+
+    try:
+        return ev(tree)
+    except DivisionByZeroError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("kind,param", KERNEL_FIELDS)
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_kernel_matches_fraction_reference(kind, param, data):
+    field, ref = FieldDescriptor(kind, param), RefField(kind, param)
+    trees = _trees(kind in (RATFUNC_Q, CYCLOTOMIC))
+    values = []
+    for tree in (data.draw(trees), data.draw(trees)):
+        got, want = _evaluate(field, tree), _evaluate(ref, tree)
+        if isinstance(want, type):  # division by zero on both sides
+            assert got is want
+            continue
+        pairs = [(got, want), (-got, -want)]
+        if not want.is_zero():
+            pairs.append((got.inv(), want.inv()))
+        for x, y in pairs:
+            assert str(x) == str(y)
+            again = scalar_parse(field, str(x))
+            assert again == x and hash(again) == hash(x)
+            values.append(x)
+    for x in values:
+        for y in values:
+            assert (x == y) == (str(x) == str(y))
+            if x == y:
+                assert hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("kind,param", KERNEL_FIELDS)
+def test_equal_values_built_differently_hash_equal(kind, param):
+    f = FieldDescriptor(kind, param)
+    x = f.q() if kind in (RATFUNC_Q, CYCLOTOMIC) else f.from_int(3)
+    y = f.from_int(2) + x
+    z = (y * y - f.from_int(4)) / y + f.from_int(4) / y
+    assert z == y and hash(z) == hash(y) and str(z) == str(y)
+
+
+def test_constants_are_shared_per_field():
+    for kind, param in KERNEL_FIELDS:
+        f = FieldDescriptor(kind, param)
+        assert f.zero() is f.zero() is f.from_int(0)
+        assert f.one() is f.one() is f.from_int(1)
+        assert f == FieldDescriptor(kind, param)
+        assert hash(f) == hash(FieldDescriptor(kind, param))
+        assert repr(f) == repr(FieldDescriptor(kind, param))
+
+
+def test_fields_equal_but_not_identical_combine():
+    a, b = FieldDescriptor(CYCLOTOMIC, 5), FieldDescriptor(CYCLOTOMIC, 5)
+    assert a is not b
+    assert a.q() * b.q() == scalar_parse(a, "q^2")
+    with pytest.raises(FieldMismatchError):
+        a.q() + FieldDescriptor(CYCLOTOMIC, 7).q()
+
+
+def test_ratfunc_canonical_form():
+    v = scalar_parse(RQ, "(2*q^3 - 2*q)/(6*q^2 + 6*q)").value
+    assert v == ((-1, 1), (3,))  # (q - 1)/3: coprime, content 1
+    v = scalar_parse(RQ, "1/(-2*q)").value
+    assert v == ((-1,), (0, 2))  # positive leading denominator coefficient
+    assert str(scalar_parse(RQ, "(q + 1)/(2*q - 1)")) == "(1/2 + 1/2*q)/(-1/2 + q)"
+
+
+def test_cyclotomic_canonical_form():
+    c6 = FieldDescriptor(CYCLOTOMIC, 6)
+    v = scalar_parse(c6, "(2*q + 4)/6").value
+    assert v == ((2, 1), 3)
+    assert str(scalar_parse(c6, "q^3")) == "-1"
+
+
+# ---------------------------------------------------------------------------
+# primality
+
+
+def _trial_division(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_is_prime_equals_trial_division_below_1e5():
+    assert [n for n in range(100_000) if is_prime(n)] == [
+        n for n in range(100_000) if _trial_division(n)
+    ]
+
+
+def test_is_prime_large_values():
+    for n in (3215031751, 3825123056546413051, 2**61 - 1 + 2):  # composites
+        assert not is_prime(n)
+    for n in (1000000000000000003, 2**61 - 1, 2**31 - 1, 32003):
+        assert is_prime(n)
+    with pytest.raises(ResourceLimitError, match="PRIME_CAP"):
+        is_prime(PRIME_CAP)
+    with pytest.raises(ResourceLimitError, match="PRIME_CAP"):
+        is_prime(2**89 - 1)
+
+
+def test_long_integer_literal_is_a_resource_limit():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ResourceLimitError, match="int_max_str_digits"):
+        scalar_parse(Q, "7" * (limit + 1))
+    assert scalar_parse(Q, "7" * limit) == Q.from_int(int("7" * limit))
