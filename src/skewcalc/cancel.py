@@ -22,7 +22,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .linalg import SpanBasis, nullspace, rref, solve
+from .linalg import SpanBasis, nullspace, reduce_row, rref, solve
 from .presentation import (
     Element,
     GeneratorInfo,
@@ -41,14 +41,6 @@ def _vzero(field, n):
     return [field.zero()] * n
 
 
-def _vadd(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def _vscale(v, c):
-    return [x * c for x in v]
-
-
 def _viszero(v):
     return all(x.is_zero() for x in v)
 
@@ -64,7 +56,7 @@ def _poly_eval(p, field, u_powers):
     n = len(u_powers[0])
     out = _vzero(field, n)
     for c, pw in zip(p, u_powers):
-        out = _vadd(out, _vscale(pw, c))
+        out = [x + y * c for x, y in zip(out, pw)]
     return out
 
 
@@ -311,6 +303,11 @@ class FiniteDimAlgebra:
         self.basis_names = tuple(basis_names)
         self.table = table  # table[i][j] = product e_i*e_j as a vector
         self.unit = list(unit)
+        # sparse structure constants: _sc[i][j] = [(k, c_ij^k) for c_ij^k != 0]
+        self._sc = [
+            [[(k, c) for k, c in enumerate(e) if not c.is_zero()] for e in row]
+            for row in table
+        ]
         self._check_laws()
 
     @property
@@ -342,15 +339,20 @@ class FiniteDimAlgebra:
         return v
 
     def mul(self, u, v):
-        out = _vzero(self.field, self.dim)
+        sc = self._sc
+        nz_v = [(j, cj) for j, cj in enumerate(v) if not cj.is_zero()]
+        out = {}
         for i, ci in enumerate(u):
             if ci.is_zero():
                 continue
-            for j, cj in enumerate(v):
-                if cj.is_zero():
-                    continue
-                out = _vadd(out, _vscale(self.table[i][j], ci * cj))
-        return out
+            row = sc[i]
+            for j, cj in nz_v:
+                c = ci * cj
+                for k, x in row[j]:
+                    y = out.get(k)
+                    out[k] = c * x if y is None else y + c * x
+        zero = self.field.zero()
+        return [out.get(k, zero) for k in range(self.dim)]
 
     def mult_matrix(self, u):
         """Matrix of multiplication-by-u, columns indexed by basis."""
@@ -363,6 +365,15 @@ class FiniteDimAlgebra:
         for i in range(self.dim):
             out = out + m[i][i]
         return out
+
+    def trace_form(self):
+        """Gram matrix tr(e_i e_j) of the trace form, from the basis traces
+        t_k = sum_l c_kl^l: tr(e_i e_j) = sum_k c_ij^k t_k."""
+        n, zero, sc = self.dim, self.field.zero(), self._sc
+        t = [sum((c for l in range(n) for m, c in sc[k][l] if m == l), zero)
+             for k in range(n)]
+        return [[sum((c * t[k] for k, c in sc[i][j]), zero) for j in range(n)]
+                for i in range(n)]
 
     def is_nilpotent(self, u) -> bool:
         v = list(u)
@@ -553,12 +564,7 @@ def scalar_field_algebra(field) -> FiniteDimAlgebra:
 
 def nilradical(a: FiniteDimAlgebra) -> dict:
     """Radical of the trace form; every basis vector re-verified nilpotent."""
-    n = a.dim
-    gram = [
-        [a.trace_of_mult(a.mul(a._e(i), a._e(j))) for j in range(n)]
-        for i in range(n)
-    ]
-    vectors = nullspace(gram, a.field) if n else []
+    vectors = nullspace(a.trace_form(), a.field) if a.dim else []
     for v in vectors:
         if not a.is_nilpotent(v):
             raise ValidationError(
@@ -584,17 +590,15 @@ def quotient_by_ideal(a: FiniteDimAlgebra, ideal_vectors: list):
     if not ideal_vectors:
         return a, (lambda v: list(v)), (lambda v: list(v))
     red, pivots = rref([list(v) for v in ideal_vectors], field)
-    pivot_set = set(pivots)
-    free = [i for i in range(n) if i not in pivot_set]
+    echelon = {
+        c: {i: x for i, x in enumerate(row) if i != c and not x.is_zero()}
+        for row, c in zip(red, pivots)
+    }
+    free = [i for i in range(n) if i not in echelon]
 
     def project(v):
-        v = list(v)
-        for row, c in zip(red, pivots):
-            coef = v[c]
-            if not coef.is_zero():
-                for i in range(n):
-                    v[i] = v[i] - coef * row[i]
-        return [v[i] for i in free]
+        w = reduce_row(echelon, {i: x for i, x in enumerate(v) if not x.is_zero()})
+        return [w.get(i, field.zero()) for i in free]
 
     def lift(w):
         v = _vzero(field, n)
@@ -736,10 +740,7 @@ def local_decomposition(a: FiniteDimAlgebra) -> dict:
                 changed = True
                 break
     idems = [_lift_idempotent(a, lift(e)) for e in idems_q]
-    total = _vzero(a.field, a.dim)
-    for e in idems:
-        total = _vadd(total, e)
-    if total != a.unit:
+    if [sum(col, a.field.zero()) for col in zip(*idems)] != a.unit:
         raise ValidationError("idempotents do not sum to 1")  # pragma: no cover
     for i, e in enumerate(idems):
         for jj, f in enumerate(idems):
@@ -779,7 +780,7 @@ def units_generated(a) -> dict:
         lam = None
         for k in range(1, a.dim + 2):
             cand = field.from_int(k)
-            shifted = _vadd(g, _vscale(a.unit, cand))
+            shifted = [x + y * cand for x, y in zip(g, a.unit)]
             if _invertible(a, shifted):
                 lam = cand
                 break
@@ -860,7 +861,7 @@ def verify_generating_set(b: FiniteDimAlgebra, n: int, f_list: list, degree_cap:
                     return None  # degree overflow: discard whole product
                 c = b.mul(c1, c2)
                 if e in out:
-                    out[e] = _vadd(out[e], c)
+                    out[e] = [x + y for x, y in zip(out[e], c)]
                 else:
                     out[e] = c
         return {e: c for e, c in out.items() if not _viszero(c)}

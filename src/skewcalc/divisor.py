@@ -48,6 +48,19 @@ def _inv_degree(p: Presentation, m) -> int:
     return sum(abs(e) for e, g in zip(m, p.gens) if g.invertible)
 
 
+def _sandwich(p: Presentation, m_a, m, m_b) -> dict:
+    """The product m_a.m.m_b of three monomials, as normal-form terms."""
+    prod, zero = {}, p.field.zero()
+    for mid, c1 in p._mono_mul(m_a, m).items():
+        for mono, c2 in p._mono_mul(mid, m_b).items():
+            s = prod.get(mono, zero) + c1 * c2
+            if s.is_zero():
+                prod.pop(mono, None)
+            else:
+                prod[mono] = s
+    return prod
+
+
 def subword_search(p: Presentation, f: Element, caps: dict) -> list:
     """All factorizations f = a.g.b with monomial a, b within the caps.
 
@@ -73,21 +86,12 @@ def subword_search(p: Presentation, f: Element, caps: dict) -> list:
             if g_bound < 0:
                 continue
             candidates = p.filtration_basis(g_bound)
-            cols = []
-            for m in candidates:
-                prod = {}
-                for mid, c1 in p._mono_mul(m_a, m).items():
-                    for mono, c2 in p._mono_mul(mid, m_b).items():
-                        s = prod.get(mono, p.field.zero()) + c1 * c2
-                        if s.is_zero():
-                            prod.pop(mono, None)
-                        else:
-                            prod[mono] = s
-                cols.append(prod)
+            cols = [_sandwich(p, m_a, m, m_b) for m in candidates]
             row_monos = sorted(
                 {mono for col in cols for mono in col} | set(f.terms), key=grlex_key
             )
-            matrix = [[col.get(mono, p.field.zero()) for col in cols] for mono in row_monos]
+            zero = p.field.zero()
+            matrix = [[col.get(mono, zero) for col in cols] for mono in row_monos]
             rhs = [f.coefficient(mono) for mono in row_monos]
             sol = solve(matrix, rhs, p.field)
             if sol is None:
@@ -169,22 +173,11 @@ def _span_subwords(p: Presentation, span: SpanBasis, max_a: int, max_b: int,
     for m_a, m_b in pairs:
         if _is_full(p, working):
             break
-        cols = []
-        for m in candidates:
-            prod = {}
-            for mid, c1 in p._mono_mul(m_a, m).items():
-                for mono, c2 in p._mono_mul(mid, m_b).items():
-                    s = prod.get(mono, p.field.zero()) + c1 * c2
-                    if s.is_zero():
-                        prod.pop(mono, None)
-                    else:
-                        prod[mono] = s
-            cols.append(span.reduce(prod))
+        cols = [span.reduce(_sandwich(p, m_a, m, m_b)) for m in candidates]
         row_monos = sorted({mono for col in cols for mono in col}, key=grlex_key)
         if row_monos:
-            matrix = [
-                [col.get(mono, p.field.zero()) for col in cols] for mono in row_monos
-            ]
+            zero = p.field.zero()
+            matrix = [[col.get(mono, zero) for col in cols] for mono in row_monos]
             solutions = nullspace(matrix, p.field)
         else:
             solutions = [

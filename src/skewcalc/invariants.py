@@ -215,7 +215,7 @@ def is_locally_algebraic(p: Presentation, sigma: Morphism, bound: int = 20) -> d
             {
                 "dim": len(span),
                 "max_degree": max(
-                    mono_degree(m) for row in span.pivots.values() for m in row
+                    mono_degree(m) for row in span.basis_rows() for m in row
                 ),
             }
         )

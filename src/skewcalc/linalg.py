@@ -2,10 +2,17 @@
 
 Two flavors live here:
 
-* dense row reduction / solving / null spaces over any of the coefficient
-  fields (entries are Scalars, all arithmetic exact), and
+* row reduction / solving / null spaces and span bases over any of the
+  coefficient fields (entries are Scalars, all arithmetic exact), all on
+  one sparse echelon kernel, and
 * integer lattice routines (Hermite normal form, kernels) used for quantum
   torus centers.
+
+The echelon kernel keeps rows as dicts {key: nonzero Scalar} and a basis
+as a dict pivot -> tail: the pivot's coefficient is 1 and is not stored,
+and no tail holds another pivot (the basis is fully reduced). Reducing a
+row therefore removes each pivot it holds with one subtraction, in any
+order, and only nonzero entries are ever touched.
 """
 
 from __future__ import annotations
@@ -13,30 +20,60 @@ from __future__ import annotations
 from .scalars import FieldDescriptor, Scalar
 
 
+def _subtract(row: dict, c: Scalar, other: dict) -> None:
+    """row -= c * other, in place, dropping the entries that cancel."""
+    for k, x in other.items():
+        y = row.get(k)
+        if y is None:
+            row[k] = -(c * x)
+        else:
+            y = y - c * x
+            if y.is_zero():
+                del row[k]
+            else:
+                row[k] = y
+
+
+def reduce_row(pivots: dict, row: dict) -> dict:
+    """Remove from `row`, in place, every pivot of the echelon basis."""
+    for p in [p for p in row if p in pivots]:
+        _subtract(row, row.pop(p), pivots[p])
+    return row
+
+
+def _insert(pivots: dict, row: dict, lead) -> None:
+    """Add a reduced nonzero `row` to the basis with pivot `lead`, scaled
+    to 1 there and back-substituted into the other rows."""
+    inv = row.pop(lead).inv()
+    tail = {k: x * inv for k, x in row.items()}
+    for other in pivots.values():
+        if lead in other:
+            _subtract(other, other.pop(lead), tail)
+    pivots[lead] = tail
+
+
 def rref(rows: list[list[Scalar]], field: FieldDescriptor):
-    """Reduced row echelon form. Returns (rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    """Reduced row echelon form. Returns (rows, pivot column list).
+
+    Dense rows in and out; the elimination runs on the sparse kernel, the
+    pivot of a row being its first nonzero column. The RREF is unique, so
+    the order of elimination does not show in the result.
+    """
+    pivots = {}
+    for r in rows:
+        row = reduce_row(pivots, {c: x for c, x in enumerate(r) if not x.is_zero()})
+        if row:
+            _insert(pivots, row, min(row))
+    ncols = len(rows[0]) if rows else 0
+    order = sorted(pivots)
+    out = []
+    for p in order:
+        dense = [field.zero()] * ncols
+        dense[p] = field.one()
+        for c, x in pivots[p].items():
+            dense[c] = x
+        out.append(dense)
+    return out, order
 
 
 def solve(matrix: list[list[Scalar]], rhs: list[Scalar], field: FieldDescriptor):
@@ -87,80 +124,31 @@ class SpanBasis:
     def __init__(self, field: FieldDescriptor, order_key):
         self.field = field
         self.order_key = order_key
-        self.pivots: dict = {}  # pivot monomial -> reduced element
+        self.pivots: dict = {}  # pivot monomial -> tail of its reduced row
 
     def __len__(self):
         return len(self.pivots)
 
     def reduce(self, terms: dict) -> dict:
         """Fully reduce `terms` against the basis; returns the remainder."""
-        work = dict(terms)
-        out = {}
-        while work:
-            lead = max(work, key=self.order_key)
-            coef = work.pop(lead)
-            if coef.is_zero():
-                continue
-            row = self.pivots.get(lead)
-            if row is None:
-                out[lead] = coef
-                continue
-            for m, c in row.items():
-                if m == lead:
-                    continue
-                nc = work.get(m, self.field.zero()) - coef * c
-                if nc.is_zero():
-                    work.pop(m, None)
-                else:
-                    work[m] = nc
-        return out
+        return reduce_row(self.pivots, {m: c for m, c in terms.items() if not c.is_zero()})
 
     def add(self, terms: dict) -> bool:
         """Insert an element; returns True if the span grew."""
         rem = self.reduce(terms)
         if not rem:
             return False
-        lead = max(rem, key=self.order_key)
-        inv = rem[lead].inv()
-        row = {m: c * inv for m, c in rem.items()}
-        # back-substitute into existing rows
-        for p, existing in list(self.pivots.items()):
-            c = existing.get(lead)
-            if c is not None and not c.is_zero():
-                new = dict(existing)
-                for m, cm in row.items():
-                    nc = new.get(m, self.field.zero()) - c * cm
-                    if nc.is_zero():
-                        new.pop(m, None)
-                    else:
-                        new[m] = nc
-                self.pivots[p] = new
-        self.pivots[lead] = row
+        _insert(self.pivots, rem, max(rem, key=self.order_key))
         return True
 
-    def _head_reduce(self, terms: dict) -> dict:
-        terms = dict(terms)
-        while terms:
-            lead = max(terms, key=self.order_key)
-            row = self.pivots.get(lead)
-            if row is None:
-                return terms
-            coef = terms[lead]
-            for m, c in row.items():
-                nc = terms.get(m, self.field.zero()) - coef * c
-                if nc.is_zero():
-                    terms.pop(m, None)
-                else:
-                    terms[m] = nc
-        return {}
-
     def contains(self, terms: dict) -> bool:
-        return not self._head_reduce(terms)
+        return not self.reduce(terms)
 
     def basis_rows(self):
         """Reduced basis rows in descending pivot order (canonical)."""
+        one = self.field.one()
         return [
-            self.pivots[p]
+            {p: one} | self.pivots[p]
             for p in sorted(self.pivots, key=self.order_key, reverse=True)
         ]
 

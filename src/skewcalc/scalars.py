@@ -55,6 +55,16 @@ PRIME_CAP = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+def _digits_limit_error(what: str, **details) -> ResourceLimitError:
+    """`what` has more digits than int <-> str conversion allows."""
+    limit = sys.get_int_max_str_digits()
+    return ResourceLimitError(
+        f"{what} has more digits than the interpreter's limit "
+        f"int_max_str_digits = {limit}",
+        cap="int_max_str_digits", limit=limit, **details,
+    )
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < PRIME_CAP."""
     if n >= PRIME_CAP:
@@ -530,17 +540,20 @@ class Scalar:
 
     def __str__(self):
         k = self.field.kind
-        if k == RATIONAL or k == PRIME:
-            return str(self.value)
-        if k == CYCLOTOMIC:
-            c, d = self.value
-            return _poly_str([Fraction(x, d) for x in c] if d != 1 else c)
-        n, d = self.value
-        lc = d[-1]
-        ns = _poly_str([Fraction(x, lc) for x in n])
-        if len(d) == 1:
-            return ns
-        return f"({ns})/({_poly_str([Fraction(x, lc) for x in d])})"
+        try:
+            if k == RATIONAL or k == PRIME:
+                return str(self.value)
+            if k == CYCLOTOMIC:
+                c, d = self.value
+                return _poly_str([Fraction(x, d) for x in c] if d != 1 else c)
+            n, d = self.value
+            lc = d[-1]
+            ns = _poly_str([Fraction(x, lc) for x in n])
+            if len(d) == 1:
+                return ns
+            return f"({ns})/({_poly_str([Fraction(x, lc) for x in d])})"
+        except ValueError:  # an integer past int_max_str_digits
+            raise _digits_limit_error("a coefficient to print") from None
 
     __repr__ = __str__
 
@@ -669,11 +682,8 @@ class _ScalarParser:
         try:
             return int(self.text[start:self.pos])
         except ValueError:
-            limit = sys.get_int_max_str_digits()
-            raise ResourceLimitError(
-                f"integer literal at position {start} has more digits than "
-                f"the interpreter's limit int_max_str_digits = {limit}",
-                cap="int_max_str_digits", limit=limit, pos=start,
+            raise _digits_limit_error(
+                f"integer literal at position {start}", pos=start
             ) from None
 
     def exponent_literal(self) -> int:

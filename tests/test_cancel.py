@@ -3,6 +3,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from skewcalc.cancel import (
     _rational_roots,
+    FiniteDimAlgebra,
     ImplicationDAG,
     certify,
     commutative_quotient,
@@ -41,6 +42,20 @@ def _q(field, *coeffs):
 def test_structure_constant_checks():
     with pytest.raises(BadParamsError):
         univariate_quotient(Q, _q(Q, 1))  # constant modulus
+
+
+def test_bad_structure_constant_tables_raise():
+    z, one = Q.zero(), Q.one()
+    e0, e1 = [one, z], [z, one]
+    with pytest.raises(BadParamsError, match="not commutative"):
+        FiniteDimAlgebra(Q, ["1", "x"], [[e0, e1], [e0, e1]], e0)
+    # e1*e1 = e0, e0*e0 = e0, e0*e1 = 0: (e1 e1) e0 = e0 but e1 (e1 e0) = 0
+    with pytest.raises(BadParamsError, match="not associative"):
+        FiniteDimAlgebra(Q, ["a", "b"], [[e0, [z, z]], [[z, z], e0]], e0)
+    # k[x]/(x^2) with x offered as the unit
+    with pytest.raises(BadParamsError, match="unit is not a unit"):
+        FiniteDimAlgebra(Q, ["1", "x"], [[e0, e1], [e1, [z, z]]], e1)
+    FiniteDimAlgebra(Q, ["1", "x"], [[e0, e1], [e1, [z, z]]], e0)
 
 
 def test_nilradical_of_nilpotent_quotient():

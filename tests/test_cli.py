@@ -167,6 +167,17 @@ def test_long_coefficient_literal_exits_4():
     assert b"int_max_str_digits" in out.stderr
 
 
+def test_coefficient_too_long_to_print_exits_4():
+    # 7^10000 has 8451 digits: under MAX_EXPONENT, past int_max_str_digits
+    out = subprocess.run(
+        [sys.executable, "-m", "skewcalc.cli", "mul", str(FIXTURES / "poly2.alg"),
+         "--lhs", "7^10000", "--rhs", "x"],
+        capture_output=True, timeout=60,
+    )
+    assert out.returncode == 4, out.stderr
+    assert b"int_max_str_digits" in out.stderr
+
+
 def test_decompose_over_a_large_prime_field_is_prompt():
     out = subprocess.run(
         [sys.executable, "-m", "skewcalc.cli", "decompose",

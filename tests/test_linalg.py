@@ -1,0 +1,306 @@
+"""The sparse echelon kernel against the dense Gaussian elimination it
+replaced, kept here verbatim as the reference, and the structure-constant
+products of finite-dimensional algebras against dense products."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skewcalc.cancel import (
+    direct_product,
+    nilradical,
+    quotient_by_ideal,
+    univariate_quotient,
+)
+from skewcalc.linalg import SpanBasis, nullspace, rref, solve
+from skewcalc.scalars import CYCLOTOMIC, PRIME, RATFUNC_Q, RATIONAL, FieldDescriptor
+
+FIELDS = (
+    [(RATIONAL, None), (PRIME, 7), (PRIME, 32003), (RATFUNC_Q, None)]
+    + [(CYCLOTOMIC, l) for l in range(3, 6)]
+)
+ORACLE_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
+                           database=None)
+
+
+# ---------------------------------------------------------------------------
+# the dense reference
+
+
+def ref_rref(rows, field):
+    """Reduced row echelon form. Returns (rows, pivot column list)."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def ref_solve(matrix, rhs, field):
+    if not matrix:
+        return None if any(not v.is_zero() for v in rhs) else []
+    ncols = len(matrix[0])
+    aug = [row + [v] for row, v in zip(matrix, rhs)]
+    red, pivots = ref_rref(aug, field)
+    if ncols in pivots:
+        return None  # inconsistent
+    x = [field.zero()] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][ncols]
+    return x
+
+
+def ref_nullspace(matrix, field):
+    if not matrix or not matrix[0]:
+        return []
+    ncols = len(matrix[0])
+    red, pivots = ref_rref(matrix, field)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [field.zero()] * ncols
+        v[free] = field.one()
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][free]
+        basis.append(v)
+    return basis
+
+
+def ref_project(ideal_vectors, field, v):
+    """The dense projection onto the free coordinates mod the ideal."""
+    red, pivots = ref_rref([list(x) for x in ideal_vectors], field)
+    pivot_set = set(pivots)
+    free = [i for i in range(len(v)) if i not in pivot_set]
+    v = list(v)
+    for row, c in zip(red, pivots):
+        coef = v[c]
+        if not coef.is_zero():
+            for i in range(len(v)):
+                v[i] = v[i] - coef * row[i]
+    return [v[i] for i in free]
+
+
+def ref_mul(a, u, v):
+    """The dense structure-constant product: one vector per term."""
+    out = [a.field.zero()] * a.dim
+    for i, ci in enumerate(u):
+        if ci.is_zero():
+            continue
+        for j, cj in enumerate(v):
+            if cj.is_zero():
+                continue
+            out = [x + y for x, y in zip(out, [x * (ci * cj) for x in a.table[i][j]])]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# random, mostly sparse inputs
+
+
+def _values(field):
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    if field.kind in (RATFUNC_Q, CYCLOTOMIC):
+        return st.tuples(small, small).map(
+            lambda t: field.from_fraction(t[0]) + field.from_fraction(t[1]) * field.q()
+        )
+    return small.map(field.from_fraction)
+
+
+def _sparse(field, size):
+    """A vector of `size` entries, at most a third of them nonzero."""
+    if not size:
+        return st.just([])
+    spots = st.tuples(st.integers(0, size - 1), _values(field))
+
+    def fill(nonzeros):
+        v = [field.zero()] * size
+        for k, x in nonzeros:
+            v[k] = x
+        return v
+
+    return st.lists(spots, max_size=(size + 2) // 3).map(fill)
+
+
+@st.composite
+def _matrices(draw, field, max_rows=7, max_cols=7):
+    """Random sparse matrices, sometimes with a zero row and a row that is
+    a combination of two others (so that rank falls short and right-hand
+    sides can be inconsistent)."""
+    m, n = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    flat = draw(_sparse(field, m * n))
+    rows = [flat[i * n:(i + 1) * n] for i in range(m)]
+    if rows and draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(_values(field)), draw(_values(field))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [s * x + t * y for x, y in zip(a, b)])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [field.zero()] * n)
+    return rows
+
+
+def _shapes(field):
+    """Matrices of the edge shapes: empty, no columns, one row, one
+    column, all zero, and an inconsistent pair of equal rows."""
+    z, one, two = field.zero(), field.one(), field.from_int(2)
+    return [
+        ([], []),
+        ([[]], [one]),
+        ([[], []], [z, z]),
+        ([[one, z, two, z, one]], [two]),
+        ([[one], [two], [z], [one]], [one, two, z, one]),
+        ([[z] * 4 for _ in range(3)], [z, one, z]),
+        ([[one, one], [one, one]], [one, two]),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# rref, solve and nullspace against the reference
+
+
+@pytest.mark.parametrize("kind,param", FIELDS)
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_rref_solve_nullspace_match_dense_reference(kind, param, data):
+    field = FieldDescriptor(kind, param)
+    matrix = data.draw(_matrices(field))
+    assert rref(matrix, field) == ref_rref(matrix, field)
+    assert nullspace(matrix, field) == ref_nullspace(matrix, field)
+    rhs = data.draw(_sparse(field, len(matrix)))
+    assert solve(matrix, rhs, field) == ref_solve(matrix, rhs, field)
+    if matrix and matrix[0]:  # a consistent right-hand side: M times a vector
+        x = data.draw(_sparse(field, len(matrix[0])))
+        b = [sum((a * y for a, y in zip(row, x)), field.zero()) for row in matrix]
+        got = solve(matrix, b, field)
+        assert got is not None and got == ref_solve(matrix, b, field)
+
+
+@pytest.mark.parametrize("kind,param", FIELDS)
+def test_edge_shapes_match_dense_reference(kind, param):
+    field = FieldDescriptor(kind, param)
+    for matrix, rhs in _shapes(field):
+        assert rref(matrix, field) == ref_rref(matrix, field)
+        assert nullspace(matrix, field) == ref_nullspace(matrix, field)
+        assert solve(matrix, rhs, field) == ref_solve(matrix, rhs, field)
+    one, two = field.one(), field.from_int(2)
+    assert solve([[one, one], [one, one]], [one, two], field) is None
+    assert solve([], [one], field) is None
+    assert len(nullspace([[one, two, one]], field)) == 2
+
+
+@pytest.mark.parametrize("kind,param", FIELDS)
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_span_basis_spans_the_rref_row_space(kind, param, data):
+    field = FieldDescriptor(kind, param)
+    matrix = data.draw(_matrices(field))
+    ncols = len(matrix[0]) if matrix else 0
+    red, pivots = ref_rref(matrix, field)
+
+    def dense(row):
+        return [row.get(c, field.zero()) for c in range(ncols)]
+
+    first = SpanBasis(field, lambda c: -c)  # pivot: first column, as in rref
+    last = SpanBasis(field, lambda c: c)  # pivot: last column
+    for span in (first, last):
+        for row in matrix:
+            span.add({c: x for c, x in enumerate(row) if not x.is_zero()})
+        assert len(span) == len(pivots)
+        rows = [dense(r) for r in span.basis_rows()]
+        assert len(ref_rref(red + rows, field)[1]) == len(pivots)
+        for row in red + matrix:
+            assert span.contains({c: x for c, x in enumerate(row) if not x.is_zero()})
+            assert not span.reduce({c: x for c, x in enumerate(row)})
+    assert [dense(r) for r in first.basis_rows()] == red
+
+
+# ---------------------------------------------------------------------------
+# structure-constant products and the trace form of k[x]/(f)
+
+
+@st.composite
+def _quotients(draw, field):
+    """k[x]/(f) for a random f of degree 1..4 with a nonzero lead."""
+    degree = draw(st.integers(1, 4))
+    coeffs = draw(_sparse(field, degree))
+    lead = draw(_values(field).filter(lambda x: not x.is_zero()))
+    return univariate_quotient(field, coeffs + [lead])
+
+
+@pytest.mark.parametrize("kind,param", FIELDS)
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_trace_form_and_products_match_dense_reference(kind, param, data):
+    field = FieldDescriptor(kind, param)
+    a = data.draw(_quotients(field))
+    if data.draw(st.booleans()):
+        a = direct_product(a, data.draw(_quotients(field)))
+    n = a.dim
+    gram = [[a.trace_of_mult(a.mul(a._e(i), a._e(j))) for j in range(n)]
+            for i in range(n)]
+    assert a.trace_form() == gram
+    u = data.draw(st.lists(_values(field), min_size=n, max_size=n))
+    v = data.draw(_sparse(field, n))
+    assert a.mul(u, v) == ref_mul(a, u, v)
+    assert a.mul(u, u) == ref_mul(a, u, u)
+
+
+def test_trace_form_of_a_known_quotient():
+    q = FieldDescriptor(RATIONAL)
+    a = univariate_quotient(q, [q.from_int(c) for c in (-2, 0, 1)])  # x^2 = 2
+    assert a.trace_form() == [[q.from_int(2), q.zero()], [q.zero(), q.from_int(4)]]
+    assert a.trace_form()[0][0] == a.trace_of_mult(a.unit)
+    b = univariate_quotient(q, [q.from_fraction(Fraction(1, 2)), q.one()])
+    assert b.trace_form() == [[q.one()]]
+
+
+def _poly_mul(a, b, field):
+    out = [field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+@pytest.mark.parametrize("kind,param", FIELDS)
+@settings(ORACLE_SETTINGS, max_examples=15)
+@given(data=st.data())
+def test_projection_mod_the_nilradical_matches_dense_reference(kind, param, data):
+    """k[x]/(g^2 h) has a nonzero nilradical; projecting onto its quotient
+    agrees with the dense projection and kills the ideal."""
+    field = FieldDescriptor(kind, param)
+
+    def monic(degree):
+        return data.draw(st.lists(_values(field), min_size=degree, max_size=degree)) + [field.one()]
+
+    g, h = monic(data.draw(st.integers(1, 2))), monic(data.draw(st.integers(0, 1)))
+    a = univariate_quotient(field, _poly_mul(_poly_mul(g, g, field), h, field))
+    ideal = nilradical(a)["basis"]
+    assert ideal
+    q, project, lift = quotient_by_ideal(a, ideal)
+    for v in ideal:
+        assert all(x.is_zero() for x in project(v))
+    for _ in range(3):
+        v = data.draw(st.lists(_values(field), min_size=a.dim, max_size=a.dim))
+        assert project(v) == ref_project(ideal, field, v)
+        assert project(lift(project(v))) == project(v)
