@@ -54,7 +54,6 @@ from .families import (
     gwa,
     laurent,
     minus_one_plane,
-    poly,
     quantum_torus,
     quantum_weyl1,
     skew_poly,

@@ -14,9 +14,11 @@ import sys
 from .cancel import (
     certify,
     counterexample_registry,
+    fixture_passes,
     local_decomposition,
     nilradical,
     univariate_quotient,
+    verify_fixture,
 )
 from .divisor import divisor_closure, is_controlling
 from .errors import (
@@ -324,12 +326,8 @@ def _parse_family_stanza(tz):
             tz.fail("gwa needs coefficients a0=, a1=, a2=")
         params["a"] = tuple(sorted(coeffs.items()))
         params["q"] = field.q()
-    spec = FamilySpec(fid, field, tuple(sorted(params.items())))
-    _RAW_FAMILY_PARAMS[spec] = dict(raw)
-    return spec
-
-
-_RAW_FAMILY_PARAMS: dict = {}
+    return FamilySpec(fid, field, tuple(sorted(params.items())),
+                      raw=tuple(sorted(raw.items())))
 
 
 def parse_algebra_file(text: str):
@@ -353,11 +351,10 @@ def parse_algebra_file(text: str):
 def print_algebra(obj) -> str:
     """Canonical text form; parse(print(parse(s))) == parse(s)."""
     if isinstance(obj, FamilySpec):
-        raw = _RAW_FAMILY_PARAMS.get(obj)
-        if raw is None:
+        if obj.raw is None:
             raise BadParamsError("family spec was not produced by the parser")
         parts = [f"family {obj.family_id.lower()}"]
-        parts.extend(f"{k}={v}" for k, v in sorted(raw.items()))
+        parts.extend(f"{k}={v}" for k, v in obj.raw)
         return " ".join(parts) + ";\n"
     p = obj
     name = p.notes[0] if p.notes else "a"
@@ -563,7 +560,7 @@ def _cmd_center_torus(args):
     spec = _load(args.file)
     if not isinstance(spec, FamilySpec) or spec.family_id != "QUANTUM_TORUS":
         raise BadParamsError("center-torus needs a `family quantum_torus` file")
-    raw = _RAW_FAMILY_PARAMS[spec]
+    raw = dict(spec.raw)
     n = raw["n"]
     l = raw.get("l", 1)
     a = [[0] * n for _ in range(n)]
@@ -680,8 +677,7 @@ def _cmd_verify_iso(args):
                 "iso_status": out["iso"]["status"],
                 "base_noncommutative": out["base_noncommutative"],
                 "base_commutative": out["base_commutative"],
-                "pass": out["iso"]["status"] == "ISO_BOUNDED"
-                and out["base_noncommutative"] and out["base_commutative"],
+                "pass": fixture_passes(out),
             }
             return _report("verify-iso", {"fixture": fixture["id"]}, {}, result,
                            [{"claim": "bounded isomorphism + base non-isomorphism",
@@ -754,11 +750,7 @@ def _cmd_registry(args):
             "dotted_edges": [list(e) for e in fx["dotted_edges"]],
         }
         if args.verify:
-            out = fx["verify"]()
-            entry["verified"] = (
-                out["iso"]["status"] == "ISO_BOUNDED"
-                and out["base_noncommutative"] and out["base_commutative"]
-            )
+            entry["verified"] = verify_fixture(fx)
         entries.append(entry)
     return _report("registry", {}, {"verify": bool(args.verify)},
                    {"fixtures": entries},

@@ -42,6 +42,9 @@ class FamilySpec:
     family_id: str
     field: FieldDescriptor
     params: tuple = ()  # sorted (key, value) pairs
+    # the parser's sorted raw `key=value` pairs, which `print_algebra` and
+    # `center-torus` read back; None when the spec was not parsed
+    raw: tuple | None = dc_field(default=None, compare=False)
 
     @staticmethod
     def make(family_id: str, field: FieldDescriptor, **params) -> "FamilySpec":
@@ -152,8 +155,7 @@ def build(spec: FamilySpec) -> Presentation:
         prov["UNITS_TRIVIAL"] = "asserted(catalog)"
     if fam == "WEYL1":
         prov["STRATIFORM"] = "derived(tower-count)"
-    p = p.with_flags(flags)
-    p.flag_provenance.update(prov)
+    p = p.with_flags(flags, prov)
     p.require_validated()
     return p
 
@@ -167,11 +169,10 @@ def _positive_n(spec: FamilySpec) -> int:
 
 def _build_weyl1(field: FieldDescriptor, suffix: str = "") -> Presentation:
     kx = Presentation(field, [GeneratorInfo("x" + suffix, 1)])
-    p = ore_extend(
-        kx, "y" + suffix, delta_images={"x" + suffix: kx.one().scale(-field.one())}
+    return ore_extend(
+        kx, "y" + suffix, delta_images={"x" + suffix: kx.one().scale(-field.one())},
+        family="WEYL1",
     )
-    p.family = "WEYL1"
-    return p
 
 
 def _build_quantum_weyl1(field: FieldDescriptor, q: Scalar, suffix: str = "") -> Presentation:
@@ -180,23 +181,21 @@ def _build_quantum_weyl1(field: FieldDescriptor, q: Scalar, suffix: str = "") ->
     xn, yn = "x" + suffix, "y" + suffix
     kx = Presentation(field, [GeneratorInfo(xn, 1)])
     qinv = q.inv()
-    p = ore_extend(
+    return ore_extend(
         kx,
         yn,
         sigma_images={xn: kx.generator(xn).scale(qinv)},
         delta_images={xn: kx.one().scale(-qinv)},
+        family="QUANTUM_WEYL1",
     )
-    p.family = "QUANTUM_WEYL1"
-    return p
 
 
 def _build_minus_one_plane(field: FieldDescriptor) -> Presentation:
     kx = Presentation(field, [GeneratorInfo("x", 1)])
-    p = ore_extend(
-        kx, "y", sigma_images={"x": kx.generator("x").scale(-field.one())}
+    return ore_extend(
+        kx, "y", sigma_images={"x": kx.generator("x").scale(-field.one())},
+        family="MINUS_ONE_PLANE",
     )
-    p.family = "MINUS_ONE_PLANE"
-    return p
 
 
 def _commutation_scalar(left: Element, right: Element) -> Scalar:
@@ -233,6 +232,7 @@ def build_localized_qweyl(q: Scalar) -> Presentation:
         raise BadParamsError("x*y is not affine in z")  # unreachable for valid q
     alpha, beta = sol
     rule_yx = a.rules[(1, 0)]
+    flags, prov = _base_flags(1)
     p = Presentation(
         field,
         [GeneratorInfo("x", 1), GeneratorInfo("y", 2), GeneratorInfo("z", 3, invertible=True)],
@@ -243,11 +243,10 @@ def build_localized_qweyl(q: Scalar) -> Presentation:
             RewriteRule(2, 1, c_zy, ()),
         ],
         elim={(0, 1): {(0, 0, 1): alpha, (0, 0, 0): beta}},
+        flags=flags,
+        flag_provenance=prov,
         family="LOCALIZED_QWEYL1",
     )
-    flags, prov = _base_flags(1)
-    p = p.with_flags(flags)
-    p.flag_provenance.update(prov)
     p.require_validated()
     # regression against the defining identities
     bx, by, bz = p.generator("x"), p.generator("y"), p.generator("z")
@@ -292,6 +291,7 @@ def _build_gwa(field: FieldDescriptor, a_coeffs, q: Scalar) -> Presentation:
         d = a_h.get(m, field.zero()) - a_qh.get(m, field.zero())
         if not d.is_zero():
             swap_tail[m] = d
+    flags, prov = _base_flags(2)
     p = Presentation(
         field,
         [GeneratorInfo("x", 1), GeneratorInfo("y", 2), GeneratorInfo("h", 3, invertible=True)],
@@ -302,12 +302,11 @@ def _build_gwa(field: FieldDescriptor, a_coeffs, q: Scalar) -> Presentation:
             RewriteRule(2, 1, q, ()),        # h*y = q y*h,    i.e. y*h = q^-1 h*y
         ],
         elim={(0, 1): a_qh},
+        flags=flags,
+        flag_provenance=prov,
         family="GWA",
         notes=("relation used: x*h = q*h*x (sigma(h) = q*h)",),
     )
-    flags, prov = _base_flags(2)
-    p = p.with_flags(flags)
-    p.flag_provenance.update(prov)
     p.require_validated()
     # regression: x*y = a(q h), y*x = a(h), x*h = q h x, y*h = q^-1 h y
     x, y, h = p.generator("x"), p.generator("y"), p.generator("h")
@@ -339,11 +338,11 @@ def finite_rank_quantum_weyl(n: int, q_list) -> Presentation:
     for i, q in enumerate(q_list, start=1):
         factor = _build_quantum_weyl1(field, q, suffix=str(i))
         factor = factor.with_flags({"DOMAIN": True}, provenance="asserted(catalog)")
-        out = factor if out is None else tensor_product(out, factor, assume_domain=True)
+        out = factor if out is None else tensor_product(
+            out, factor, assume_domain=True, family="FINITE_RANK_QUANTUM_WEYL"
+        )
     flags, prov = _base_flags(n)
-    out = out.with_flags(flags)
-    out.flag_provenance.update(prov)
-    out.family = "QUANTUM_WEYL1" if n == 1 else "FINITE_RANK_QUANTUM_WEYL"
+    out = out.with_flags(flags, prov)
     out.require_validated()
     return out
 

@@ -15,8 +15,10 @@ from .presentation import (
     Element,
     Morphism,
     Presentation,
+    _delta_of,
     commutator,
     grlex_key,
+    identity_morphism,
     mono_degree,
 )
 
@@ -237,34 +239,10 @@ def is_locally_algebraic(p: Presentation, sigma: Morphism, bound: int = 20) -> d
     return {"status": "UNKNOWN", "witness": None, "trace": trace}
 
 
-def _apply_derivation(p: Presentation, delta: dict, x: Element) -> Element:
-    """Extend generator images by the (untwisted) Leibniz rule."""
-    out = p.zero()
-    for m, c in x.terms.items():
-        letters = p._letters(m)
-        for k, (pos, sign) in enumerate(letters):
-            name = p.gens[pos].name
-            dg = delta[name]
-            if sign == -1:
-                ginv = p.gen_inverse(name)
-                dg = (-ginv) * dg * ginv
-            if dg.is_zero():
-                continue
-            prefix = p.one()
-            for pp, ss in letters[:k]:
-                nm = p.gens[pp].name
-                prefix = prefix * (p.generator(nm) if ss == 1 else p.gen_inverse(nm))
-            suffix = p.one()
-            for pp, ss in letters[k + 1:]:
-                nm = p.gens[pp].name
-                suffix = suffix * (p.generator(nm) if ss == 1 else p.gen_inverse(nm))
-            out = out + (prefix * dg * suffix).scale(c)
-    return out
-
-
 def is_locally_nilpotent(p: Presentation, delta: dict, bound: int = 20) -> dict:
     """delta: generator name -> Element (an ordinary derivation)."""
     p.require_validated()
+    identity = identity_morphism(p)
     trace = []
     all_nil = True
     for g in p.gens:
@@ -286,7 +264,7 @@ def is_locally_nilpotent(p: Presentation, delta: dict, bound: int = 20) -> dict:
                     }
             seen.append(current)
             gen_trace.append(str(current))
-            current = _apply_derivation(p, delta, current)
+            current = _delta_of(p, identity, delta, current)
         trace.append({"generator": g.name, "images": gen_trace, "status": status})
         if status != "TRUE":
             all_nil = False

@@ -259,12 +259,14 @@ class Presentation:
     def flag(self, name: str):
         return self.flags.get(name)
 
-    def with_flags(self, extra: dict, provenance: str = "user") -> "Presentation":
+    def with_flags(self, extra: dict, provenance="user") -> "Presentation":
+        """A copy with `extra` added to the flags; `provenance` is one
+        string for all of them or a dict with one per flag."""
         flags = dict(self.flags)
         prov = dict(self.flag_provenance)
         for k, v in extra.items():
             flags[k] = v
-            prov[k] = provenance
+            prov[k] = provenance[k] if isinstance(provenance, dict) else provenance
         p = Presentation(
             self.field, self.gens,
             rules=list(self.rules.values()), elim=dict(self.elim),
@@ -790,6 +792,7 @@ def ore_extend(
     sigma_images: dict | None = None,
     delta_images: dict | None = None,
     invertible: bool = False,
+    family: str | None = None,
 ) -> Presentation:
     """Adjoin a new top generator t with t*g = sigma(g)*t + delta(g)."""
     p.require_validated()
@@ -861,14 +864,15 @@ def ore_extend(
         p.field, new_gens, rules=rules, elim=elim,
         tower=p.tower + (step,),
         flags=dict(p.flags), flag_provenance=dict(p.flag_provenance),
-        notes=p.notes,
+        family=family, notes=p.notes,
     )
     out.require_validated()
     return out
 
 
 def tensor_product(
-    a: Presentation, b: Presentation, assume_domain: bool = False
+    a: Presentation, b: Presentation, assume_domain: bool = False,
+    family: str | None = None,
 ) -> Presentation:
     """Tensor product over the base field; cross relations commute."""
     if a.field != b.field:
@@ -905,7 +909,7 @@ def tensor_product(
         flags["DOMAIN"] = True
         prov["DOMAIN"] = "asserted(tensor-of-domains)"
     out = Presentation(a.field, gens, rules=rules, elim=elim, flags=flags,
-                       flag_provenance=prov)
+                       flag_provenance=prov, family=family)
     out.require_validated()
     return out
 

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from skewcalc.cancel import (
-    _rational_roots,
     FiniteDimAlgebra,
     ImplicationDAG,
     certify,
@@ -24,6 +23,7 @@ from skewcalc.cancel import (
 from skewcalc.errors import BadParamsError, MissingEvidenceError
 from skewcalc.families import laurent, minus_one_plane, quantum_torus, weyl1
 from skewcalc.invariants import center_bounded, gk_estimate, growth_dims
+from skewcalc.poly import roots
 from skewcalc.divisor import divisor_closure
 from skewcalc.presentation import Morphism, identity_morphism
 from skewcalc.scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor
@@ -219,4 +219,4 @@ def test_gf_roots_equal_exhaustive_scan(data):
     poly = [field.from_int(c) for c in coeffs]
     scan = [r for r in range(p)
             if sum(c * pow(r, i, p) for i, c in enumerate(coeffs)) % p == 0]
-    assert _rational_roots(field, poly) == [field.from_int(r) for r in scan]
+    assert roots(poly, field) == [field.from_int(r) for r in scan]

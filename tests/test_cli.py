@@ -6,9 +6,10 @@ import sys
 import pytest
 
 from skewcalc.cli import parse_algebra_file, print_algebra
-from skewcalc.errors import ExprSyntaxError
+from skewcalc.errors import BadParamsError, ExprSyntaxError
 from skewcalc.families import FamilySpec
 from skewcalc.presentation import Presentation
+from skewcalc.scalars import RATIONAL, FieldDescriptor
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src/skewcalc/fixtures"
 
@@ -37,6 +38,19 @@ def test_parse_family_stanza():
     assert isinstance(spec, FamilySpec)
     assert spec.family_id == "QUANTUM_TORUS"
     assert str(spec.field) == "cyclotomic(3)"
+
+
+def test_print_algebra_reads_the_raw_parameters_of_its_own_spec():
+    # q^1 = q^4 at l=3, so the two specs are equal; each prints its own text
+    first = parse_algebra_file("family quantum_torus n=2 l=3 a12=1;")
+    second = parse_algebra_file("family quantum_torus n=2 l=3 a12=4;")
+    assert first == second
+    assert print_algebra(first) == "family quantum_torus a12=1 l=3 n=2;\n"
+    assert print_algebra(second) == "family quantum_torus a12=4 l=3 n=2;\n"
+    # an equal spec that the parser did not produce has no text to print
+    parse_algebra_file("family poly n=2 zzz=5;")
+    with pytest.raises(BadParamsError, match="not produced by the parser"):
+        print_algebra(FamilySpec.make("POLY", FieldDescriptor(RATIONAL), n=2))
 
 
 def test_parse_error_has_position():

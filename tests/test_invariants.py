@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewcalc.errors import BadParamsError, InsufficientDataError
 from skewcalc.families import (
@@ -21,7 +22,14 @@ from skewcalc.invariants import (
     stratiform_length,
     tower_compose,
 )
-from skewcalc.presentation import identity_morphism, ore_extend, parse_element
+from skewcalc.presentation import (
+    Element,
+    Presentation,
+    _delta_of,
+    identity_morphism,
+    ore_extend,
+    parse_element,
+)
 from skewcalc.scalars import CYCLOTOMIC, RATIONAL, FieldDescriptor
 
 Q = FieldDescriptor(RATIONAL)
@@ -100,6 +108,53 @@ def test_not_locally_nilpotent_euler():
     p = poly(1, Q)
     delta = {"x1": p.generator("x1")}  # Euler derivation: cycle x -> x
     assert is_locally_nilpotent(p, delta)["status"] == "FALSE"
+
+
+def reference_apply_derivation(p: Presentation, delta: dict, x: Element) -> Element:
+    """Extend generator images by the (untwisted) Leibniz rule."""
+    out = p.zero()
+    for m, c in x.terms.items():
+        letters = p._letters(m)
+        for k, (pos, sign) in enumerate(letters):
+            name = p.gens[pos].name
+            dg = delta[name]
+            if sign == -1:
+                ginv = p.gen_inverse(name)
+                dg = (-ginv) * dg * ginv
+            if dg.is_zero():
+                continue
+            prefix = p.one()
+            for pp, ss in letters[:k]:
+                nm = p.gens[pp].name
+                prefix = prefix * (p.generator(nm) if ss == 1 else p.gen_inverse(nm))
+            suffix = p.one()
+            for pp, ss in letters[k + 1:]:
+                nm = p.gens[pp].name
+                suffix = suffix * (p.generator(nm) if ss == 1 else p.gen_inverse(nm))
+            out = out + (prefix * dg * suffix).scale(c)
+    return out
+
+
+_DERIVATION_ALGEBRAS = [
+    laurent(2, Q), weyl1(Q), poly(3, Q), quantum_torus(2, {(1, 2): C3.q()}, C3),
+]
+
+
+def _elements(p):
+    exps = [st.integers(-2 if g.invertible else 0, 2) for g in p.gens]
+    terms = st.dictionaries(st.tuples(*exps), st.integers(-3, 3), max_size=3)
+    return terms.map(lambda t: p.from_terms(
+        {m: p.field.from_int(c) for m, c in t.items() if c}))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_delta_of_with_identity_sigma_is_the_untwisted_leibniz_rule(data):
+    p = data.draw(st.sampled_from(_DERIVATION_ALGEBRAS))
+    delta = {g.name: data.draw(_elements(p)) for g in p.gens}
+    x = data.draw(_elements(p))
+    assert _delta_of(p, identity_morphism(p), delta, x) == \
+        reference_apply_derivation(p, delta, x)
 
 
 def test_stratiform_bookkeeping():
