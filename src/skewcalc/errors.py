@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all skewcalc modules.
 
-Each error carries a short machine-readable code used by the CLI to pick
+Each error carries a short machine-readable code used by the CLI to choose
 exit statuses and by reports to tag failures.
 """
 

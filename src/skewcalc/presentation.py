@@ -27,11 +27,22 @@ from .errors import (
     ExprSyntaxError,
     FieldMismatchError,
     NegativeExponentError,
+    ResourceLimitError,
     ValidationError,
 )
 from .scalars import FieldDescriptor, Scalar, _NORMALIZE, _ScalarParser
 
 Monomial = tuple  # exponent vector, one entry per generator
+
+# heap pops plus eliminations one `word_normal_form` call may make; Weyl
+# y^20*x^20 takes 2890, so only rules that do not terminate reach it
+MAX_REWRITE_STEPS = 100_000
+
+
+def _rewrite_steps_error() -> ResourceLimitError:
+    return ResourceLimitError(
+        f"rewriting did not terminate within MAX_REWRITE_STEPS = {MAX_REWRITE_STEPS}",
+        cap="MAX_REWRITE_STEPS", limit=MAX_REWRITE_STEPS)
 
 
 def mono_degree(m: Monomial) -> int:
@@ -386,7 +397,7 @@ class Presentation:
         }
         return letters, code, word, table, elim
 
-    def word_normal_form(self, word, pick=None) -> dict:
+    def word_normal_form(self, word) -> dict:
         """Normalize a product of generator letters (gen position, +-1).
 
         Pending words wait in a dict that sums their coefficients; a heap
@@ -398,8 +409,9 @@ class Presentation:
         queued again. A word with a single successor is followed
         directly, without the heap.
 
-        `pick` selects among reducible positions (used by the confluence
-        checker and randomized-strategy tests); default takes the first.
+        Heap pops and eliminations are counted, and past MAX_REWRITE_STEPS
+        ResourceLimitError is raised; in between, steps only sort letters
+        or cancel inverses, so rules that do not terminate cannot hang.
         """
         if self._rewriting is None:
             self._rewriting = self._build_rewriting()
@@ -411,26 +423,15 @@ class Presentation:
         pending = {}
         heap = []
         result = {}
+        steps = 0
         while True:
             while not coef.is_zero():
                 succ = None
-                if pick is None:
-                    for k in range(lo, len(w) - 1):
-                        succ = table[w[k]][w[k + 1]]
-                        if succ is not None:
-                            break
-                else:
-                    red = [
-                        k for k in range(len(w) - 1)
-                        if table[w[k]][w[k + 1]] is not None
-                    ]
-                    if red:
-                        k = pick(red, [letters[c] for c in w])
-                        succ = table[w[k]][w[k + 1]]
-                if succ is not None:
-                    head, tail = w[:k], w[k + 2:]
-                    lo = k - 1 if k else 0
-                else:
+                for k in range(lo, len(w) - 1):
+                    succ = table[w[k]][w[k + 1]]
+                    if succ is not None:
+                        break
+                if succ is None:
                     # sorted; collapse to an exponent vector
                     e = [0] * m
                     for c in w:
@@ -442,16 +443,14 @@ class Presentation:
                         cur = result.get(e)
                         result[e] = coef if cur is None else cur + coef
                         break
-                    i, j = pair
-                    rest = list(e)
-                    rest[i] -= 1
-                    rest[j] -= 1
-                    head = as_word(code[x] for x in self._letters(rest[:i + 1]))
-                    tail = as_word(
-                        code[x] for x in self._letters([0] * (i + 1) + rest[i + 1:])
-                    )
+                    steps += 1
+                    if steps > MAX_REWRITE_STEPS:
+                        raise _rewrite_steps_error()
+                    # x_i*x_j stands where the x_j block of the sorted word starts
+                    k = w.index(code[(pair[1], 1)]) - 1
                     succ = elim[pair]
-                    lo = 0
+                head, tail = w[:k], w[k + 2:]
+                lo = k - 1 if k else 0
                 if len(succ) == 1:
                     (f, rep), = succ
                     w = head + rep + tail
@@ -470,6 +469,9 @@ class Presentation:
                 break
             if not heap:
                 break
+            steps += 1
+            if steps > MAX_REWRITE_STEPS:
+                raise _rewrite_steps_error()
             w = heappop(heap)[1]
             coef = pending.pop(w)
             lo = 0
@@ -513,10 +515,12 @@ class Presentation:
     # -- validation ----------------------------------------------------------
 
     def validate(self, sigma_bound: int = 3) -> ValidationReport:
+        """Rule shapes, confluence by Bergman's diamond lemma, the Ore
+        tower. The overlap check proves confluence only for a terminating
+        rewriting system."""
         if self._report is not None:
             return self._report
         failures = []
-        m = len(self.gens)
         # (a) rule shape
         for (j, i), rule in self.rules.items():
             if rule.leading.is_zero():
@@ -552,28 +556,31 @@ class Presentation:
         if failures:
             self._report = ValidationReport(False, failures)
             return self._report
-        # (b) confluence on all letter triples, two strategies
-        alphabet = []
-        for pos, g in enumerate(self.gens):
-            alphabet.append((pos, 1))
-            if g.invertible:
-                alphabet.append((pos, -1))
-        pick_last = lambda red, w: red[-1]
-        for a in alphabet:
-            for b in alphabet:
-                for c in alphabet:
-                    w = [a, b, c]
-                    n1 = self.word_normal_form(w)
-                    n2 = self.word_normal_form(w, pick=pick_last)
+        # (b) overlap ambiguities a*b*c, where a*b and b*c are both left
+        # sides: swaps, inverse cancellations or elimination pairs
+        if self._rewriting is None:
+            self._rewriting = self._build_rewriting()
+        letters, code, _, table, elim = self._rewriting
+        reductions = {(a, b): s for a, row in enumerate(table) for b, s in enumerate(row) if s}
+        reductions.update(((code[(i, 1)], code[(j, 1)]), s) for (i, j), s in elim.items())
+
+        def resolve(succ, head, tail):
+            # normal form of head*succ*tail, with succ as in the pair table
+            out = self.zero()
+            for f, rep in succ:
+                nf = Element(self, self.word_normal_form([letters[x] for x in (*head, *rep, *tail)]))
+                out = out + (nf if f is None else nf.scale(f))
+            return out
+
+        for (a, b), first in reductions.items():
+            for c in range(len(letters)):
+                if (b, c) in reductions:
+                    n1, n2 = resolve(first, (), (c,)), resolve(reductions[(b, c)], (a,), ())
                     if n1 != n2:
-                        names = "*".join(
-                            self.gens[g].name + ("" if s == 1 else "^-1") for g, s in w
-                        )
-                        failures.append(
-                            ("INCONSISTENT_RULES",
-                             f"word {names} normalizes to different results: "
-                             f"{Element(self, n1)} vs {Element(self, n2)}")
-                        )
+                        names = "*".join(self.gens[g].name + ("" if s == 1 else "^-1")
+                                         for g, s in (letters[a], letters[b], letters[c]))
+                        failures.append(("INCONSISTENT_RULES", f"word {names} normalizes "
+                                         f"to different results: {n1} vs {n2}"))
         sigma_status = None
         if not failures and self.tower:
             sigma_status = "BOUNDED_CERTIFIED"
@@ -770,18 +777,12 @@ def _check_ore_step(step: OreStep, sigma_bound: int) -> list:
     images = [sigma.apply(Element(base, {m: base.field.one()})) for m in basis]
     row_monos = sorted({m for img in images for m in img.terms}, key=grlex_key)
     row_index = {m: r for r, m in enumerate(row_monos)}
-    matrix = [
-        [img.coefficient(m) for img in images] for m in row_monos
-    ]
+    matrix = [[img.coefficient(m) for img in images] for m in row_monos]
     for g in base.gens:
         target = base.generator(g.name)
-        rhs = [
-            target.coefficient(m) for m in row_monos
-        ]
-        if any(m not in row_index for m in target.terms):
-            failures.append(("BAD_SIGMA", f"no bounded preimage for {g.name}"))
-            continue
-        if solve(matrix, rhs, base.field) is None:
+        rhs = [target.coefficient(m) for m in row_monos]
+        if (any(m not in row_index for m in target.terms)
+                or solve(matrix, rhs, base.field) is None):
             failures.append(("BAD_SIGMA", f"no bounded preimage for {g.name}"))
     return failures
 

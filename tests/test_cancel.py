@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -64,6 +66,31 @@ def test_nilradical_of_nilpotent_quotient():
     assert len(nil["basis"]) == 2
     assert nil["certified"]
     assert not is_vnr(a)
+
+
+def test_nilradical_in_characteristic_two():
+    # over GF(2) the trace form of k[x]/((x+1)^2) vanishes, so its radical
+    # is the whole algebra; the nilradical is spanned by 1 + x
+    gf2 = FieldDescriptor(PRIME, 2)
+    a = univariate_quotient(gf2, _q(gf2, 1, 0, 1))
+    assert nilradical(a)["basis"] == [_q(gf2, 1, 1)]
+    dec = local_decomposition(a)
+    assert dec["status"] == "DECOMPOSED"
+    assert len(dec["factors"]) == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([2, 3]),
+       coeffs=st.lists(st.integers(0, 2), min_size=1, max_size=4))
+def test_nilradical_counts_the_nilpotents_in_small_characteristic(p, coeffs):
+    # k[x]/(f) over GF(p) with f monic of degree <= 4: the nilpotents form
+    # the nilradical, so there are p^len(basis) of them among p^dim vectors
+    field = FieldDescriptor(PRIME, p)
+    a = univariate_quotient(field, _q(field, *coeffs, 1))
+    basis = nilradical(a)["basis"]
+    assert all(a.is_nilpotent(v) for v in basis)
+    vectors = itertools.product([field.from_int(c) for c in range(p)], repeat=a.dim)
+    assert sum(a.is_nilpotent(list(v)) for v in vectors) == p ** len(basis)
 
 
 def test_vnr_fixtures():

@@ -138,6 +138,19 @@ def test_poly_accepts_leading_minus():
     assert json.loads(out.stdout)["result"]["nilradical_dim"] == 0
 
 
+def test_non_terminating_rules_exit_4_promptly(tmp_path):
+    # z*z*y -> z*x*y -> z*z*y cycles through the rewriting heap
+    path = tmp_path / "cycle.alg"
+    path.write_text("algebra a { field rational; gens x, y, z; "
+                    "rule z*x = x*z + z^2; rule z*y = y*z + x*y; }")
+    out = subprocess.run(
+        [sys.executable, "-m", "skewcalc.cli", "check", str(path)],
+        capture_output=True, timeout=60,
+    )
+    assert out.returncode == 4
+    assert b"MAX_REWRITE_STEPS" in out.stderr
+
+
 def test_exponent_cap_exits_4_promptly():
     out = subprocess.run(
         [sys.executable, "-m", "skewcalc.cli", "mul", str(FIXTURES / "poly2.alg"),

@@ -30,6 +30,7 @@ from skewcalc.presentation import (
 from skewcalc.scalars import (
     CYCLOTOMIC, MAX_EXPONENT, RATFUNC_Q, RATIONAL, FieldDescriptor, scalar_parse,
 )
+from test_rewriting import reference_word_normal_form
 
 Q = FieldDescriptor(RATIONAL)
 
@@ -90,6 +91,33 @@ def test_confluence_catches_bad_triple():
     )
     report = bad.validate()
     assert not report.ok
+
+
+def test_validate_resolves_elimination_overlaps():
+    # y*x = 2*x*y with x*y = h eliminated: (y*x)*y = 2*y*h but y*(x*y) = y*h.
+    # The engine eliminates only in sorted words, so comparing two rewriting
+    # strategies cannot see this; the overlap y*x*y does.
+    gens = [GeneratorInfo("x", 1), GeneratorInfo("y", 2), GeneratorInfo("h", 3, invertible=True)]
+    p = Presentation(Q, gens, rules=[RewriteRule(1, 0, Q.from_int(2), ())],
+                     elim={(0, 1): {(0, 0, 1): Q.one()}})
+    report = p.validate()
+    assert not report.ok
+    assert ("INCONSISTENT_RULES",
+            "word y*x*y normalizes to different results: 2*y*h vs y*h") in report.failures
+    with pytest.raises(ValidationError, match="INCONSISTENT_RULES"):
+        p.require_validated()
+
+
+def test_cycling_eliminations_hit_the_rewrite_step_cap():
+    # x1*x2 = x3*x4 and x3*x4 = x1*x2: each word has one successor, so the
+    # cycle never passes through the heap
+    gens = [GeneratorInfo(f"x{k}", k) for k in range(1, 5)]
+    p = Presentation(Q, gens, elim={(0, 1): {(0, 0, 1, 1): Q.one()},
+                                    (2, 3): {(1, 1, 0, 0): Q.one()}})
+    with pytest.raises(ResourceLimitError, match="MAX_REWRITE_STEPS"):
+        p.word_normal_form([(0, 1), (1, 1)])
+    with pytest.raises(ResourceLimitError, match="MAX_REWRITE_STEPS"):
+        p.validate()
 
 
 def test_normal_form_of_raw_terms():
@@ -177,7 +205,7 @@ def test_randomized_rewrite_strategy_agrees():
     word = [(1, 1), (0, 1), (1, 1), (1, 1), (0, 1), (0, 1)]
     baseline = p.word_normal_form(word)
     for _ in range(20):
-        out = p.word_normal_form(word, pick=lambda red, w: rng.choice(red))
+        out = reference_word_normal_form(p, word, pick=lambda red, w: rng.choice(red))
         assert out == baseline
 
 

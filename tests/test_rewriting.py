@@ -3,7 +3,9 @@
 The LIFO agenda it replaced is kept below as `reference_word_normal_form`:
 it never merges equal words, so its cost is exponential in degree, but it
 is a straightforward reading of the rewriting rules. Closed forms cover
-degrees the reference cannot reach.
+degrees the reference cannot reach. The validation that normalized every
+letter triple under two strategies, replaced by the overlap check of
+`Presentation.validate`, is kept as `reference_validate`.
 """
 
 import pathlib
@@ -26,7 +28,16 @@ from skewcalc.families import (
     skew_poly,
     weyl1,
 )
-from skewcalc.presentation import ore_extend
+from skewcalc.presentation import (
+    Element,
+    GeneratorInfo,
+    Presentation,
+    RewriteRule,
+    ValidationReport,
+    _check_ore_step,
+    mono_degree,
+    ore_extend,
+)
 from skewcalc.scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor
 
 Q = FieldDescriptor(RATIONAL)
@@ -111,6 +122,76 @@ def reference_word_normal_form(p, word, pick=None) -> dict:
         cur = result.get(e)
         result[e] = coef if cur is None else cur + coef
     return {m: c for m, c in result.items() if not c.is_zero()}
+
+
+def reference_validate(p, sigma_bound: int = 3) -> ValidationReport:
+    """The two-strategy validation that overlap checking replaced: every
+    letter triple normalized by the engine and by the reference taking the
+    last reducible position. Not cached on `p`."""
+    failures = []
+    # (a) rule shape
+    for (j, i), rule in p.rules.items():
+        if rule.leading.is_zero():
+            failures.append(
+                ("INCONSISTENT_RULES", f"rule ({p.gens[j].name},{p.gens[i].name}) has zero leading scalar")
+            )
+        tail = rule.tail_dict()
+        for mono, c in tail.items():
+            if mono_degree(mono) > 2:
+                failures.append(
+                    ("INCONSISTENT_RULES", f"rule ({p.gens[j].name},{p.gens[i].name}) tail degree > 2")
+                )
+            for e, g in zip(mono, p.gens):
+                if e < 0 and not g.invertible:
+                    failures.append(("INCONSISTENT_RULES", f"tail uses inverse of {g.name}"))
+        if tail and (p.gens[j].invertible or p.gens[i].invertible):
+            failures.append(
+                ("BAD_INVERSE",
+                 f"rule ({p.gens[j].name},{p.gens[i].name}) has a tail but touches an invertible generator")
+            )
+    for (i, j), tail in p.elim.items():
+        if j != i + 1:
+            failures.append(("INCONSISTENT_RULES", "elimination pairs must be consecutive"))
+        if p.gens[i].invertible or p.gens[j].invertible:
+            failures.append(("BAD_INVERSE", "elimination pair generators must not be invertible"))
+        for mono, c in tail:
+            if mono[i] or mono[j]:
+                failures.append(
+                    ("INCONSISTENT_RULES", "elimination tail mentions an eliminated generator")
+                )
+            if mono_degree(mono) > 2:
+                failures.append(("INCONSISTENT_RULES", "elimination tail degree > 2"))
+    if failures:
+        return ValidationReport(False, failures)
+    # (b) confluence on all letter triples, two strategies
+    alphabet = []
+    for pos, g in enumerate(p.gens):
+        alphabet.append((pos, 1))
+        if g.invertible:
+            alphabet.append((pos, -1))
+    pick_last = lambda red, w: red[-1]
+    for a in alphabet:
+        for b in alphabet:
+            for c in alphabet:
+                w = [a, b, c]
+                n1 = p.word_normal_form(w)
+                n2 = reference_word_normal_form(p, w, pick=pick_last)
+                if n1 != n2:
+                    names = "*".join(
+                        p.gens[g].name + ("" if s == 1 else "^-1") for g, s in w
+                    )
+                    failures.append(
+                        ("INCONSISTENT_RULES",
+                         f"word {names} normalizes to different results: "
+                         f"{Element(p, n1)} vs {Element(p, n2)}")
+                    )
+    sigma_status = None
+    if not failures and p.tower:
+        sigma_status = "BOUNDED_CERTIFIED"
+        for step in p.tower:
+            step_failures = _check_ore_step(step, sigma_bound)
+            failures.extend(step_failures)
+    return ValidationReport(not failures, failures, sigma_status)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +282,7 @@ def test_random_pick_strategies_agree(name, data, seed):
         seen.append(w)
         return rng.choice(red)
 
-    assert p.word_normal_form(word, pick=pick) == p.word_normal_form(word)
+    assert reference_word_normal_form(p, word, pick=pick) == p.word_normal_form(word)
     # the hook sees the word as (generator position, sign) letters
     assert all(letter in _alphabet(p) for w in seen for letter in w)
 
@@ -244,3 +325,92 @@ def test_torus_monomial_products(a, b):
     p = _presentation("torus3")
     word = p._letters(a) + p._letters(b)
     assert p.word_normal_form(word) == _diagonal_oracle(p, TORUS_Q, a, b)
+
+
+# ---------------------------------------------------------------------------
+# validation: overlap ambiguities against the two-strategy reference
+
+
+def test_every_family_and_fixture_validates():
+    for name in sorted(FAMILIES):
+        p = _presentation(name)
+        assert p.validate().ok, name
+        assert reference_validate(p).ok, name
+
+
+_SMALL = [Q.from_int(c) for c in (1, 1, 1, -1, 2, 3)]
+
+
+@st.composite
+def _terminating_presentations(draw, elim):
+    """Random presentations over Q whose rewriting terminates.
+
+    A tail uses non-invertible generators below the rule's lower
+    generator and, when `elim` is set, invertible generators anywhere
+    else. Every rule then lowers the multiset of non-invertible letters,
+    or keeps it and shortens the word or removes an inversion. With `elim`
+    set, consecutive non-invertible pairs may get elimination rules, and
+    half of the draws are generalized Weyl algebras with at most one rule
+    redrawn.
+    """
+    if elim and draw(st.booleans()):
+        a = {e: draw(st.sampled_from(_SMALL)) for e in draw(st.sets(st.integers(-2, 2), min_size=1))}
+        p = gwa(a, draw(st.sampled_from(_SMALL[3:])))
+        rules, pairs = dict(p.rules), dict(p.elim)
+        tails = st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(_SMALL)), max_size=2)
+        which = draw(st.sampled_from(["none", "swap", "elim", "lead"]))
+        if which == "swap":
+            rules[(1, 0)] = RewriteRule(1, 0, Q.one(), tuple(
+                sorted({(0, 0, e): c for e, c in draw(tails)}.items())))
+        elif which == "elim":
+            pairs[(0, 1)] = {(0, 0, e): c for e, c in draw(tails)}
+        elif which == "lead":
+            rules[(2, 1)] = RewriteRule(2, 1, draw(st.sampled_from(_SMALL)), ())
+        return Presentation(Q, p.gens, rules=rules.values(), elim=pairs)
+    m = draw(st.integers(2 if elim else 3, 3 if elim else 4))
+    inv = [draw(st.booleans()) for _ in range(m)]
+    gens = [GeneratorInfo(f"x{k + 1}", k + 1, invertible=inv[k]) for k in range(m)]
+
+    def tail(lo, hi):
+        letters = [(k, 1) for k in range(lo)]
+        if elim:
+            letters += [(k, s) for k in range(m) if inv[k] and not lo <= k <= hi
+                        for s in (1, -1)]
+        out = {}
+        for _ in range(draw(st.integers(0, 2))):
+            e = [0] * m
+            for k, s in draw(st.lists(st.sampled_from(letters), max_size=2)) if letters else ():
+                e[k] += s
+            out[tuple(e)] = draw(st.sampled_from(_SMALL))
+        return tuple(sorted(out.items()))
+
+    rules = [
+        RewriteRule(j, i, draw(st.sampled_from(_SMALL)),
+                    () if inv[i] or inv[j] else tail(i, i))
+        for j in range(m) for i in range(j)
+    ]
+    pairs = {}
+    if elim:
+        for i in range(m - 1):
+            if not (inv[i] or inv[i + 1]) and draw(st.booleans()):
+                pairs[(i, i + 1)] = dict(tail(i, i + 1))
+    return Presentation(Q, gens, rules=rules, elim=pairs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(p=_terminating_presentations(elim=False))
+def test_overlap_validation_agrees_with_reference_validate(p):
+    assert p.validate().ok == reference_validate(p).ok
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p=_terminating_presentations(elim=True))
+def test_validated_presentations_are_associative(p):
+    if not p.validate().ok:
+        return
+    monos = [p.monomial(mono) for mono in p.filtration_basis(2)]
+    for a in monos:
+        for b in monos:
+            ab = a * b
+            for c in monos:
+                assert ab * c == a * (b * c)
