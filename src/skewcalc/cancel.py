@@ -141,7 +141,12 @@ class FiniteDimAlgebra:
         return out
 
     def is_nilpotent(self, u) -> bool:
-        return _viszero(self.power(u, self.dim))
+        v = list(u)
+        for _ in range(self.dim.bit_length() + 1):
+            if _viszero(v):
+                return True
+            v = self.mul(v, v)
+        return _viszero(v)
 
     def min_poly(self, u, v=None) -> list:
         """The monic p of least degree with p(u)*v = 0, as an ascending
@@ -326,10 +331,11 @@ def scalar_field_algebra(field) -> FiniteDimAlgebra:
 def nilradical(a: FiniteDimAlgebra) -> dict:
     """The radical R of the trace form, which contains the nilradical and
     in characteristic 0 equals it. In characteristic p the nilradical is
-    the kernel on R of x -> x^n with n = p^k >= dim, a GF(p)-linear map."""
+    the kernel on R of x -> x^n with n = p^k >= dim, a GF(p)-linear map.
+    Every basis vector is re-verified nilpotent."""
     vectors = nullspace(a.trace_form(), a.field) if a.dim else []
     n = p = a.field.characteristic()
-    if p and not all(a.is_nilpotent(v) for v in vectors):
+    if p:
         while n < a.dim:
             n *= p
         images = [a.power(v, n) for v in vectors]
@@ -337,6 +343,11 @@ def nilradical(a: FiniteDimAlgebra) -> dict:
             [sum((c * v[i] for c, v in zip(cs, vectors)), a.field.zero()) for i in range(a.dim)]
             for cs in nullspace([list(row) for row in zip(*images)], a.field)
         ]
+    for v in vectors:
+        if not a.is_nilpotent(v):
+            raise ValidationError(
+                "nilradical basis vector is not nilpotent", code="CHAR_P_UNCERTIFIED"
+            )
     certified = not p
     return {
         "basis": vectors,
@@ -669,7 +680,8 @@ def verify_morphism(m: Morphism) -> dict:
     src.require_validated()
     tgt.require_validated()
     for (j, i), rule in src.rules.items():
-        gj, gi = m.image_of_letter(j, 1), m.image_of_letter(i, 1)
+        gj = m.image_of_letter(j, 1)
+        gi = m.image_of_letter(i, 1)
         tail = m.apply(src.from_terms(rule.tail_dict()))
         residue = gj * gi - (gi * gj).scale(rule.leading) - tail
         if not residue.is_zero():
@@ -679,7 +691,8 @@ def verify_morphism(m: Morphism) -> dict:
                 f"maps to {residue}",
             }
     for (i, j), tail_terms in src.elim.items():
-        gi, gj = m.image_of_letter(i, 1), m.image_of_letter(j, 1)
+        gi = m.image_of_letter(i, 1)
+        gj = m.image_of_letter(j, 1)
         tail = m.apply(src.from_terms(dict(tail_terms)))
         if not (gi * gj - tail).is_zero():
             return {

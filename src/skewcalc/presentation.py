@@ -34,15 +34,16 @@ from .scalars import FieldDescriptor, Scalar, _NORMALIZE, _ScalarParser
 
 Monomial = tuple  # exponent vector, one entry per generator
 
-# heap pops plus eliminations one `word_normal_form` call may make; Weyl
-# y^20*x^20 takes 2890, so only rules that do not terminate reach it
+# heap pops plus eliminations `word_normal_form` may make per letter of its
+# word; Weyl y^k*x^k takes k^3/3 + k^2/2 + 7k/6, within the cap up to k = 773
 MAX_REWRITE_STEPS = 100_000
 
 
-def _rewrite_steps_error() -> ResourceLimitError:
+def _rewrite_steps_error(limit: int) -> ResourceLimitError:
     return ResourceLimitError(
-        f"rewriting did not terminate within MAX_REWRITE_STEPS = {MAX_REWRITE_STEPS}",
-        cap="MAX_REWRITE_STEPS", limit=MAX_REWRITE_STEPS)
+        f"rewriting did not terminate within {limit} steps "
+        f"(MAX_REWRITE_STEPS = {MAX_REWRITE_STEPS} per letter)",
+        cap="MAX_REWRITE_STEPS", limit=limit)
 
 
 def mono_degree(m: Monomial) -> int:
@@ -410,7 +411,7 @@ class Presentation:
         directly, without the heap.
 
         Heap pops and eliminations are counted, and past MAX_REWRITE_STEPS
-        ResourceLimitError is raised; in between, steps only sort letters
+        per letter of `word` ResourceLimitError is raised; in between, steps only sort letters
         or cancel inverses, so rules that do not terminate cannot hang.
         """
         if self._rewriting is None:
@@ -424,6 +425,7 @@ class Presentation:
         heap = []
         result = {}
         steps = 0
+        limit = MAX_REWRITE_STEPS * max(len(w), 1)
         while True:
             while not coef.is_zero():
                 succ = None
@@ -444,8 +446,8 @@ class Presentation:
                         result[e] = coef if cur is None else cur + coef
                         break
                     steps += 1
-                    if steps > MAX_REWRITE_STEPS:
-                        raise _rewrite_steps_error()
+                    if steps > limit:
+                        raise _rewrite_steps_error(limit)
                     # x_i*x_j stands where the x_j block of the sorted word starts
                     k = w.index(code[(pair[1], 1)]) - 1
                     succ = elim[pair]
@@ -470,8 +472,8 @@ class Presentation:
             if not heap:
                 break
             steps += 1
-            if steps > MAX_REWRITE_STEPS:
-                raise _rewrite_steps_error()
+            if steps > limit:
+                raise _rewrite_steps_error(limit)
             w = heappop(heap)[1]
             coef = pending.pop(w)
             lo = 0
@@ -561,26 +563,40 @@ class Presentation:
         if self._rewriting is None:
             self._rewriting = self._build_rewriting()
         letters, code, _, table, elim = self._rewriting
-        reductions = {(a, b): s for a, row in enumerate(table) for b, s in enumerate(row) if s}
-        reductions.update(((code[(i, 1)], code[(j, 1)]), s) for (i, j), s in elim.items())
+        reductions = {
+            (a, b): succ
+            for a, row in enumerate(table)
+            for b, succ in enumerate(row)
+            if succ is not None
+        }
+        for (i, j), succ in elim.items():
+            reductions[(code[(i, 1)], code[(j, 1)])] = succ
 
         def resolve(succ, head, tail):
             # normal form of head*succ*tail, with succ as in the pair table
             out = self.zero()
             for f, rep in succ:
-                nf = Element(self, self.word_normal_form([letters[x] for x in (*head, *rep, *tail)]))
+                word = [letters[x] for x in (*head, *rep, *tail)]
+                nf = Element(self, self.word_normal_form(word))
                 out = out + (nf if f is None else nf.scale(f))
             return out
 
         for (a, b), first in reductions.items():
             for c in range(len(letters)):
-                if (b, c) in reductions:
-                    n1, n2 = resolve(first, (), (c,)), resolve(reductions[(b, c)], (a,), ())
-                    if n1 != n2:
-                        names = "*".join(self.gens[g].name + ("" if s == 1 else "^-1")
-                                         for g, s in (letters[a], letters[b], letters[c]))
-                        failures.append(("INCONSISTENT_RULES", f"word {names} normalizes "
-                                         f"to different results: {n1} vs {n2}"))
+                if (b, c) not in reductions:
+                    continue
+                n1 = resolve(first, (), (c,))
+                n2 = resolve(reductions[(b, c)], (a,), ())
+                if n1 != n2:
+                    names = "*".join(
+                        self.gens[g].name + ("" if s == 1 else "^-1")
+                        for g, s in (letters[a], letters[b], letters[c])
+                    )
+                    failures.append(
+                        ("INCONSISTENT_RULES",
+                         f"word {names} normalizes to different results: "
+                         f"{n1} vs {n2}")
+                    )
         sigma_status = None
         if not failures and self.tower:
             sigma_status = "BOUNDED_CERTIFIED"
@@ -777,12 +793,18 @@ def _check_ore_step(step: OreStep, sigma_bound: int) -> list:
     images = [sigma.apply(Element(base, {m: base.field.one()})) for m in basis]
     row_monos = sorted({m for img in images for m in img.terms}, key=grlex_key)
     row_index = {m: r for r, m in enumerate(row_monos)}
-    matrix = [[img.coefficient(m) for img in images] for m in row_monos]
+    matrix = [
+        [img.coefficient(m) for img in images] for m in row_monos
+    ]
     for g in base.gens:
         target = base.generator(g.name)
-        rhs = [target.coefficient(m) for m in row_monos]
-        if (any(m not in row_index for m in target.terms)
-                or solve(matrix, rhs, base.field) is None):
+        rhs = [
+            target.coefficient(m) for m in row_monos
+        ]
+        if any(m not in row_index for m in target.terms):
+            failures.append(("BAD_SIGMA", f"no bounded preimage for {g.name}"))
+            continue
+        if solve(matrix, rhs, base.field) is None:
             failures.append(("BAD_SIGMA", f"no bounded preimage for {g.name}"))
     return failures
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from skewcalc import cancel
 from skewcalc.cancel import (
     FiniteDimAlgebra,
     ImplicationDAG,
@@ -22,7 +23,7 @@ from skewcalc.cancel import (
     verify_isomorphism_bounded,
     verify_morphism,
 )
-from skewcalc.errors import BadParamsError, MissingEvidenceError
+from skewcalc.errors import BadParamsError, MissingEvidenceError, ValidationError
 from skewcalc.families import laurent, minus_one_plane, quantum_torus, weyl1
 from skewcalc.invariants import center_bounded, gk_estimate, growth_dims
 from skewcalc.poly import roots
@@ -91,6 +92,14 @@ def test_nilradical_counts_the_nilpotents_in_small_characteristic(p, coeffs):
     assert all(a.is_nilpotent(v) for v in basis)
     vectors = itertools.product([field.from_int(c) for c in range(p)], repeat=a.dim)
     assert sum(a.is_nilpotent(list(v)) for v in vectors) == p ** len(basis)
+
+
+def test_nilradical_rejects_a_vector_that_is_not_nilpotent(monkeypatch):
+    # a fault in the linear algebra must not pass as a nilradical
+    a = univariate_quotient(Q, _q(Q, 0, 0, 1))  # k[x]/(x^2)
+    monkeypatch.setattr(cancel, "nullspace", lambda rows, field: [[Q.one(), Q.zero()]])
+    with pytest.raises(ValidationError, match="not nilpotent"):
+        nilradical(a)
 
 
 def test_vnr_fixtures():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from skewcalc import presentation
 from skewcalc.errors import (
     NegativeExponentError,
     ResourceLimitError,
@@ -118,6 +119,16 @@ def test_cycling_eliminations_hit_the_rewrite_step_cap():
         p.word_normal_form([(0, 1), (1, 1)])
     with pytest.raises(ResourceLimitError, match="MAX_REWRITE_STEPS"):
         p.validate()
+
+
+def test_rewrite_step_cap_scales_with_word_length(monkeypatch):
+    # Weyl y^k*x^k takes k^3/3 + k^2/2 + 7k/6 steps: 2890 for k = 20 and
+    # 9485 for k = 30. At 100 steps per letter the caps are 4000 and 6000.
+    monkeypatch.setattr(presentation, "MAX_REWRITE_STEPS", 100)
+    p = weyl1(Q)
+    assert len(p.word_normal_form([(1, 1)] * 20 + [(0, 1)] * 20)) == 21
+    with pytest.raises(ResourceLimitError, match="within 6000 steps"):
+        p.word_normal_form([(1, 1)] * 30 + [(0, 1)] * 30)
 
 
 def test_normal_form_of_raw_terms():
