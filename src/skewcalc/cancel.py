@@ -453,19 +453,18 @@ def _subalgebra_on_idempotent(a: FiniteDimAlgebra, e):
     for j, img in enumerate(images):
         if span.add({i: c for i, c in enumerate(img) if not c.is_zero()}):
             chosen.append(img)
-    matrix = [[v[i] for v in chosen] for i in range(a.dim)]
-
-    def coords(v):
-        sol = solve(matrix, list(v), field)
-        if sol is None:
-            raise ValidationError("element not in the idempotent factor")
-        return sol
-
-    names = [f"b{k}" for k in range(len(chosen))]
-    table = [
-        [coords(a.mul(u, v)) for v in chosen] for u in chosen
-    ]
-    return FiniteDimAlgebra(field, names, table, coords(e)), chosen
+    # the coordinates in `chosen` of every product and of e come from one
+    # rref of [chosen | right-hand sides]; the columns of `chosen` are
+    # independent, so row r holds the coordinate at chosen[r]
+    n = len(chosen)
+    rhs = [a.mul(u, v) for u in chosen for v in chosen] + [e]
+    red, pivots = rref([[v[i] for v in chosen + rhs] for i in range(a.dim)], field)
+    if len(pivots) > n:  # a pivot among the right-hand sides
+        raise ValidationError("element not in the idempotent factor")
+    coords = [[row[n + k] for row in red] for k in range(len(rhs))]
+    names = [f"b{k}" for k in range(n)]
+    table = [coords[i * n:(i + 1) * n] for i in range(n)]
+    return FiniteDimAlgebra(field, names, table, coords[-1]), chosen
 
 
 def _certify_local(f: FiniteDimAlgebra):

@@ -50,12 +50,16 @@ def _inv_degree(p: Presentation, m) -> int:
 
 def _sandwich(p: Presentation, m_a, m, m_b) -> dict:
     """The product m_a.m.m_b of three monomials, as normal-form terms."""
-    prod, zero = {}, p.field.zero()
+    prod = {}
     for mid, c1 in p._mono_mul(m_a, m).items():
         for mono, c2 in p._mono_mul(mid, m_b).items():
-            s = prod.get(mono, zero) + c1 * c2
+            s = prod.get(mono)
+            if s is None:
+                prod[mono] = c1 * c2
+                continue
+            s = s + c1 * c2
             if s.is_zero():
-                prod.pop(mono, None)
+                del prod[mono]
             else:
                 prod[mono] = s
     return prod

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .errors import BadParamsError, InsufficientDataError, ResourceLimitError
 from .linalg import SpanBasis, hnf_row, integer_kernel, nullspace

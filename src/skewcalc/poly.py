@@ -145,8 +145,8 @@ def _prime_roots(f, field):
 
 
 def _rational_roots(f, field):
-    den = lcm(*(c.value.denominator for c in f))
-    ints = [int(c.value * den) for c in f]
+    den = lcm(*(c.value[1] for c in f))
+    ints = [n * (den // d) for n, d in (c.value for c in f)]
     out = []
     if ints[0] == 0:
         out.append(field.zero())
@@ -173,13 +173,10 @@ def _divisors(n: int) -> list:
     return sorted(out)
 
 
-def _is_square(f: Fraction) -> bool:
-    if f < 0:
-        return False
-    return (
-        isqrt(f.numerator) ** 2 == f.numerator
-        and isqrt(f.denominator) ** 2 == f.denominator
-    )
+def _is_square(r: Scalar) -> bool:
+    """Whether a rational is the square of a rational."""
+    n, d = r.value
+    return n >= 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
 
 def irreducible(f: list, field: FieldDescriptor):
@@ -197,6 +194,6 @@ def irreducible(f: list, field: FieldDescriptor):
         if field.kind == RATIONAL:
             if deg == 3:
                 return True  # cubic with no rational root
-            a, b, c = f[2].value, f[1].value, f[0].value
-            return not _is_square(b * b - 4 * a * c)
+            c, b, a = f
+            return not _is_square(b * b - field.from_int(4) * a * c)
     return None

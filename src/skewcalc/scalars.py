@@ -12,7 +12,8 @@ Four field kinds are supported:
 Every Scalar has a unique canonical representation, so equality is plain
 structural equality and values are hashable:
 
-* rational: a ``Fraction``;
+* rational: ``(num, den)``, Python ints with ``den > 0`` and
+  ``gcd(num, den) == 1``; zero is ``(0, 1)``;
 * prime: an ``int`` in ``range(p)``;
 * cyclotomic: ``(coeffs, den)``, integer coefficients of degree below
   phi(l) and a positive integer denominator coprime to their content;
@@ -22,8 +23,10 @@ structural equality and values are hashable:
   ``((), (1,))``.
 
 Integer polynomials are tuples of ints in ascending degree without
-trailing zeros. Values print through the monic-denominator ``Fraction``
-form, in ascending degree: ``(1/2 + 1/2*q)/(-1/2 + q)``, ``1/2*q``.
+trailing zeros. A rational prints as ``str(Fraction(num, den))`` would:
+``-7/2``, ``3``. The other kinds print through the monic-denominator
+``Fraction`` form, in ascending degree: ``(1/2 + 1/2*q)/(-1/2 + q)``,
+``1/2*q``. ``Fraction`` enters only there and at ``from_fraction``.
 """
 
 from __future__ import annotations
@@ -205,6 +208,48 @@ def cyclotomic_polynomial(l: int):
 
 
 # ---------------------------------------------------------------------------
+# rational values (num, den)
+
+
+def _q_add(a, b):
+    """Sum of two canonical pairs. Over unequal denominators only the
+    gcd of their common factor with the new numerator is taken
+    (Henrici; Knuth, TAOCP vol. 2, 4.5.1)."""
+    (n1, d1), (n2, d2) = a, b
+    if d1 == d2:
+        if d1 == 1:
+            return n1 + n2, 1
+        n = n1 + n2
+        g = gcd(n, d1)
+        return (n // g, d1 // g) if g != 1 else (n, d1)
+    # the sum of values in lowest terms over unequal denominators is
+    # never zero
+    g = gcd(d1, d2)
+    if g == 1:
+        return n1 * d2 + n2 * d1, d1 * d2
+    s = d1 // g
+    t = n1 * (d2 // g) + n2 * s
+    g = gcd(t, g)
+    return (t // g, s * (d2 // g)) if g != 1 else (t, s * d2)
+
+
+def _q_mul(a, b):
+    """Product of two canonical pairs, cancelling each numerator against
+    the other denominator first. A zero factor (0, 1) cancels the other
+    denominator to 1, so a zero product comes out as (0, 1)."""
+    (n1, d1), (n2, d2) = a, b
+    if d1 == 1 and d2 == 1:
+        return n1 * n2, 1
+    g = gcd(n1, d2)
+    if g != 1:
+        n1, d2 = n1 // g, d2 // g
+    g = gcd(n2, d1)
+    if g != 1:
+        n2, d1 = n2 // g, d1 // g
+    return n1 * n2, d1 * d2
+
+
+# ---------------------------------------------------------------------------
 # cyclotomic(l) values (coeffs, den)
 
 _CZERO = ((), 1)
@@ -363,13 +408,23 @@ class FieldDescriptor:
         if n == 0 or n == 1:  # shared, since scalars are immutable
             c = self._cache.get(n)
             if c is None:
-                c = self._cache[n] = self.from_fraction(Fraction(n))
+                c = self._cache[n] = Scalar(self, self._int_value(n))
             return c
-        return self.from_fraction(Fraction(n))
+        return Scalar(self, self._int_value(n))
+
+    def _int_value(self, n: int):
+        k = self.kind
+        if k == RATIONAL:
+            return n, 1
+        if k == PRIME:
+            return n % self.param
+        if k == RATFUNC_Q:
+            return ((n,), (1,)) if n else _RZERO
+        return ((n,), 1) if n else _CZERO
 
     def from_fraction(self, f: Fraction) -> "Scalar":
         if self.kind == RATIONAL:
-            return Scalar(self, f)
+            return Scalar(self, (f.numerator, f.denominator))
         if self.kind == PRIME:
             p = self.param
             den = f.denominator % p
@@ -471,7 +526,7 @@ class Scalar:
             self._check(other)
         k = f.kind
         if k == RATIONAL:
-            return Scalar(f, self.value + other.value)
+            return Scalar(f, _q_add(self.value, other.value))
         if k == PRIME:
             return Scalar(f, (self.value + other.value) % f.param)
         if k == CYCLOTOMIC:
@@ -481,12 +536,10 @@ class Scalar:
     def __neg__(self):
         f = self.field
         k = f.kind
-        if k == RATIONAL:
-            return Scalar(f, -self.value)
         if k == PRIME:
             return Scalar(f, (-self.value) % f.param)
         a, b = self.value
-        return Scalar(f, (_pneg(a), b))
+        return Scalar(f, (-a, b) if k == RATIONAL else (_pneg(a), b))
 
     def __sub__(self, other):
         return self + (-other)
@@ -497,7 +550,7 @@ class Scalar:
             self._check(other)
         k = f.kind
         if k == RATIONAL:
-            return Scalar(f, self.value * other.value)
+            return Scalar(f, _q_mul(self.value, other.value))
         if k == PRIME:
             return Scalar(f, (self.value * other.value) % f.param)
         if k == CYCLOTOMIC:
@@ -509,8 +562,6 @@ class Scalar:
             raise DivisionByZeroError("division by zero")
         f = self.field
         k = f.kind
-        if k == RATIONAL:
-            return Scalar(f, 1 / self.value)
         if k == PRIME:
             return Scalar(f, pow(self.value, -1, f.param))
         if k == CYCLOTOMIC:
@@ -518,6 +569,8 @@ class Scalar:
                 f, _cyc_inv(self.value, f.param, f._reduction(), f._powers())
             )
         n, d = self.value
+        if k == RATIONAL:
+            return Scalar(f, (d, n) if n > 0 else (-d, -n))
         return Scalar(f, (d, n) if n[-1] > 0 else (_pneg(d), _pneg(n)))
 
     def __truediv__(self, other):
@@ -541,8 +594,11 @@ class Scalar:
     def __str__(self):
         k = self.field.kind
         try:
-            if k == RATIONAL or k == PRIME:
+            if k == PRIME:
                 return str(self.value)
+            if k == RATIONAL:
+                n, d = self.value
+                return str(n) if d == 1 else f"{n}/{d}"
             if k == CYCLOTOMIC:
                 c, d = self.value
                 return _poly_str([Fraction(x, d) for x in c] if d != 1 else c)

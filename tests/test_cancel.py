@@ -26,6 +26,7 @@ from skewcalc.cancel import (
 from skewcalc.errors import BadParamsError, MissingEvidenceError, ValidationError
 from skewcalc.families import laurent, minus_one_plane, quantum_torus, weyl1
 from skewcalc.invariants import center_bounded, gk_estimate, growth_dims
+from skewcalc.linalg import solve
 from skewcalc.poly import roots
 from skewcalc.divisor import divisor_closure
 from skewcalc.presentation import Morphism, identity_morphism
@@ -138,6 +139,29 @@ def test_local_decomposition_with_nilpotents():
     dec = local_decomposition(a)
     assert dec["status"] == "DECOMPOSED"
     assert len(dec["factors"]) == 2
+
+
+def test_idempotent_factor_coordinates_match_solve():
+    """The factor algebra's table and unit, read from one rref of all the
+    right-hand sides, equal the coordinates `solve` finds one by one."""
+    f5 = FieldDescriptor(PRIME, 5)
+    cases = [
+        (Q, (-1, 0, 0, 0, 1)),  # x^4 - 1 = (x - 1)(x + 1)(x^2 + 1)
+        (Q, (0, 0, -1, 0, 1)),  # x^2 (x - 1)(x + 1)
+        (f5, (1, 0, -2, 0, 1)),  # (x^2 - 1)^2
+        (FieldDescriptor(CYCLOTOMIC, 4), (-1, 0, 0, 0, 1)),
+    ]
+    for field, coeffs in cases:
+        a = univariate_quotient(field, _q(field, *coeffs))
+        idems = local_decomposition(a)["idempotents"]
+        assert len(idems) > 1
+        for e in idems:
+            fac, chosen = cancel._subalgebra_on_idempotent(a, e)
+            matrix = [[v[i] for v in chosen] for i in range(a.dim)]
+            assert fac.unit == solve(matrix, e, field)
+            assert fac.table == [
+                [solve(matrix, a.mul(u, v), field) for v in chosen] for u in chosen
+            ]
 
 
 def test_units_generated():

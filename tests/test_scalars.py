@@ -2,6 +2,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -526,6 +527,60 @@ def test_cyclotomic_canonical_form():
     v = scalar_parse(c6, "(2*q + 4)/6").value
     assert v == ((2, 1), 3)
     assert str(scalar_parse(c6, "q^3")) == "-1"
+
+
+# ---------------------------------------------------------------------------
+# rational pairs against Fraction, on wide values
+
+_WIDE = 10**40
+_wide_ints = st.integers(-_WIDE, _WIDE)
+_wide_dens = st.integers(1, _WIDE)
+
+
+def _rational_operands(n1, d1, n2, d2, k, g):
+    """Fractions that reach every path of the pair kernel: integers, zero,
+    a partner over the same canonical denominator, a pair of denominators
+    sharing the factor g, and a partner that cancels across a product."""
+    a, b = Fraction(n1, d1), Fraction(n2, d2)
+    out = [a, b, Fraction(n1), Fraction(k), Fraction(0), -a,
+           Fraction(k * a.denominator + 1, a.denominator),
+           Fraction(n1, g * d1), Fraction(n2, g * d2)]
+    if a:
+        out.append(Fraction(k * a.denominator, a.numerator * d2))
+    return out
+
+
+def _assert_canonical(x, want):
+    n, d = x.value
+    assert d > 0 and gcd(n, d) == 1  # so zero is (0, 1)
+    assert Fraction(n, d) == want
+    assert str(x) == str(want)
+    again = scalar_parse(Q, str(x))
+    assert again == x and hash(again) == hash(x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n1=_wide_ints, d1=_wide_dens, n2=_wide_ints, d2=_wide_dens,
+       k=_wide_ints, g=st.integers(2, _WIDE))
+def test_rational_pairs_match_fraction(n1, d1, n2, d2, k, g):
+    fracs = _rational_operands(n1, d1, n2, d2, k, g)
+    xs = [Q.from_fraction(f) for f in fracs]
+    _assert_canonical(Q.from_int(k), Fraction(k))
+    for x, a in zip(xs, fracs):
+        _assert_canonical(x, a)
+        _assert_canonical(-x, -a)
+        if a:
+            _assert_canonical(x.inv(), 1 / a)
+            _assert_canonical(x ** -3, a ** -3)
+    for x, a in zip(xs, fracs):
+        for y, b in zip(xs, fracs):
+            _assert_canonical(x + y, a + b)
+            _assert_canonical(x - y, a - b)
+            _assert_canonical(x * y, a * b)
+            if b:
+                _assert_canonical(x / y, a / b)
+                z = x * y / y  # the same value, built another way
+                assert z == x and hash(z) == hash(x)
 
 
 # ---------------------------------------------------------------------------
