@@ -23,7 +23,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .linalg import SpanBasis, nullspace, reduce_row, rref, solve
+from .linalg import SpanBasis, nullspace, rref, solve
 from .presentation import (
     Element,
     GeneratorInfo,
@@ -153,18 +153,20 @@ class FiniteDimAlgebra:
         coefficient list; v is nonzero and defaults to the unit, which
         gives the minimal polynomial of u."""
         current = list(self.unit if v is None else v)
-        powers = [current]
+        powers = [dict(enumerate(current))]
         span = SpanBasis(self.field, lambda i: i)
-        span.add({i: c for i, c in enumerate(current) if not c.is_zero()})
+        span.add(powers[0])
         while True:
             current = self.mul(current, u)
-            terms = {i: c for i, c in enumerate(current) if not c.is_zero()}
+            terms = dict(enumerate(current))
             if span.contains(terms):
-                matrix = [[pw[i] for pw in powers] for i in range(self.dim)]
-                sol = solve(matrix, current, self.field)
-                return poly.trim([-c for c in sol] + [self.field.one()])
+                sol = solve(powers, terms, self.field)
+                zero = self.field.zero()
+                return poly.trim(
+                    [-sol.get(j, zero) for j in range(len(powers))] + [self.field.one()]
+                )
             span.add(terms)
-            powers.append(current)
+            powers.append(terms)
 
     def describe(self):
         return {"dim": self.dim, "basis": list(self.basis_names)}
@@ -333,15 +335,20 @@ def nilradical(a: FiniteDimAlgebra) -> dict:
     in characteristic 0 equals it. In characteristic p the nilradical is
     the kernel on R of x -> x^n with n = p^k >= dim, a GF(p)-linear map.
     Every basis vector is re-verified nilpotent."""
-    vectors = nullspace(a.trace_form(), a.field) if a.dim else []
+    zero = a.field.zero()
+    # the trace form is symmetric: its rows are its columns
+    vectors = [
+        [v.get(i, zero) for i in range(a.dim)]
+        for v in nullspace([dict(enumerate(row)) for row in a.trace_form()], a.field)
+    ]
     n = p = a.field.characteristic()
     if p:
         while n < a.dim:
             n *= p
-        images = [a.power(v, n) for v in vectors]
+        images = [dict(enumerate(a.power(v, n))) for v in vectors]
         vectors = [
-            [sum((c * v[i] for c, v in zip(cs, vectors)), a.field.zero()) for i in range(a.dim)]
-            for cs in nullspace([list(row) for row in zip(*images)], a.field)
+            [sum((c * vectors[k][i] for k, c in cs.items()), zero) for i in range(a.dim)]
+            for cs in nullspace(images, a.field)
         ]
     for v in vectors:
         if not a.is_nilpotent(v):
@@ -367,15 +374,13 @@ def quotient_by_ideal(a: FiniteDimAlgebra, ideal_vectors: list):
     n = a.dim
     if not ideal_vectors:
         return a, (lambda v: list(v)), (lambda v: list(v))
-    red, pivots = rref([list(v) for v in ideal_vectors], field)
-    echelon = {
-        c: {i: x for i, x in enumerate(row) if i != c and not x.is_zero()}
-        for row, c in zip(red, pivots)
-    }
-    free = [i for i in range(n) if i not in echelon]
+    span = SpanBasis(field, lambda i: -i)  # pivot: first coordinate
+    for v in ideal_vectors:
+        span.add(dict(enumerate(v)))
+    free = [i for i in range(n) if i not in span.pivots]
 
     def project(v):
-        w = reduce_row(echelon, {i: x for i, x in enumerate(v) if not x.is_zero()})
+        w = span.reduce(dict(enumerate(v)))
         return [w.get(i, field.zero()) for i in free]
 
     def lift(w):
@@ -553,7 +558,8 @@ def units_generated(a) -> dict:
 
 
 def _invertible(a: FiniteDimAlgebra, u) -> bool:
-    return solve(a.mult_matrix(u), a.unit, a.field) is not None
+    columns = [dict(enumerate(a.mul(u, a._e(j)))) for j in range(a.dim)]
+    return solve(columns, dict(enumerate(a.unit)), a.field) is not None
 
 
 def _units_generated_exhaustive(a: FiniteDimAlgebra) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import NotADomainError, ResourceLimitError
-from .linalg import SpanBasis, solve
+from .linalg import SpanBasis, nullspace, solve
 from .presentation import Element, Presentation, grlex_key, mono_degree
 
 
@@ -83,7 +83,6 @@ def subword_search(p: Presentation, f: Element, caps: dict) -> list:
     hits = []
     a_monos = p.filtration_basis(max_a)
     b_monos = p.filtration_basis(max_b)
-    one = p.field.one()
     for m_a in a_monos:
         for m_b in b_monos:
             g_bound = deg_f + _inv_degree(p, m_a) + _inv_degree(p, m_b)
@@ -91,16 +90,10 @@ def subword_search(p: Presentation, f: Element, caps: dict) -> list:
                 continue
             candidates = p.filtration_basis(g_bound)
             cols = [_sandwich(p, m_a, m, m_b) for m in candidates]
-            row_monos = sorted(
-                {mono for col in cols for mono in col} | set(f.terms), key=grlex_key
-            )
-            zero = p.field.zero()
-            matrix = [[col.get(mono, zero) for col in cols] for mono in row_monos]
-            rhs = [f.coefficient(mono) for mono in row_monos]
-            sol = solve(matrix, rhs, p.field)
+            sol = solve(cols, f.terms, p.field)
             if sol is None:
                 continue
-            g = Element(p, {m: c for m, c in zip(candidates, sol) if not c.is_zero()})
+            g = Element(p, {candidates[j]: c for j, c in sol.items()})
             if g.is_zero():
                 continue
             hit = SubwordHit(f, m_a, g, m_b)
@@ -162,8 +155,6 @@ def _span_subwords(p: Presentation, span: SpanBasis, max_a: int, max_b: int,
     already in the span (or reducible against earlier finds) are skipped.
     Every hit certifies f := a.g.b as an explicit span element.
     """
-    from .linalg import nullspace
-
     working = span.copy()
     candidates = p.filtration_basis(degree_cap)
     pairs = [
@@ -178,21 +169,8 @@ def _span_subwords(p: Presentation, span: SpanBasis, max_a: int, max_b: int,
         if _is_full(p, working):
             break
         cols = [span.reduce(_sandwich(p, m_a, m, m_b)) for m in candidates]
-        row_monos = sorted({mono for col in cols for mono in col}, key=grlex_key)
-        if row_monos:
-            zero = p.field.zero()
-            matrix = [[col.get(mono, zero) for col in cols] for mono in row_monos]
-            solutions = nullspace(matrix, p.field)
-        else:
-            solutions = [
-                [p.field.one() if i == j else p.field.zero()
-                 for j in range(len(candidates))]
-                for i in range(len(candidates))
-            ]
-        for v in solutions:
-            g = Element(
-                p, {m: c for m, c in zip(candidates, v) if not c.is_zero()}
-            )
+        for v in nullspace(cols, p.field):
+            g = Element(p, {candidates[j]: c for j, c in v.items()})
             if g.is_zero() or not working.add(g.terms):
                 continue
             a_el = Element(p, {m_a: p.field.one()})

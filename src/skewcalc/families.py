@@ -223,14 +223,10 @@ def build_localized_qweyl(q: Scalar) -> Presentation:
     c_zx = _commutation_scalar(z * x, x * z)
     c_zy = _commutation_scalar(z * y, y * z)
     # express x*y as alpha*z + beta by an exact solve in the span {z, 1}
-    xy = x * y
-    monos = sorted(set(z.terms) | set(xy.terms) | {(0, 0)}, key=grlex_key)
-    matrix = [[z.coefficient(m), a.one().coefficient(m)] for m in monos]
-    rhs = [xy.coefficient(m) for m in monos]
-    sol = solve(matrix, rhs, field)
+    sol = solve([z.terms, a.one().terms], (x * y).terms, field)
     if sol is None:
         raise BadParamsError("x*y is not affine in z")  # unreachable for valid q
-    alpha, beta = sol
+    alpha, beta = (sol.get(j, field.zero()) for j in (0, 1))
     rule_yx = a.rules[(1, 0)]
     flags, prov = _base_flags(1)
     p = Presentation(

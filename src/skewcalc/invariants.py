@@ -57,34 +57,20 @@ def center_bounded(p: Presentation, d: int) -> CenterBasis:
     p.require_validated()
     basis_monos = p.filtration_basis(d)
     gens = [p.generator(g.name) for g in p.gens]
-    # rows: for each generator, each monomial of the commutators
+    # one column per basis monomial: its commutators with the generators,
+    # rows keyed (generator index, monomial)
     columns = []
     for m in basis_monos:
-        columns.append([commutator(Element(p, {m: p.field.one()}), g) for g in gens])
-    row_monos = []
-    seen = set()
-    for col in columns:
-        for gi, c in enumerate(col):
-            for mono in c.terms:
-                if (gi, mono) not in seen:
-                    seen.add((gi, mono))
-                    row_monos.append((gi, mono))
-    row_monos.sort(key=lambda t: (t[0], grlex_key(t[1])))
-    matrix = [
-        [columns[j][gi].coefficient(mono) for j in range(len(basis_monos))]
-        for gi, mono in row_monos
+        e = Element(p, {m: p.field.one()})
+        columns.append({
+            (gi, mono): c
+            for gi, g in enumerate(gens)
+            for mono, c in commutator(e, g).terms.items()
+        })
+    out = [
+        Element(p, {basis_monos[j]: c for j, c in v.items()})
+        for v in nullspace(columns, p.field)
     ]
-    if not matrix:
-        vectors = [
-            [p.field.one() if i == j else p.field.zero() for j in range(len(basis_monos))]
-            for i in range(len(basis_monos))
-        ]
-    else:
-        vectors = nullspace(matrix, p.field)
-    out = []
-    for v in vectors:
-        terms = {m: c for m, c in zip(basis_monos, v) if not c.is_zero()}
-        out.append(Element(p, terms))
     out.sort(key=lambda e: grlex_key(e.leading_monomial()))
     return CenterBasis(d, out)
 

@@ -13,6 +13,11 @@ as a dict pivot -> tail: the pivot's coefficient is 1 and is not stored,
 and no tail holds another pivot (the basis is fully reduced). Reducing a
 row therefore removes each pivot it holds with one subtraction, in any
 order, and only nonzero entries are ever touched.
+
+`solve` and `nullspace` speak the kernel's format: a matrix is a list of
+columns, each a dict {row key: Scalar} with any hashable row keys, and a
+vector comes back as a dict {column index: nonzero Scalar}. `rref` keeps
+dense rows in and out for the callers that hold dense rows.
 """
 
 from __future__ import annotations
@@ -52,18 +57,37 @@ def _insert(pivots: dict, row: dict, lead) -> None:
     pivots[lead] = tail
 
 
+def _echelon(rows) -> dict:
+    """The fully reduced echelon basis of dict rows {column: nonzero
+    Scalar}, as pivot -> tail; the pivot of a row is its least column.
+    The rows are reduced in place."""
+    pivots = {}
+    for row in rows:
+        row = reduce_row(pivots, row)
+        if row:
+            _insert(pivots, row, min(row))
+    return pivots
+
+
+def _transpose(columns: list[dict]) -> list[dict]:
+    """The rows {column index: nonzero Scalar} of a matrix given by dict
+    columns {row key: Scalar}."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for key, x in col.items():
+            if not x.is_zero():
+                rows.setdefault(key, {})[j] = x
+    return list(rows.values())
+
+
 def rref(rows: list[list[Scalar]], field: FieldDescriptor):
     """Reduced row echelon form. Returns (rows, pivot column list).
 
-    Dense rows in and out; the elimination runs on the sparse kernel, the
-    pivot of a row being its first nonzero column. The RREF is unique, so
-    the order of elimination does not show in the result.
+    Dense rows in and out, for the callers that hold dense rows; the
+    elimination runs on the sparse kernel. The RREF is unique, so the
+    order of elimination does not show in the result.
     """
-    pivots = {}
-    for r in rows:
-        row = reduce_row(pivots, {c: x for c, x in enumerate(r) if not x.is_zero()})
-        if row:
-            _insert(pivots, row, min(row))
+    pivots = _echelon({c: x for c, x in enumerate(r) if not x.is_zero()} for r in rows)
     ncols = len(rows[0]) if rows else 0
     order = sorted(pivots)
     out = []
@@ -76,41 +100,36 @@ def rref(rows: list[list[Scalar]], field: FieldDescriptor):
     return out, order
 
 
-def solve(matrix: list[list[Scalar]], rhs: list[Scalar], field: FieldDescriptor):
-    """Solve M x = rhs exactly; returns a solution vector or None.
+def solve(columns: list[dict], rhs: dict, field: FieldDescriptor):
+    """Solve sum_j x_j columns[j] = rhs exactly.
 
-    Free variables (if any) are set to zero.
+    Columns and `rhs` are dicts {row key: Scalar}; a row key is any
+    hashable and zero entries are dropped. Returns the solution as a dict
+    {column index: nonzero Scalar} in ascending index, with the free
+    variables set to zero, or None when there is none: in particular when
+    `rhs` has a key that no column has.
     """
-    if not matrix:
-        return None if any(not v.is_zero() for v in rhs) else []
-    ncols = len(matrix[0])
-    aug = [row + [v] for row, v in zip(matrix, rhs)]
-    red, pivots = rref(aug, field)
-    if ncols in pivots:
+    n = len(columns)
+    pivots = _echelon(_transpose(columns + [rhs]))
+    if n in pivots:
         return None  # inconsistent
-    x = [field.zero()] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
+    return {c: pivots[c][n] for c in sorted(pivots) if n in pivots[c]}
 
 
-def nullspace(matrix: list[list[Scalar]], field: FieldDescriptor):
-    """Basis of the right null space, one vector per free column."""
-    if not matrix or not matrix[0]:
-        return []
-    ncols = len(matrix[0])
-    red, pivots = rref(matrix, field)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [field.zero()] * ncols
-        v[free] = field.one()
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][free]
-        basis.append(v)
-    return basis
+def nullspace(columns: list[dict], field: FieldDescriptor):
+    """Basis of the right null space of the matrix with dict columns
+    {row key: Scalar}, as dicts {column index: nonzero Scalar}.
+
+    One vector per free column f, in ascending f: x_f = 1, zero at the
+    other free columns. With no nonzero entry every column is free.
+    """
+    pivots = _echelon(_transpose(columns))
+    one = field.one()
+    basis = {f: {f: one} for f in range(len(columns)) if f not in pivots}
+    for c, tail in pivots.items():
+        for f, x in tail.items():  # a tail holds free columns only
+            basis[f][c] = -x
+    return [dict(sorted(v.items())) for v in basis.values()]
 
 
 class SpanBasis:

@@ -98,7 +98,7 @@ def test_nilradical_counts_the_nilpotents_in_small_characteristic(p, coeffs):
 def test_nilradical_rejects_a_vector_that_is_not_nilpotent(monkeypatch):
     # a fault in the linear algebra must not pass as a nilradical
     a = univariate_quotient(Q, _q(Q, 0, 0, 1))  # k[x]/(x^2)
-    monkeypatch.setattr(cancel, "nullspace", lambda rows, field: [[Q.one(), Q.zero()]])
+    monkeypatch.setattr(cancel, "nullspace", lambda columns, field: [{0: Q.one()}])
     with pytest.raises(ValidationError, match="not nilpotent"):
         nilradical(a)
 
@@ -157,11 +157,14 @@ def test_idempotent_factor_coordinates_match_solve():
         assert len(idems) > 1
         for e in idems:
             fac, chosen = cancel._subalgebra_on_idempotent(a, e)
-            matrix = [[v[i] for v in chosen] for i in range(a.dim)]
-            assert fac.unit == solve(matrix, e, field)
-            assert fac.table == [
-                [solve(matrix, a.mul(u, v), field) for v in chosen] for u in chosen
-            ]
+            columns = [dict(enumerate(v)) for v in chosen]
+
+            def coords(w):
+                x = solve(columns, dict(enumerate(w)), field)
+                return [x.get(k, field.zero()) for k in range(len(chosen))]
+
+            assert fac.unit == coords(e)
+            assert fac.table == [[coords(a.mul(u, v)) for v in chosen] for u in chosen]
 
 
 def test_units_generated():

@@ -10,13 +10,17 @@ from skewcalc.families import (
     weyl1,
 )
 from skewcalc.divisor import (
+    _inv_degree,
+    _sandwich,
     divisor_closure,
     is_controlling,
     subalgebra_closure_bounded,
     subword_search,
 )
-from skewcalc.presentation import ore_extend, parse_element
+from skewcalc.presentation import Element, grlex_key, ore_extend, parse_element
 from skewcalc.scalars import CYCLOTOMIC, RATIONAL, FieldDescriptor
+from test_linalg import ref_solve
+from test_rewriting import FAMILIES, _presentation
 
 Q = FieldDescriptor(RATIONAL)
 C3 = FieldDescriptor(CYCLOTOMIC, 3)
@@ -29,6 +33,42 @@ def test_subword_search_finds_factorizations():
     assert all(h.verify() for h in hits)
     gs = {str(h.g) for h in hits}
     assert "x2" in gs and "x1^2*x2" in gs
+
+
+def reference_subword_search(p, f, max_a, max_b):
+    """`subword_search` before it handed its columns to `solve` as dicts:
+    one dense solve per monomial pair over the sorted row monomials.
+    Returns the hits as (a, g, b)."""
+    hits = []
+    for m_a in p.filtration_basis(max_a):
+        for m_b in p.filtration_basis(max_b):
+            g_bound = f.degree() + _inv_degree(p, m_a) + _inv_degree(p, m_b)
+            candidates = p.filtration_basis(g_bound)
+            cols = [_sandwich(p, m_a, m, m_b) for m in candidates]
+            row_monos = sorted(
+                {mono for col in cols for mono in col} | set(f.terms), key=grlex_key
+            )
+            zero = p.field.zero()
+            matrix = [[col.get(mono, zero) for col in cols] for mono in row_monos]
+            rhs = [f.coefficient(mono) for mono in row_monos]
+            sol = ref_solve(matrix, rhs, p.field)
+            if sol is not None and any(not c.is_zero() for c in sol):
+                hits.append((m_a, Element(p, dict(zip(candidates, sol))), m_b))
+    return hits
+
+
+def test_subword_search_matches_the_dense_reference():
+    checked = 0
+    for name in sorted(FAMILIES):
+        p = _presentation(name)
+        if not name.startswith("fixture:") or not p.has_flag("DOMAIN"):
+            continue
+        gens = [p.generator(g.name) for g in p.gens]
+        for f in (gens[0], gens[-1] * gens[0], gens[0] * gens[-1] + p.one()):
+            hits = subword_search(p, f, {"max_deg_a": 1, "max_deg_b": 1})
+            assert [(h.a, h.g, h.b) for h in hits] == reference_subword_search(p, f, 1, 1)
+            checked += 1
+    assert checked >= 9
 
 
 def test_subword_search_requires_domain():

@@ -26,11 +26,15 @@ from skewcalc.presentation import (
     Element,
     Presentation,
     _delta_of,
+    commutator,
+    grlex_key,
     identity_morphism,
     ore_extend,
     parse_element,
 )
 from skewcalc.scalars import CYCLOTOMIC, RATIONAL, FieldDescriptor
+from test_linalg import ref_nullspace
+from test_rewriting import FAMILIES, _presentation
 
 Q = FieldDescriptor(RATIONAL)
 C3 = FieldDescriptor(CYCLOTOMIC, 3)
@@ -52,6 +56,39 @@ def test_center_poly_is_everything():
     p = poly(2, Q)
     cb = center_bounded(p, 2)
     assert len(cb.basis) == len(p.filtration_basis(2))
+
+
+def reference_center_bounded(p, d):
+    """`center_bounded` before it handed its columns to `nullspace` as
+    dicts: a dense matrix over the sorted (generator, monomial) rows, read
+    cell by cell with `coefficient`, and the dense null space."""
+    basis_monos = p.filtration_basis(d)
+    gens = [p.generator(g.name) for g in p.gens]
+    columns = [
+        [commutator(Element(p, {m: p.field.one()}), g) for g in gens] for m in basis_monos
+    ]
+    row_monos = sorted(
+        {(gi, mono) for col in columns for gi, c in enumerate(col) for mono in c.terms},
+        key=lambda t: (t[0], grlex_key(t[1])),
+    )
+    matrix = [[col[gi].coefficient(mono) for col in columns] for gi, mono in row_monos]
+    if matrix:
+        vectors = ref_nullspace(matrix, p.field)
+    else:
+        vectors = [
+            [p.field.one() if i == j else p.field.zero() for j in range(len(basis_monos))]
+            for i in range(len(basis_monos))
+        ]
+    out = [Element(p, dict(zip(basis_monos, v))) for v in vectors]
+    out.sort(key=lambda e: grlex_key(e.leading_monomial()))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_center_bounded_matches_the_dense_reference(name):
+    p = _presentation(name)
+    for d in range(4):
+        assert center_bounded(p, d).basis == reference_center_bounded(p, d)
 
 
 def test_center_torus_rank2():

@@ -86,6 +86,17 @@ def ref_nullspace(matrix, field):
     return basis
 
 
+def columns_of(matrix):
+    """The dict columns {row index: Scalar} of dense rows, zeros kept."""
+    ncols = len(matrix[0]) if matrix else 0
+    return [{r: row[c] for r, row in enumerate(matrix)} for c in range(ncols)]
+
+
+def sparse(v):
+    """A dense vector as the dict of its nonzero entries; None stays None."""
+    return None if v is None else {i: x for i, x in enumerate(v) if not x.is_zero()}
+
+
 def ref_project(ideal_vectors, field, v):
     """The dense projection onto the free coordinates mod the ideal."""
     red, pivots = ref_rref([list(x) for x in ideal_vectors], field)
@@ -184,28 +195,49 @@ def _shapes(field):
 def test_rref_solve_nullspace_match_dense_reference(kind, param, data):
     field = FieldDescriptor(kind, param)
     matrix = data.draw(_matrices(field))
+    cols = columns_of(matrix)
     assert rref(matrix, field) == ref_rref(matrix, field)
-    assert nullspace(matrix, field) == ref_nullspace(matrix, field)
+    assert nullspace(cols, field) == [sparse(v) for v in ref_nullspace(matrix, field)]
     rhs = data.draw(_sparse(field, len(matrix)))
-    assert solve(matrix, rhs, field) == ref_solve(matrix, rhs, field)
+    assert solve(cols, dict(enumerate(rhs)), field) == sparse(ref_solve(matrix, rhs, field))
     if matrix and matrix[0]:  # a consistent right-hand side: M times a vector
         x = data.draw(_sparse(field, len(matrix[0])))
         b = [sum((a * y for a, y in zip(row, x)), field.zero()) for row in matrix]
-        got = solve(matrix, b, field)
-        assert got is not None and got == ref_solve(matrix, b, field)
+        got = solve(cols, dict(enumerate(b)), field)
+        assert got is not None and got == sparse(ref_solve(matrix, b, field))
 
 
 @pytest.mark.parametrize("kind,param", FIELDS)
 def test_edge_shapes_match_dense_reference(kind, param):
     field = FieldDescriptor(kind, param)
     for matrix, rhs in _shapes(field):
+        cols = columns_of(matrix)
         assert rref(matrix, field) == ref_rref(matrix, field)
-        assert nullspace(matrix, field) == ref_nullspace(matrix, field)
-        assert solve(matrix, rhs, field) == ref_solve(matrix, rhs, field)
+        assert nullspace(cols, field) == [sparse(v) for v in ref_nullspace(matrix, field)]
+        assert solve(cols, dict(enumerate(rhs)), field) == sparse(ref_solve(matrix, rhs, field))
     one, two = field.one(), field.from_int(2)
-    assert solve([[one, one], [one, one]], [one, two], field) is None
-    assert solve([], [one], field) is None
-    assert len(nullspace([[one, two, one]], field)) == 2
+    assert solve([{0: one, 1: one}, {0: one, 1: one}], {0: one, 1: two}, field) is None
+    assert solve([], {0: one}, field) is None
+    assert len(nullspace([{0: one}, {0: two}, {0: one}], field)) == 2
+
+
+@pytest.mark.parametrize("kind,param", FIELDS)
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_solve_and_nullspace_ignore_row_names_and_order(kind, param, data):
+    # row keys are any hashables and rows may arrive in any order; a
+    # right-hand side with a key that no column has is inconsistent
+    field = FieldDescriptor(kind, param)
+    matrix = data.draw(_matrices(field))
+    rhs = dict(enumerate(data.draw(_sparse(field, len(matrix)))))
+    order = data.draw(st.permutations(range(len(matrix))))
+    name = {r: ("row", k) for k, r in enumerate(order)}
+    cols = columns_of(matrix)
+    renamed = [{name[r]: col[r] for r in order} for col in cols]
+    renamed_rhs = {name[r]: rhs[r] for r in order}
+    assert nullspace(renamed, field) == nullspace(cols, field)
+    assert solve(renamed, renamed_rhs, field) == solve(cols, rhs, field)
+    assert solve(renamed, renamed_rhs | {("stray",): field.one()}, field) is None
 
 
 @pytest.mark.parametrize("kind,param", FIELDS)
