@@ -81,6 +81,17 @@ def test_nilradical_in_characteristic_two():
     assert len(dec["factors"]) == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_nilradical_is_certified_in_characteristic_p(p):
+    # k[x]/((x + 1)^2 (x + 2)): the nilradical is spanned by (x + 1)(x + 2)
+    field = FieldDescriptor(PRIME, p)
+    a = univariate_quotient(field, _q(field, 2, 5, 4, 1))
+    nil = nilradical(a)
+    assert nil["certified"] is True and nil["note"] is None
+    assert nil["basis"] == [_q(field, 2, 3, 1)]
+    assert local_decomposition(a)["nilradical_certified"] is True
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(p=st.sampled_from([2, 3]),
        coeffs=st.lists(st.integers(0, 2), min_size=1, max_size=4))
