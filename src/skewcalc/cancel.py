@@ -161,10 +161,8 @@ class FiniteDimAlgebra:
             terms = dict(enumerate(current))
             if span.contains(terms):
                 sol = solve(powers, terms, self.field)
-                zero = self.field.zero()
-                return poly.trim(
-                    [-sol.get(j, zero) for j in range(len(powers))] + [self.field.one()]
-                )
+                coeffs = [sol.get(j, self.field.zero()) for j in range(len(powers))]
+                return poly.trim([-c for c in coeffs] + [self.field.one()])
             span.add(terms)
             powers.append(terms)
 
