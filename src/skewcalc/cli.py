@@ -562,13 +562,16 @@ def _cmd_center_torus(args):
         raise BadParamsError("center-torus needs a `family quantum_torus` file")
     raw = dict(spec.raw)
     n = raw["n"]
-    l = raw.get("l", 1)
     a = [[0] * n for _ in range(n)]
     for key, v in raw.items():
         if len(key) == 3 and key[0] == "a" and key[1:].isdigit():
             i, j = int(key[1]) - 1, int(key[2]) - 1
             a[i][j] = v
             a[j][i] = -v
+    # without l=, q is not a root of unity and no test mod l applies
+    if "l" not in raw and any(any(row) for row in a):
+        raise BadParamsError("center-torus needs q to be a root of unity (l=)")
+    l = raw.get("l", 1)
     out = center_torus(n, l, a)
     result = {
         "lattice_basis": out["lattice_basis"],

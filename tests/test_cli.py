@@ -53,6 +53,21 @@ def test_print_algebra_reads_the_raw_parameters_of_its_own_spec():
         print_algebra(FamilySpec.make("POLY", FieldDescriptor(RATIONAL), n=2))
 
 
+def test_center_torus_needs_a_root_of_unity(tmp_path):
+    # over ratfunc(q), x1*x2 = q*x2*x1 and only 1 is central: the full
+    # lattice that l = 1 gives would claim every monomial is central
+    generic = tmp_path / "generic.alg"
+    generic.write_text("family quantum_torus n=2 a12=1;")
+    out = _run("center-torus", str(generic))
+    assert out.returncode == 3
+    assert b"root of unity" in out.stderr
+    commutative = tmp_path / "commutative.alg"
+    commutative.write_text("family quantum_torus n=2;")
+    out = _run("center-torus", str(commutative))
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["result"]["index"] == 1
+
+
 def test_parse_error_has_position():
     with pytest.raises(ExprSyntaxError) as err:
         parse_algebra_file(
