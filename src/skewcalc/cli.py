@@ -50,20 +50,6 @@ from .scalars import (
 
 FORMAT_VERSION = 1
 
-_RULE_REFS = {
-    "R1": "Theorem 0.4",
-    "R2": "Corollary 0.6(1)",
-    "R3": "Corollary 0.6(2)",
-    "R4": "Corollary 0.6(3)",
-    "R5": "Remark 2.3(4)",
-    "R6": "Proposition 5.2",
-    "R7": "Theorem 0.9",
-    "R8": "Theorem 0.10",
-    "R9": "Theorem 4.6",
-    "R10": "Theorem 5.4",
-    "R11": "Corollary 5.9",
-}
-
 
 # ---------------------------------------------------------------------------
 # presentation-file grammar

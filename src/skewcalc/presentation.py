@@ -658,17 +658,10 @@ class Morphism:
     source: Presentation
     target: Presentation
     images: dict  # source generator name -> Element of target
-    inverse_images: dict = dc_field(default_factory=dict)
-    verified: bool = False  # set by verify_morphism; else UNVERIFIED
 
     def image_of_letter(self, pos: int, sign: int) -> Element:
-        name = self.source.gens[pos].name
-        if sign == 1:
-            return self.images[name]
-        inv = self.inverse_images.get(name)
-        if inv is None:
-            inv = _invert_monomial_element(self.images[name])
-        return inv
+        img = self.images[self.source.gens[pos].name]
+        return img if sign == 1 else _invert_monomial_element(img)
 
     def apply(self, x: Element) -> Element:
         if x.algebra is not self.source:
@@ -686,17 +679,60 @@ class Morphism:
         return out
 
 
+def broken_relations(m: Morphism):
+    """Yield a witness for each defining relation of the source that the
+    images break: g*g^-1 = g^-1*g = 1 for each invertible generator g,
+    then every swap rule and every elimination pair. A map that breaks
+    none is an algebra homomorphism. The image of an invertible g must be
+    a scalar times a monomial in invertible generators, whose exact
+    two-sided inverse `_invert_monomial_element` gives; a unit of any
+    other shape is not recognised and counts as broken."""
+    src = m.source
+    names = [g.name for g in src.gens]
+    non_units = [
+        g.name for g in src.gens
+        if g.invertible and not _is_unit_monomial(m.images[g.name])
+    ]
+    for name in non_units:
+        yield (f"{name}*{name}^-1 = 1: the image {m.images[name]} is not a "
+               "scalar times a monomial in invertible generators")
+    if non_units:
+        return  # the other relations may need the missing inverses
+    for (j, i), rule in src.rules.items():
+        gj, gi = m.images[names[j]], m.images[names[i]]
+        residue = gj * gi - (gi * gj).scale(rule.leading) - m.apply(
+            src.from_terms(rule.tail_dict()))
+        if not residue.is_zero():
+            yield f"the ({names[j]},{names[i]}) relation maps to {residue}"
+    for (i, j), tail in src.elim.items():
+        residue = m.images[names[i]] * m.images[names[j]] - m.apply(
+            src.from_terms(dict(tail)))
+        if not residue.is_zero():
+            yield f"the elimination relation ({names[i]},{names[j]}) maps to {residue}"
+
+
+def _is_unit_monomial(x: Element) -> bool:
+    return len(x.terms) == 1 and all(
+        g.invertible for e, g in zip(next(iter(x.terms)), x.algebra.gens) if e
+    )
+
+
 def _invert_monomial_element(x: Element) -> Element:
-    """Invert a scalar multiple of an invertible monomial; error otherwise."""
+    """Invert c*m, a nonzero scalar times a monomial, as c^-1 times the
+    normal form of m's letters reversed, each with its sign flipped.
+    (Negating m's exponents is the inverse only when the letters
+    commute.) An error if x is not of that shape or m has a letter
+    that is not invertible."""
     if len(x.terms) != 1:
         raise ValidationError(
             "cannot invert: image is not a scalar multiple of a monomial",
             code="BAD_INVERSE",
         )
     (m, c), = x.terms.items()
-    inv_m = tuple(-e for e in m)
-    x.algebra._check_monomial(inv_m)
-    return Element(x.algebra, {inv_m: c.inv()})
+    p = x.algebra
+    p._check_monomial(tuple(-e for e in m))
+    word = [(pos, -sign) for pos, sign in reversed(p._letters(m))]
+    return Element(p, p.word_normal_form(word)).scale(c.inv())
 
 
 def _invert_scalar_element(x: Element) -> Element:
@@ -707,7 +743,7 @@ def _invert_scalar_element(x: Element) -> Element:
 
 
 def identity_morphism(p: Presentation) -> Morphism:
-    return Morphism(p, p, {g.name: p.generator(g.name) for g in p.gens}, verified=True)
+    return Morphism(p, p, {g.name: p.generator(g.name) for g in p.gens})
 
 
 # ---------------------------------------------------------------------------
@@ -719,18 +755,14 @@ def _lift_monomial(m: Monomial, extra: int = 1) -> Monomial:
 
 
 def _sigma_delta_failures(base: Presentation, sigma, delta):
-    """Check sigma respects relations and delta is a sigma-derivation."""
-    failures = []
+    """Check sigma respects relations and delta is a sigma-derivation;
+    delta is checked only against a sigma that respects them."""
+    failures = [("BAD_SIGMA", f"sigma: {w}") for w in broken_relations(sigma)]
+    if failures:
+        return failures
     for (j, i), rule in base.rules.items():
         gj, gi = base.generator(base.gens[j].name), base.generator(base.gens[i].name)
         tail = base.from_terms(rule.tail_dict())
-        rel_sigma = sigma.apply(gj) * sigma.apply(gi) - (
-            (sigma.apply(gi) * sigma.apply(gj)).scale(rule.leading) + sigma.apply(tail)
-        )
-        if not rel_sigma.is_zero():
-            failures.append(
-                ("BAD_SIGMA", f"sigma breaks the ({base.gens[j].name},{base.gens[i].name}) relation")
-            )
         lhs = _delta_of(base, sigma, delta, gj * gi)
         rhs = _delta_of(base, sigma, delta, gi * gj).scale(rule.leading) + _delta_of(
             base, sigma, delta, tail
@@ -741,11 +773,8 @@ def _sigma_delta_failures(base: Presentation, sigma, delta):
             )
     for (i, j), tail_terms in base.elim.items():
         gi, gj = base.generator(base.gens[i].name), base.generator(base.gens[j].name)
-        tail = base.from_terms(dict(tail_terms))
-        if not (sigma.apply(gi) * sigma.apply(gj) - sigma.apply(tail)).is_zero():
-            failures.append(("BAD_SIGMA", "sigma breaks an elimination relation"))
         lhs = _delta_of(base, sigma, delta, gi * gj)
-        rhs = _delta_of(base, sigma, delta, tail)
+        rhs = _delta_of(base, sigma, delta, base.from_terms(dict(tail_terms)))
         if not (lhs - rhs).is_zero():
             failures.append(("BAD_DELTA", "delta breaks an elimination relation"))
     return failures

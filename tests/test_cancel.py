@@ -34,6 +34,7 @@ from skewcalc.scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor
 
 Q = FieldDescriptor(RATIONAL)
 F2 = FieldDescriptor(PRIME, 2)
+C3 = FieldDescriptor(CYCLOTOMIC, 3)
 
 
 def _q(field, *coeffs):
@@ -110,8 +111,9 @@ def test_nilradical_rejects_a_vector_that_is_not_nilpotent(monkeypatch):
     # a fault in the linear algebra must not pass as a nilradical
     a = univariate_quotient(Q, _q(Q, 0, 0, 1))  # k[x]/(x^2)
     monkeypatch.setattr(cancel, "nullspace", lambda columns, field: [{0: Q.one()}])
-    with pytest.raises(ValidationError, match="not nilpotent"):
+    with pytest.raises(ValidationError, match="not nilpotent") as err:
         nilradical(a)
+    assert err.value.code == "NILRADICAL_NOT_NILPOTENT"
 
 
 def test_vnr_fixtures():
@@ -208,8 +210,74 @@ def test_verify_morphism_detects_bad_map():
 def test_identity_is_iso_bounded():
     p = weyl1(Q)
     m = identity_morphism(p)
-    out = verify_isomorphism_bounded(m, identity_morphism(p), 3)
+    out = verify_isomorphism_bounded(m, identity_morphism(p))
     assert out["status"] == "ISO_BOUNDED"
+
+
+def reference_isomorphism_bounded(m, inverse_candidate, degree_cap):
+    """The deleted check, kept as the reference: both maps homomorphisms,
+    then a round trip over every standard monomial of degree <= degree_cap,
+    both ways."""
+    for f in (m, inverse_candidate):
+        if verify_morphism(f)["status"] != "HOMOMORPHISM":
+            return "FAIL"
+    for f, g in ((m, inverse_candidate), (inverse_candidate, m)):
+        for mono in f.source.filtration_basis(degree_cap):
+            e = f.source.monomial(mono)
+            if g.apply(f.apply(e)) != e:
+                return "FAIL"
+    return "ISO_BOUNDED"
+
+
+def _torus_shear():
+    """x1 -> x1*x2, x2 -> x2 and x1 -> x1*x2^-1, x2 -> x2: mutually inverse
+    automorphisms of the quantum torus x2*x1 = q*x1*x2."""
+    t = quantum_torus(2, {(1, 2): C3.q()}, C3)
+    x1, x2 = t.generator("x1"), t.generator("x2")
+    return (Morphism(t, t, {"x1": x1 * x2, "x2": x2}),
+            Morphism(t, t, {"x1": x1 * t.gen_inverse("x2"), "x2": x2}))
+
+
+def _map_pairs():
+    shear, unshear = _torus_shear()
+    mp = minus_one_plane(Q)
+    x, y = mp.generator("x"), mp.generator("y")
+    swap = Morphism(mp, mp, {"x": y, "y": x})
+    flip = Morphism(mp, mp, {"x": -x, "y": y})
+    w = weyl1(Q)
+    shift = Morphism(w, w, {"x": w.generator("x") + w.one(), "y": w.generator("y")})
+    unshift = Morphism(w, w, {"x": w.generator("x") - w.one(), "y": w.generator("y")})
+    return {
+        "shear": (shear, unshear, "ISO_BOUNDED"),
+        "shear_twice": (shear, shear, "FAIL"),
+        "swap": (swap, swap, "ISO_BOUNDED"),
+        "flip": (flip, flip, "ISO_BOUNDED"),
+        "swap_flip": (swap, flip, "FAIL"),
+        "shift": (shift, unshift, "ISO_BOUNDED"),
+        "shift_twice": (shift, shift, "FAIL"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_map_pairs()))
+def test_isomorphism_check_matches_the_bounded_reference(name):
+    m, inverse_candidate, expected = _map_pairs()[name]
+    assert verify_isomorphism_bounded(m, inverse_candidate)["status"] == expected
+    assert reference_isomorphism_bounded(m, inverse_candidate, 3) == expected
+
+
+def test_round_trip_names_the_moved_generator():
+    shear, _ = _torus_shear()
+    out = verify_isomorphism_bounded(shear, shear)
+    assert out == {"status": "FAIL", "witness": "round trip moves x1 to x1*x2^2"}
+
+
+def test_a_generator_whose_image_is_not_a_unit_fails():
+    p = laurent(1, Q)
+    m = Morphism(p, p, {"x1": p.generator("x1") + p.one()})
+    out = verify_morphism(m)
+    assert out["status"] == "FAIL"
+    assert out["witness"].startswith("x1*x1^-1 = 1")
+    assert verify_isomorphism_bounded(m, identity_morphism(p))["status"] == "FAIL"
 
 
 # -- registry and rule engine ------------------------------------------------

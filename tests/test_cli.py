@@ -68,6 +68,13 @@ def test_center_torus_needs_a_root_of_unity(tmp_path):
     assert json.loads(out.stdout)["result"]["index"] == 1
 
 
+def test_mul_inverts_a_product_of_letters_that_do_not_commute():
+    out = _run("mul", str(FIXTURES / "t2q3.alg"),
+               "--lhs", "(x1*x2)^-1", "--rhs", "x1*x2")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["result"]["product"] == "1"
+
+
 def test_parse_error_has_position():
     with pytest.raises(ExprSyntaxError) as err:
         parse_algebra_file(

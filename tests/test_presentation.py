@@ -154,6 +154,28 @@ def test_parse_element_negative_power_needs_inverse():
         parse_element(poly(1, Q), "x1^-1")
 
 
+def test_inverse_of_a_monomial_word_in_a_quantum_torus():
+    # (x1*x2)^-1 is x2^-1*x1^-1, which is not x1^-1*x2^-1 when x2*x1 = q*x1*x2
+    c3 = FieldDescriptor(CYCLOTOMIC, 3)
+    t = quantum_torus(3, {(1, 2): c3.q(), (2, 3): c3.q()}, c3)
+    for text in ("x1*x2", "2*x1^2*x2^-1*x3", "x3^-1*x1", "q*x2"):
+        m = parse_element(t, text)
+        inv = parse_element(t, f"({text})^-1")
+        assert m * inv == t.one() == inv * m
+        assert parse_element(t, f"({text})^-2") == inv * inv
+
+
+def test_ore_extend_refuses_a_sigma_that_breaks_a_relation():
+    w = weyl1(Q)
+    with pytest.raises(ValidationError) as err:
+        ore_extend(w, "t", sigma_images={"x": w.generator("y"), "y": w.generator("x")})
+    assert err.value.code == "BAD_SIGMA"
+    lp = laurent(1, Q)
+    with pytest.raises(ValidationError, match="x1\\*x1\\^-1 = 1") as err:
+        ore_extend(lp, "t", sigma_images={"x1": lp.generator("x1") + lp.one()})
+    assert err.value.code == "BAD_SIGMA"
+
+
 def test_ore_extend_weyl_from_polynomial_ring():
     base = poly(1, Q)
     ext = ore_extend(base, "d", delta_images={"x1": base.one()})
