@@ -4,7 +4,8 @@ Four layers:
 
 * finite-dimensional commutative algebras (nilradical via the trace
   form, von Neumann regularity, local decomposition through idempotent
-  lifting, units-generated checks, bounded generating-set verification);
+  lifting, units-generated checks, bounded generating-set verification),
+  on the dict vectors {basis index: nonzero Scalar} that `linalg` uses;
 * exact morphism and isomorphism verification between presentations:
   a map is a homomorphism when it respects every defining relation, and
   two homomorphisms are mutually inverse when each composite fixes every
@@ -17,6 +18,7 @@ Four layers:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import poly
@@ -26,7 +28,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .linalg import SpanBasis, nullspace, rref, solve
+from .linalg import SpanBasis, nullspace, solve
 from .presentation import (
     GeneratorInfo,
     Morphism,
@@ -38,19 +40,22 @@ from .presentation import (
 from .scalars import PRIME, RATIONAL, FieldDescriptor
 
 # ---------------------------------------------------------------------------
-# small vector helpers over an arbitrary coefficient field
-
-
-def _vzero(field, n):
-    return [field.zero()] * n
-
-
-def _viszero(v):
-    return all(x.is_zero() for x in v)
-
-
-# ---------------------------------------------------------------------------
 # finite-dimensional commutative algebras
+#
+# A vector is a dict {basis index: nonzero Scalar}, the format `linalg`
+# uses for columns and solutions, so vectors go to `solve`, `nullspace`
+# and `SpanBasis` as they are. The zero vector is the empty dict.
+
+
+def _lincomb(terms) -> dict:
+    """The dict vector sum of c * v over the pairs (c, v) of `terms`; the
+    entries that cancel are dropped."""
+    out = {}
+    for c, v in terms:
+        for k, x in v.items():
+            y = out.get(k)
+            out[k] = c * x if y is None else y + c * x
+    return {k: x for k, x in out.items() if not x.is_zero()}
 
 
 class FiniteDimAlgebra:
@@ -60,23 +65,29 @@ class FiniteDimAlgebra:
     def __init__(self, field, basis_names, table, unit):
         self.field = field
         self.basis_names = tuple(basis_names)
-        self.table = table  # table[i][j] = product e_i*e_j as a vector
-        self.unit = list(unit)
-        # sparse structure constants: _sc[i][j] = [(k, c_ij^k) for c_ij^k != 0]
-        self._sc = [
-            [[(k, c) for k, c in enumerate(e) if not c.is_zero()] for e in row]
-            for row in table
-        ]
+        n = self.dim
+        if len(table) != n or any(len(row) != n for row in table):
+            raise BadParamsError("structure-constant table has wrong shape")
+        # table[i][j] = product e_i*e_j as a dict vector, the only store
+        self.table = [[self._vector(v) for v in row] for row in table]
+        self.unit = self._vector(unit)
         self._check_laws()
 
     @property
     def dim(self):
         return len(self.basis_names)
 
+    def _vector(self, v) -> dict:
+        """A dict vector given from outside, with its zero entries dropped
+        so that equal algebras compare equal."""
+        if not isinstance(v, dict) or any(k not in range(self.dim) for k in v):
+            raise BadParamsError(
+                f"a vector must be a dict with keys in range({self.dim})"
+            )
+        return {k: x for k, x in v.items() if not x.is_zero()}
+
     def _check_laws(self):
         n = self.dim
-        if len(self.table) != n or any(len(r) != n for r in self.table):
-            raise BadParamsError("structure-constant table has wrong shape")
         for i in range(n):
             for j in range(n):
                 if self.table[i][j] != self.table[j][i]:
@@ -93,38 +104,29 @@ class FiniteDimAlgebra:
                 raise BadParamsError("unit is not a unit")
 
     def _e(self, i):
-        v = _vzero(self.field, self.dim)
-        v[i] = self.field.one()
-        return v
+        return {i: self.field.one()}
 
     def mul(self, u, v):
-        sc = self._sc
-        nz_v = [(j, cj) for j, cj in enumerate(v) if not cj.is_zero()]
-        out = {}
-        for i, ci in enumerate(u):
-            if ci.is_zero():
-                continue
-            row = sc[i]
-            for j, cj in nz_v:
-                c = ci * cj
-                for k, x in row[j]:
-                    y = out.get(k)
-                    out[k] = c * x if y is None else y + c * x
-        zero = self.field.zero()
-        return [out.get(k, zero) for k in range(self.dim)]
+        table = self.table
+        return _lincomb(
+            [(ci * cj, table[i][j]) for i, ci in u.items() for j, cj in v.items()]
+        )
 
     def trace_form(self):
-        """Gram matrix tr(e_i e_j) of the trace form, from the basis traces
-        t_k = sum_l c_kl^l: tr(e_i e_j) = sum_k c_ij^k t_k."""
-        n, zero, sc = self.dim, self.field.zero(), self._sc
-        t = [sum((c for l in range(n) for m, c in sc[k][l] if m == l), zero)
-             for k in range(n)]
-        return [[sum((c * t[k] for k, c in sc[i][j]), zero) for j in range(n)]
-                for i in range(n)]
+        """Gram matrix tr(e_i e_j) of the trace form as dict rows, from the
+        basis traces t_k = sum_l c_kl^l: tr(e_i e_j) = sum_k c_ij^k t_k."""
+        zero = self.field.zero()
+        t = [sum((e.get(l, zero) for l, e in enumerate(row)), zero) for row in self.table]
+
+        def trace(v):  # the trace of multiplication by v
+            return sum((c * t[k] for k, c in v.items()), zero)
+
+        grams = ([(j, trace(e)) for j, e in enumerate(row)] for row in self.table)
+        return [{j: x for j, x in g if not x.is_zero()} for g in grams]
 
     def power(self, u, n: int):
         """u^n for n >= 1, by repeated squaring."""
-        out = list(u)
+        out = u
         for bit in bin(n)[3:]:
             out = self.mul(out, out)
             if bit == "1":
@@ -132,30 +134,29 @@ class FiniteDimAlgebra:
         return out
 
     def is_nilpotent(self, u) -> bool:
-        v = list(u)
+        v = u
         for _ in range(self.dim.bit_length() + 1):
-            if _viszero(v):
+            if not v:
                 return True
             v = self.mul(v, v)
-        return _viszero(v)
+        return not v
 
     def min_poly(self, u, v=None) -> list:
         """The monic p of least degree with p(u)*v = 0, as an ascending
         coefficient list; v is nonzero and defaults to the unit, which
         gives the minimal polynomial of u."""
-        current = list(self.unit if v is None else v)
-        powers = [dict(enumerate(current))]
+        current = self.unit if v is None else v
+        powers = [current]
         span = SpanBasis(self.field, lambda i: i)
-        span.add(powers[0])
+        span.add(current)
         while True:
             current = self.mul(current, u)
-            terms = dict(enumerate(current))
-            if span.contains(terms):
-                sol = solve(powers, terms, self.field)
+            if span.contains(current):
+                sol = solve(powers, current, self.field)
                 coeffs = [sol.get(j, self.field.zero()) for j in range(len(powers))]
                 return poly.trim([-c for c in coeffs] + [self.field.one()])
-            span.add(terms)
-            powers.append(terms)
+            span.add(current)
+            powers.append(current)
 
     def describe(self):
         return {"dim": self.dim, "basis": list(self.basis_names)}
@@ -174,11 +175,10 @@ def univariate_quotient(field, coeffs) -> FiniteDimAlgebra:
     def reduce_power(k):
         p = [field.zero()] * k + [field.one()]
         _, r = poly.divmod(p, coeffs, field)
-        return [r[i] if i < len(r) else field.zero() for i in range(d)]
+        return {i: c for i, c in enumerate(r) if not c.is_zero()}
 
     table = [[reduce_power(i + j) for j in range(d)] for i in range(d)]
-    unit = [field.one()] + [field.zero()] * (d - 1)
-    return FiniteDimAlgebra(field, names, table, unit)
+    return FiniteDimAlgebra(field, names, table, {0: field.one()})
 
 
 def commutative_quotient(field, var_names, monomial_rels, univariate_rels) -> FiniteDimAlgebra:
@@ -228,11 +228,12 @@ def commutative_quotient(field, var_names, monomial_rels, univariate_rels) -> Fi
         return out
 
     basis = monomials()
-    # admissible exponent range per variable within the basis
+    index = {b: i for i, b in enumerate(basis)}
+
     def reduce_term(m, c):
-        """Reduce one monomial*coefficient to basis coordinates."""
+        """Reduce one monomial*coefficient to a dict vector over the basis."""
         agenda = [(m, c)]
-        out = {b: field.zero() for b in basis}
+        out = {}
         while agenda:
             mono, coef = agenda.pop()
             if coef.is_zero():
@@ -244,7 +245,7 @@ def commutative_quotient(field, var_names, monomial_rels, univariate_rels) -> Fi
                  if bounds[v] is not None and mono[v] >= bounds[v]), None
             )
             if over is None:
-                out[mono] = out[mono] + coef
+                out[mono] = out.get(mono, field.zero()) + coef
                 continue
             v = over
             rel = uni[v]
@@ -257,22 +258,12 @@ def commutative_quotient(field, var_names, monomial_rels, univariate_rels) -> Fi
                     e - d + k if i == v else e for i, e in enumerate(mono)
                 )
                 agenda.append((mm, -coef * rel[k]))
-        return out
+        return {index[mono]: c for mono, c in out.items() if not c.is_zero()}
 
-    index = {b: i for i, b in enumerate(basis)}
-    n = len(basis)
-    table = []
-    for i, bi in enumerate(basis):
-        row = []
-        for j, bj in enumerate(basis):
-            prod = tuple(a + b for a, b in zip(bi, bj))
-            red = reduce_term(prod, field.one())
-            vec = _vzero(field, n)
-            for mono, c in red.items():
-                if not c.is_zero():
-                    vec[index[mono]] = c
-            row.append(vec)
-        table.append(row)
+    table = [
+        [reduce_term(tuple(a + b for a, b in zip(bi, bj)), field.one()) for bj in basis]
+        for bi in basis
+    ]
 
     def name_of(m):
         if not any(m):
@@ -282,38 +273,26 @@ def commutative_quotient(field, var_names, monomial_rels, univariate_rels) -> Fi
             for v, e in enumerate(m) if e
         )
 
-    unit = _vzero(field, n)
-    unit[0] = field.one()
-    return FiniteDimAlgebra(field, [name_of(m) for m in basis], table, unit)
+    return FiniteDimAlgebra(field, [name_of(m) for m in basis], table, {0: field.one()})
 
 
 def direct_product(a: FiniteDimAlgebra, b: FiniteDimAlgebra) -> FiniteDimAlgebra:
     if a.field != b.field:
         raise BadParamsError("factors must share the field")
-    field = a.field
-    n, m = a.dim, b.dim
+    n = a.dim
     names = [f"({x},0)" for x in a.basis_names] + [f"(0,{x})" for x in b.basis_names]
-    table = []
-    for i in range(n + m):
-        row = []
-        for j in range(n + m):
-            v = _vzero(field, n + m)
-            if i < n and j < n:
-                prod = a.table[i][j]
-                for k, c in enumerate(prod):
-                    v[k] = c
-            elif i >= n and j >= n:
-                prod = b.table[i - n][j - n]
-                for k, c in enumerate(prod):
-                    v[n + k] = c
-            row.append(v)
-        table.append(row)
-    unit = list(a.unit) + list(b.unit)
-    return FiniteDimAlgebra(field, names, table, unit)
+
+    def shift(v):  # b's vector in the second block
+        return {n + k: c for k, c in v.items()}
+
+    table = [row + [{}] * b.dim for row in a.table]
+    table += [[{}] * n + [shift(v) for v in row] for row in b.table]
+    return FiniteDimAlgebra(a.field, names, table, a.unit | shift(b.unit))
 
 
 def scalar_field_algebra(field) -> FiniteDimAlgebra:
-    return FiniteDimAlgebra(field, ["1"], [[[field.one()]]], [field.one()])
+    one = field.one()
+    return FiniteDimAlgebra(field, ["1"], [[{0: one}]], {0: one})
 
 
 # -- nilradical and friends -------------------------------------------------
@@ -325,19 +304,15 @@ def nilradical(a: FiniteDimAlgebra) -> dict:
     characteristic p, x -> x^n with n = p^k >= dim is GF(p)-linear on R,
     and its kernel is exactly the nilpotent elements of R. Every basis
     vector is re-verified nilpotent."""
-    zero = a.field.zero()
     # the trace form is symmetric: its rows are its columns
-    vectors = [
-        [v.get(i, zero) for i in range(a.dim)]
-        for v in nullspace([dict(enumerate(row)) for row in a.trace_form()], a.field)
-    ]
+    vectors = nullspace(a.trace_form(), a.field)
     n = p = a.field.characteristic()
     if p:
         while n < a.dim:
             n *= p
-        images = [dict(enumerate(a.power(v, n))) for v in vectors]
+        images = [a.power(v, n) for v in vectors]
         vectors = [
-            [sum((c * vectors[k][i] for k, c in cs.items()), zero) for i in range(a.dim)]
+            _lincomb((c, vectors[k]) for k, c in cs.items())
             for cs in nullspace(images, a.field)
         ]
     for v in vectors:
@@ -355,30 +330,23 @@ def is_vnr(a: FiniteDimAlgebra) -> bool:
 
 def quotient_by_ideal(a: FiniteDimAlgebra, ideal_vectors: list):
     """Quotient algebra, with the projection and one linear section."""
-    field = a.field
-    n = a.dim
     if not ideal_vectors:
-        return a, (lambda v: list(v)), (lambda v: list(v))
-    span = SpanBasis(field, lambda i: -i)  # pivot: first coordinate
+        return a, dict, dict  # both maps are the identity (on copies)
+    span = SpanBasis(a.field, lambda i: -i)  # pivot: first coordinate
     for v in ideal_vectors:
-        span.add(dict(enumerate(v)))
-    free = [i for i in range(n) if i not in span.pivots]
+        span.add(v)
+    free = [i for i in range(a.dim) if i not in span.pivots]
+    position = {i: k for k, i in enumerate(free)}
 
-    def project(v):
-        w = span.reduce(dict(enumerate(v)))
-        return [w.get(i, field.zero()) for i in free]
+    def project(v):  # the remainder holds free coordinates only
+        return {position[i]: c for i, c in span.reduce(v).items()}
 
     def lift(w):
-        v = _vzero(field, n)
-        for val, i in zip(w, free):
-            v[i] = val
-        return v
+        return {free[k]: c for k, c in w.items()}
 
     names = [a.basis_names[i] for i in free]
-    table = [
-        [project(a.mul(a._e(i), a._e(j))) for j in free] for i in free
-    ]
-    q = FiniteDimAlgebra(field, names, table, project(a.unit))
+    table = [[project(a.table[i][j]) for j in free] for i in free]
+    q = FiniteDimAlgebra(a.field, names, table, project(a.unit))
     return q, project, lift
 
 
@@ -386,7 +354,8 @@ def _split_idempotent(q: FiniteDimAlgebra, e):
     """Try to split idempotent e in q using the minimal polynomial of
     some e*b; returns (e1, e2) or None."""
     field = q.field
-    if _viszero(e):
+    one = field.one()
+    if not e:
         return None
     for j in range(q.dim):
         u = q.mul(e, q._e(j))
@@ -395,7 +364,7 @@ def _split_idempotent(q: FiniteDimAlgebra, e):
         if len(minp) <= 2:
             continue
         for lam in poly.roots(minp, field):
-            f = [-lam, field.one()]
+            f = [-lam, one]
             g, rem = poly.divmod(minp, f, field)
             if rem:
                 continue
@@ -405,16 +374,16 @@ def _split_idempotent(q: FiniteDimAlgebra, e):
             if len(gcd) != 1:
                 continue
             # e1 = (t*g)(u)*e, by Horner in q
-            e1 = _vzero(field, q.dim)
+            e1 = {}
             for c in reversed(poly.mul(t, g, field)):
-                e1 = [x + c * y for x, y in zip(q.mul(e1, u), e)]
-            e2 = [x - y for x, y in zip(e, e1)]
+                e1 = _lincomb([(one, q.mul(e1, u)), (c, e)])
+            e2 = _lincomb([(one, e), (-one, e1)])
             if (
                 q.mul(e1, e1) == e1
                 and q.mul(e2, e2) == e2
-                and _viszero(q.mul(e1, e2))
-                and not _viszero(e1)
-                and not _viszero(e2)
+                and not q.mul(e1, e2)
+                and e1
+                and e2
             ):
                 return e1, e2
     return None
@@ -422,39 +391,35 @@ def _split_idempotent(q: FiniteDimAlgebra, e):
 
 def _lift_idempotent(a: FiniteDimAlgebra, e0, max_iter=64):
     """Newton lifting e <- 3e^2 - 2e^3 through the nilradical."""
-    e = list(e0)
+    three, minus_two = a.field.from_int(3), a.field.from_int(-2)
+    e = e0
     for _ in range(max_iter):
         e2 = a.mul(e, e)
         if e2 == e:
             return e
-        e3 = a.mul(e2, e)
-        three = a.field.from_int(3)
-        two = a.field.from_int(2)
-        e = [three * x - two * y for x, y in zip(e2, e3)]
+        e = _lincomb([(three, e2), (minus_two, a.mul(e2, e))])
     raise ResourceLimitError("idempotent lifting did not converge")
 
 
 def _subalgebra_on_idempotent(a: FiniteDimAlgebra, e):
-    """The unital algebra e*a with unit e."""
-    field = a.field
-    images = [a.mul(e, a._e(j)) for j in range(a.dim)]
-    span = SpanBasis(field, lambda i: i)
+    """The unital algebra e*a with unit e, on the basis `chosen` of the
+    independent e*e_j; returns it with `chosen`."""
+    span = SpanBasis(a.field, lambda i: i)
     chosen = []
-    for j, img in enumerate(images):
-        if span.add({i: c for i, c in enumerate(img) if not c.is_zero()}):
-            chosen.append(img)
-    # the coordinates in `chosen` of every product and of e come from one
-    # rref of [chosen | right-hand sides]; the columns of `chosen` are
-    # independent, so row r holds the coordinate at chosen[r]
-    n = len(chosen)
-    rhs = [a.mul(u, v) for u in chosen for v in chosen] + [e]
-    red, pivots = rref([[v[i] for v in chosen + rhs] for i in range(a.dim)], field)
-    if len(pivots) > n:  # a pivot among the right-hand sides
-        raise ValidationError("element not in the idempotent factor")
-    coords = [[row[n + k] for row in red] for k in range(len(rhs))]
-    names = [f"b{k}" for k in range(n)]
-    table = [coords[i * n:(i + 1) * n] for i in range(n)]
-    return FiniteDimAlgebra(field, names, table, coords[-1]), chosen
+    for j in range(a.dim):
+        w = a.mul(e, a._e(j))
+        if span.add(w):
+            chosen.append(w)
+
+    def coords(w):  # the coordinates of w in `chosen`
+        x = solve(chosen, w, a.field)
+        if x is None:
+            raise ValidationError("element not in the idempotent factor")
+        return x
+
+    names = [f"b{k}" for k in range(len(chosen))]
+    table = [[coords(a.mul(u, v)) for v in chosen] for u in chosen]
+    return FiniteDimAlgebra(a.field, names, table, coords(e)), chosen
 
 
 def _certify_local(f: FiniteDimAlgebra):
@@ -478,7 +443,7 @@ def local_decomposition(a: FiniteDimAlgebra) -> dict:
     """Orthogonal primitive idempotents, lifted through the nilradical."""
     nil = nilradical(a)
     q, project, lift = quotient_by_ideal(a, nil["basis"])
-    idems_q = [list(q.unit)]
+    idems_q = [q.unit]
     changed = True
     while changed:
         changed = False
@@ -490,11 +455,11 @@ def local_decomposition(a: FiniteDimAlgebra) -> dict:
                 changed = True
                 break
     idems = [_lift_idempotent(a, lift(e)) for e in idems_q]
-    if [sum(col, a.field.zero()) for col in zip(*idems)] != a.unit:
+    if _lincomb((a.field.one(), e) for e in idems) != a.unit:
         raise ValidationError("idempotents do not sum to 1")  # pragma: no cover
     for i, e in enumerate(idems):
         for jj, f in enumerate(idems):
-            if i != jj and not _viszero(a.mul(e, f)):
+            if i != jj and a.mul(e, f):
                 raise ValidationError("idempotents not orthogonal")  # pragma: no cover
     factors = []
     all_local = True
@@ -530,7 +495,7 @@ def units_generated(a) -> dict:
         lam = None
         for k in range(1, a.dim + 2):
             cand = field.from_int(k)
-            shifted = [x + y * cand for x, y in zip(g, a.unit)]
+            shifted = _lincomb([(field.one(), g), (cand, a.unit)])
             if _invertible(a, shifted):
                 lam = cand
                 break
@@ -543,35 +508,25 @@ def units_generated(a) -> dict:
 
 
 def _invertible(a: FiniteDimAlgebra, u) -> bool:
-    columns = [dict(enumerate(a.mul(u, a._e(j)))) for j in range(a.dim)]
-    return solve(columns, dict(enumerate(a.unit)), a.field) is not None
+    columns = [a.mul(u, a._e(j)) for j in range(a.dim)]
+    return solve(columns, a.unit, a.field) is not None
 
 
 def _units_generated_exhaustive(a: FiniteDimAlgebra) -> dict:
     field = a.field
-    p = field.param
-    elements = []
-
-    def rec(prefix):
-        if len(prefix) == a.dim:
-            elements.append(list(prefix))
-            return
-        for r in range(p):
-            rec(prefix + [field.from_int(r)])
-
-    rec([])
-    units = [u for u in elements if not _viszero(u) and _invertible(a, u)]
+    vectors = (
+        {i: field.from_int(r) for i, r in enumerate(coords) if r}
+        for coords in itertools.product(range(field.param), repeat=a.dim)
+    )
+    units = [u for u in vectors if u and _invertible(a, u)]
     span = SpanBasis(field, lambda i: i)
-    frontier = [a.unit] + units
-    for u in frontier:
-        span.add({i: c for i, c in enumerate(u) if not c.is_zero()})
+    for u in [a.unit] + units:
+        span.add(u)
     while True:
         grew = False
-        rows = [list(_lift_vector(row, a.dim, field)) for row in span.basis_rows()]
-        for u in rows:
+        for u in span.basis_rows():
             for v in units:
-                prod = a.mul(u, v)
-                if span.add({i: c for i, c in enumerate(prod) if not c.is_zero()}):
+                if span.add(a.mul(u, v)):
                     grew = True
         if not grew:
             break
@@ -583,13 +538,6 @@ def _units_generated_exhaustive(a: FiniteDimAlgebra) -> dict:
     }
 
 
-def _lift_vector(row_dict, n, field):
-    v = _vzero(field, n)
-    for i, c in row_dict.items():
-        v[i] = c
-    return v
-
-
 # ---------------------------------------------------------------------------
 # bounded generating-set verification (polynomial rings over a finite-
 # dimensional commutative base)
@@ -597,33 +545,26 @@ def _lift_vector(row_dict, n, field):
 
 def verify_generating_set(b: FiniteDimAlgebra, n: int, f_list: list, degree_cap: int) -> dict:
     """f_list: polynomials over b in t_1..t_n, each a dict mapping a
-    t-exponent tuple to a coefficient vector over b. GENERATES iff every
+    t-exponent tuple to a coefficient, a dict vector of b. GENERATES iff every
     t_i lies in the bounded closure of b and the f's."""
     field = b.field
     if len(f_list) != n:
         raise BadParamsError("need exactly n polynomials")
+    one = field.one()
 
     def poly_mul(u, v):
-        out = {}
+        terms = {}  # t-exponent -> the coefficient products landing there
         for e1, c1 in u.items():
             for e2, c2 in v.items():
                 e = tuple(a + bb for a, bb in zip(e1, e2))
                 if sum(e) > degree_cap:
                     return None  # degree overflow: discard whole product
-                c = b.mul(c1, c2)
-                if e in out:
-                    out[e] = [x + y for x, y in zip(out[e], c)]
-                else:
-                    out[e] = c
-        return {e: c for e, c in out.items() if not _viszero(c)}
+                terms.setdefault(e, []).append((one, b.mul(c1, c2)))
+        out = {e: _lincomb(t) for e, t in terms.items()}
+        return {e: c for e, c in out.items() if c}
 
     def coords(poly):
-        return {
-            (e, i): c
-            for e, vec in poly.items()
-            for i, c in enumerate(vec)
-            if not c.is_zero()
-        }
+        return {(e, i): c for e, vec in poly.items() for i, c in vec.items()}
 
     order_key = lambda key: (sum(key[0]), key[0], key[1])
     span = SpanBasis(field, order_key)
@@ -745,70 +686,41 @@ class ImplicationDAG:
     )
 
 
-# property label <-> diagram node, per strength tier
-_PROPERTY_NODE = {
-    "STRONGLY_SKEW_CANCELLATIVE_STRATIFORM_SCOPE": ("skew", "strong"),
-    "SKEW_CANCELLATIVE": ("skew", "plain"),
-    "SIGMA_CANCELLATIVE_STRONG": ("sigma", "strong"),
-    "SIGMA_ALG_CANCELLATIVE_STRONG": ("sigma_alg", "strong"),
-    "DELTA_CANCELLATIVE": ("delta", "plain"),
-    "DELTA_CANCELLATIVE_STRONG_OPEN": ("delta", "strong"),
-    "CANCELLATIVE": ("cancellative", "plain"),
-    "STRONGLY_CANCELLATIVE": ("cancellative", "strong"),
-}
-
-# target labels for DAG-derived verdicts; Theorem 0.9's consequence is
-# recorded at the plain delta label, all other edges preserve strength
-_DAG_TARGET = {
-    ("sigma", "strong"): "STRONGLY_CANCELLATIVE",
-    ("sigma", "plain"): "CANCELLATIVE",
-    ("sigma_alg", "strong"): "DELTA_CANCELLATIVE",
-    ("sigma_alg", "plain"): "DELTA_CANCELLATIVE",
-    ("delta", "plain"): "CANCELLATIVE",
-    ("delta", "strong"): "STRONGLY_CANCELLATIVE",
-    ("skew", "strong"): None,  # expanded explicitly below
+# the solid edges of Figure 1 at the property labels: property -> the
+# properties it implies, each with its edge. Every edge keeps the strength
+# tier, except that Theorem 0.9's consequence (sigma_alg -> delta) is
+# recorded at the plain delta label; a plain skew verdict implies nothing.
+_IMPLIES = {
+    "STRONGLY_SKEW_CANCELLATIVE_STRATIFORM_SCOPE": (
+        ("SIGMA_CANCELLATIVE_STRONG", "skew->sigma"),
+        ("SIGMA_ALG_CANCELLATIVE_STRONG", "skew->sigma_alg"),
+    ),
+    "SIGMA_CANCELLATIVE_STRONG": (("STRONGLY_CANCELLATIVE", "sigma->cancellative"),),
+    "SIGMA_ALG_CANCELLATIVE_STRONG": (("DELTA_CANCELLATIVE", "sigma_alg->delta"),),
+    "DELTA_CANCELLATIVE": (("CANCELLATIVE", "delta->cancellative"),),
+    "DELTA_CANCELLATIVE_STRONG_OPEN": (("STRONGLY_CANCELLATIVE", "delta->cancellative"),),
 }
 
 
 def _dag_close(verdicts: list) -> list:
-    dag = ImplicationDAG()
-    solid = set(dag.solid_edges)
     by_property = {v.property: v for v in verdicts}
     queue = list(verdicts)
     while queue:
         v = queue.pop()
         if v.status == "REFUTED_BY_EXAMPLE":
             continue
-        node = _PROPERTY_NODE.get(v.property)
-        if node is None:
-            continue
-        src, tier = node
-        for (a, b) in solid:
-            if a != src:
+        for target, edge in _IMPLIES.get(v.property, ()):
+            if target in by_property:
                 continue
-            if a == "skew":
-                targets = [
-                    ("SIGMA_CANCELLATIVE_STRONG" if tier == "strong" else None,
-                     "sigma"),
-                    ("SIGMA_ALG_CANCELLATIVE_STRONG" if tier == "strong" else None,
-                     "sigma_alg"),
-                ]
-                targets = [(t, nb) for t, nb in targets if t and nb == b]
-            else:
-                t = _DAG_TARGET.get((a, tier))
-                targets = [(t, b)] if t else []
-            for target, _ in targets:
-                if target in by_property:
-                    continue
-                derived = Verdict(
-                    property=target,
-                    status=v.status,
-                    rule=f"DAG({a}->{b})",
-                    paper_ref="Figure 1",
-                    evidence={"from": v.property, "via_rule": v.rule},
-                )
-                by_property[target] = derived
-                queue.append(derived)
+            derived = Verdict(
+                property=target,
+                status=v.status,
+                rule=f"DAG({edge})",
+                paper_ref="Figure 1",
+                evidence={"from": v.property, "via_rule": v.rule},
+            )
+            by_property[target] = derived
+            queue.append(derived)
     out = list(by_property.values())
     out.sort(key=lambda v: PROPERTIES.index(v.property))
     return out

@@ -668,9 +668,10 @@ def _cmd_verify_iso(args):
                 "base_commutative": out["base_commutative"],
                 "pass": fixture_passes(out),
             }
+            claim = ("isomorphism (homomorphisms both ways, generator round trip)"
+                     " + base non-isomorphism")
             return _report("verify-iso", {"fixture": fixture["id"]}, {}, result,
-                           [{"claim": "bounded isomorphism + base non-isomorphism",
-                             "status": "COMPUTED",
+                           [{"claim": claim, "status": "COMPUTED",
                              "paper_ref": fixture["paper_ref"]}])
     raise BadParamsError(f"unknown fixture {args.fixture!r}")
 
@@ -689,6 +690,12 @@ def _parse_field_arg(text):
     return _parse_field(text, _Dummy())
 
 
+def _coordinates(a, v):
+    """Every coordinate of the dict vector `v` of `a`, as text."""
+    zero = a.field.zero()
+    return [str(v.get(i, zero)) for i in range(a.dim)]
+
+
 def _cmd_nilradical(args):
     a = _findim_from_args(args)
     nil = nilradical(a)
@@ -696,7 +703,7 @@ def _cmd_nilradical(args):
         "dim": a.dim,
         "basis_names": list(a.basis_names),
         "nilradical_dim": len(nil["basis"]),
-        "nilradical_basis": [[str(c) for c in v] for v in nil["basis"]],
+        "nilradical_basis": [_coordinates(a, v) for v in nil["basis"]],
         "certified": nil["certified"],
         "note": nil["note"],
     }
@@ -715,7 +722,7 @@ def _cmd_decompose(args):
         "factors": [
             {
                 "dim": f["algebra"].dim,
-                "idempotent": [str(c) for c in f["idempotent"]],
+                "idempotent": _coordinates(a, f["idempotent"]),
                 "local_certified": f["local_certified"],
             }
             for f in dec["factors"]

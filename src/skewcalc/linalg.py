@@ -16,8 +16,10 @@ order, and only nonzero entries are ever touched.
 
 `solve` and `nullspace` speak the kernel's format: a matrix is a list of
 columns, each a dict {row key: Scalar} with any hashable row keys, and a
-vector comes back as a dict {column index: nonzero Scalar}. `rref` keeps
-dense rows in and out for the callers that hold dense rows.
+vector comes back as a dict {column index: nonzero Scalar}. That is also
+the vector format of `cancel.FiniteDimAlgebra`. `rref` keeps dense rows
+in and out; nothing in the package calls it, and it stays for the tests
+and for the benchmark's tracer, which patches it by name.
 """
 
 from __future__ import annotations
@@ -83,9 +85,9 @@ def _transpose(columns: list[dict]) -> list[dict]:
 def rref(rows: list[list[Scalar]], field: FieldDescriptor):
     """Reduced row echelon form. Returns (rows, pivot column list).
 
-    Dense rows in and out, for the callers that hold dense rows; the
-    elimination runs on the sparse kernel. The RREF is unique, so the
-    order of elimination does not show in the result.
+    Dense rows in and out; the elimination runs on the sparse kernel.
+    The RREF is unique, so the order of elimination does not show in the
+    result.
     """
     pivots = _echelon({c: x for c, x in enumerate(r) if not x.is_zero()} for r in rows)
     ncols = len(rows[0]) if rows else 0

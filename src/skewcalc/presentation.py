@@ -39,6 +39,10 @@ Monomial = tuple  # exponent vector, one entry per generator
 # word; Weyl y^k*x^k takes k^3/3 + k^2/2 + 7k/6, within the cap up to k = 773
 MAX_REWRITE_STEPS = 100_000
 
+# the Ore check exhibits a preimage under sigma of every generator among the
+# standard monomials of at most this degree
+SIGMA_PREIMAGE_DEGREE = 3
+
 
 def _rewrite_steps_error(limit: int) -> ResourceLimitError:
     return ResourceLimitError(
@@ -517,7 +521,7 @@ class Presentation:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, sigma_bound: int = 3) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         """Rule shapes, confluence by Bergman's diamond lemma, the Ore
         tower. The overlap check proves confluence only for a terminating
         rewriting system."""
@@ -602,7 +606,7 @@ class Presentation:
         if not failures and self.tower:
             sigma_status = "BOUNDED_CERTIFIED"
             for step in self.tower:
-                step_failures = _check_ore_step(step, sigma_bound)
+                step_failures = _check_ore_step(step)
                 failures.extend(step_failures)
         self._report = ValidationReport(not failures, failures, sigma_status)
         return self._report
@@ -809,7 +813,7 @@ def _delta_of(base: Presentation, sigma: Morphism, delta: dict, x: Element) -> E
     return out
 
 
-def _check_ore_step(step: OreStep, sigma_bound: int) -> list:
+def _check_ore_step(step: OreStep) -> list:
     base = step.base
     sigma = Morphism(
         base, base, {g.name: img for g, img in zip(base.gens, step.sigma_images)}
@@ -817,7 +821,7 @@ def _check_ore_step(step: OreStep, sigma_bound: int) -> list:
     delta = {g.name: img for g, img in zip(base.gens, step.delta_images)}
     failures = _sigma_delta_failures(base, sigma, delta)
     # bounded invertibility: exhibit a preimage for every generator
-    basis = base.filtration_basis(sigma_bound)
+    basis = base.filtration_basis(SIGMA_PREIMAGE_DEGREE)
     images = [sigma.apply(Element(base, {m: base.field.one()})).terms for m in basis]
     for g in base.gens:
         if solve(images, base.generator(g.name).terms, base.field) is None:

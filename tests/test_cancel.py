@@ -26,11 +26,11 @@ from skewcalc.cancel import (
 from skewcalc.errors import BadParamsError, MissingEvidenceError, ValidationError
 from skewcalc.families import laurent, minus_one_plane, quantum_torus, weyl1
 from skewcalc.invariants import center_bounded, gk_estimate, growth_dims
-from skewcalc.linalg import solve
 from skewcalc.poly import roots
 from skewcalc.divisor import divisor_closure
 from skewcalc.presentation import Morphism, identity_morphism
 from skewcalc.scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor
+from test_linalg import ref_solve, sparse, to_dense
 
 Q = FieldDescriptor(RATIONAL)
 F2 = FieldDescriptor(PRIME, 2)
@@ -50,17 +50,38 @@ def test_structure_constant_checks():
 
 
 def test_bad_structure_constant_tables_raise():
-    z, one = Q.zero(), Q.one()
-    e0, e1 = [one, z], [z, one]
+    one = Q.one()
+    e0, e1 = {0: one}, {1: one}
     with pytest.raises(BadParamsError, match="not commutative"):
         FiniteDimAlgebra(Q, ["1", "x"], [[e0, e1], [e0, e1]], e0)
     # e1*e1 = e0, e0*e0 = e0, e0*e1 = 0: (e1 e1) e0 = e0 but e1 (e1 e0) = 0
     with pytest.raises(BadParamsError, match="not associative"):
-        FiniteDimAlgebra(Q, ["a", "b"], [[e0, [z, z]], [[z, z], e0]], e0)
+        FiniteDimAlgebra(Q, ["a", "b"], [[e0, {}], [{}, e0]], e0)
     # k[x]/(x^2) with x offered as the unit
     with pytest.raises(BadParamsError, match="unit is not a unit"):
-        FiniteDimAlgebra(Q, ["1", "x"], [[e0, e1], [e1, [z, z]]], e1)
-    FiniteDimAlgebra(Q, ["1", "x"], [[e0, e1], [e1, [z, z]]], e0)
+        FiniteDimAlgebra(Q, ["1", "x"], [[e0, e1], [e1, {}]], e1)
+    FiniteDimAlgebra(Q, ["1", "x"], [[e0, e1], [e1, {}]], e0)
+
+
+def test_vector_keys_outside_the_basis_raise():
+    one = Q.one()
+    with pytest.raises(BadParamsError, match="range"):
+        FiniteDimAlgebra(Q, ["1"], [[{0: one, 1: one}]], {0: one})
+    with pytest.raises(BadParamsError, match="range"):
+        FiniteDimAlgebra(Q, ["1"], [[{0: one}]], {0: one, 1: one})
+    with pytest.raises(BadParamsError, match="range"):
+        FiniteDimAlgebra(Q, ["1"], [[{-1: one}]], {0: one})
+    with pytest.raises(BadParamsError, match="range"):  # a dense list is no dict
+        FiniteDimAlgebra(Q, ["1"], [[[one]]], [one])
+
+
+def test_explicit_zero_entries_build_the_same_algebra():
+    z, one = Q.zero(), Q.one()
+    a = FiniteDimAlgebra(Q, ["1", "x"], [[{0: one}, {1: one}], [{1: one}, {}]], {0: one})
+    b = FiniteDimAlgebra(Q, ["1", "x"], [[{0: one, 1: z}, {0: z, 1: one}],
+                                         [{1: one}, {0: z, 1: z}]], {0: one, 1: z})
+    assert b.table == a.table and b.unit == a.unit
+    assert a.table == univariate_quotient(Q, _q(Q, 0, 0, 1)).table  # k[x]/(x^2)
 
 
 def test_nilradical_of_nilpotent_quotient():
@@ -76,7 +97,7 @@ def test_nilradical_in_characteristic_two():
     # is the whole algebra; the nilradical is spanned by 1 + x
     gf2 = FieldDescriptor(PRIME, 2)
     a = univariate_quotient(gf2, _q(gf2, 1, 0, 1))
-    assert nilradical(a)["basis"] == [_q(gf2, 1, 1)]
+    assert nilradical(a)["basis"] == [sparse(_q(gf2, 1, 1))]
     dec = local_decomposition(a)
     assert dec["status"] == "DECOMPOSED"
     assert len(dec["factors"]) == 1
@@ -89,7 +110,7 @@ def test_nilradical_is_certified_in_characteristic_p(p):
     a = univariate_quotient(field, _q(field, 2, 5, 4, 1))
     nil = nilradical(a)
     assert nil["certified"] is True and nil["note"] is None
-    assert nil["basis"] == [_q(field, 2, 3, 1)]
+    assert nil["basis"] == [sparse(_q(field, 2, 3, 1))]
     assert local_decomposition(a)["nilradical_certified"] is True
 
 
@@ -104,7 +125,7 @@ def test_nilradical_counts_the_nilpotents_in_small_characteristic(p, coeffs):
     basis = nilradical(a)["basis"]
     assert all(a.is_nilpotent(v) for v in basis)
     vectors = itertools.product([field.from_int(c) for c in range(p)], repeat=a.dim)
-    assert sum(a.is_nilpotent(list(v)) for v in vectors) == p ** len(basis)
+    assert sum(a.is_nilpotent(sparse(v)) for v in vectors) == p ** len(basis)
 
 
 def test_nilradical_rejects_a_vector_that_is_not_nilpotent(monkeypatch):
@@ -155,8 +176,9 @@ def test_local_decomposition_with_nilpotents():
 
 
 def test_idempotent_factor_coordinates_match_solve():
-    """The factor algebra's table and unit, read from one rref of all the
-    right-hand sides, equal the coordinates `solve` finds one by one."""
+    """The factor algebra's table and unit are the coordinates in `chosen`
+    of the products and of e: the dense reference solve finds them, and
+    mapped back through `chosen` they give the products and e again."""
     f5 = FieldDescriptor(PRIME, 5)
     cases = [
         (Q, (-1, 0, 0, 0, 1)),  # x^4 - 1 = (x - 1)(x + 1)(x^2 + 1)
@@ -170,14 +192,21 @@ def test_idempotent_factor_coordinates_match_solve():
         assert len(idems) > 1
         for e in idems:
             fac, chosen = cancel._subalgebra_on_idempotent(a, e)
-            columns = [dict(enumerate(v)) for v in chosen]
+            columns = [to_dense(v, a.dim, field) for v in chosen]
+            matrix = [list(row) for row in zip(*columns)]
 
             def coords(w):
-                x = solve(columns, dict(enumerate(w)), field)
-                return [x.get(k, field.zero()) for k in range(len(chosen))]
+                return ref_solve(matrix, to_dense(w, a.dim, field), field)
 
-            assert fac.unit == coords(e)
-            assert fac.table == [[coords(a.mul(u, v)) for v in chosen] for u in chosen]
+            def back(x):
+                return cancel._lincomb((c, chosen[k]) for k, c in x.items())
+
+            assert to_dense(fac.unit, fac.dim, field) == coords(e)
+            assert back(fac.unit) == e
+            for u, row in zip(chosen, fac.table):
+                for v, x in zip(chosen, row):
+                    assert to_dense(x, fac.dim, field) == coords(a.mul(u, v))
+                    assert back(x) == a.mul(u, v)
 
 
 def test_units_generated():
@@ -339,6 +368,12 @@ def test_dag_never_uses_dotted_edges():
     props = {v.property for v in verdicts if v.status != "REFUTED_BY_EXAMPLE"}
     assert "SIGMA_ALG_CANCELLATIVE_STRONG" not in props
     assert "DELTA_CANCELLATIVE" not in props
+
+
+def test_implication_table_edges_are_the_solid_edges():
+    edges = {tuple(edge.split("->"))
+             for targets in cancel._IMPLIES.values() for _, edge in targets}
+    assert edges == set(ImplicationDAG().solid_edges)
 
 
 SMALL_PRIMES = [p for p in range(2, 114) if all(p % d for d in range(2, p))]

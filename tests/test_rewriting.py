@@ -124,7 +124,7 @@ def reference_word_normal_form(p, word, pick=None) -> dict:
     return {m: c for m, c in result.items() if not c.is_zero()}
 
 
-def reference_validate(p, sigma_bound: int = 3) -> ValidationReport:
+def reference_validate(p) -> ValidationReport:
     """The two-strategy validation that overlap checking replaced: every
     letter triple normalized by the engine and by the reference taking the
     last reducible position. Not cached on `p`."""
@@ -189,7 +189,7 @@ def reference_validate(p, sigma_bound: int = 3) -> ValidationReport:
     if not failures and p.tower:
         sigma_status = "BOUNDED_CERTIFIED"
         for step in p.tower:
-            step_failures = _check_ore_step(step, sigma_bound)
+            step_failures = _check_ore_step(step)
             failures.extend(step_failures)
     return ValidationReport(not failures, failures, sigma_status)
 
