@@ -417,8 +417,14 @@ def _subalgebra_on_idempotent(a: FiniteDimAlgebra, e):
             raise ValidationError("element not in the idempotent factor")
         return x
 
-    names = [f"b{k}" for k in range(len(chosen))]
-    table = [[coords(a.mul(u, v)) for v in chosen] for u in chosen]
+    # e*a is commutative (FiniteDimAlgebra checks it): solve the products
+    # u*v for u <= v and mirror the rest
+    n = len(chosen)
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            table[i][j] = table[j][i] = coords(a.mul(chosen[i], chosen[j]))
+    names = [f"b{k}" for k in range(n)]
     return FiniteDimAlgebra(a.field, names, table, coords(e)), chosen
 
 

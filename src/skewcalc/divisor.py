@@ -146,6 +146,21 @@ def _is_full(p: Presentation, span: SpanBasis) -> bool:
     return True
 
 
+def _subword_pairs(p: Presentation, max_a: int, max_b: int):
+    """The monomial pairs (a, b) with deg a <= max_a and deg b <= max_b,
+    in (deg a + deg b, grlex a, grlex b) order, made as they are needed:
+    for each total degree s, each a in grlex order is followed by the b of
+    degree s - deg a in grlex order."""
+    a_monos = p.filtration_basis(max_a)
+    b_by_degree = {}
+    for m_b in p.filtration_basis(max_b):
+        b_by_degree.setdefault(mono_degree(m_b), []).append(m_b)
+    for s in range(max_a + max_b + 1):
+        for m_a in a_monos:
+            for m_b in b_by_degree.get(s - mono_degree(m_a), ()):
+                yield m_a, m_b
+
+
 def _span_subwords(p: Presentation, span: SpanBasis, max_a: int, max_b: int,
                    degree_cap: int) -> list:
     """All new subwords extractable from the span in one pass.
@@ -153,19 +168,14 @@ def _span_subwords(p: Presentation, span: SpanBasis, max_a: int, max_b: int,
     For each monomial pair (a, b), the g with a.g.b inside the span form
     a linear space found by one exact null-space computation; solutions
     already in the span (or reducible against earlier finds) are skipped.
-    Every hit certifies f := a.g.b as an explicit span element.
+    Every hit certifies f := a.g.b as an explicit span element. The pairs
+    come lazily from `_subword_pairs`, so none is built after the span is
+    found full.
     """
     working = span.copy()
     candidates = p.filtration_basis(degree_cap)
-    pairs = [
-        (m_a, m_b)
-        for m_a in p.filtration_basis(max_a)
-        for m_b in p.filtration_basis(max_b)
-    ]
-    pairs.sort(key=lambda t: (mono_degree(t[0]) + mono_degree(t[1]),
-                              grlex_key(t[0]), grlex_key(t[1])))
     hits = []
-    for m_a, m_b in pairs:
+    for m_a, m_b in _subword_pairs(p, max_a, max_b):
         if _is_full(p, working):
             break
         cols = [span.reduce(_sandwich(p, m_a, m, m_b)) for m in candidates]

@@ -50,9 +50,13 @@ def reduce_row(pivots: dict, row: dict) -> dict:
 
 def _insert(pivots: dict, row: dict, lead) -> None:
     """Add a reduced nonzero `row` to the basis with pivot `lead`, scaled
-    to 1 there and back-substituted into the other rows."""
-    inv = row.pop(lead).inv()
-    tail = {k: x * inv for k, x in row.items()}
+    to 1 there and back-substituted into the other rows. A row holding
+    only its pivot has the empty tail: its coefficient is not inverted."""
+    c = row.pop(lead)
+    tail = row
+    if tail:
+        inv = c.inv()
+        tail = {k: x * inv for k, x in tail.items()}
     for other in pivots.values():
         if lead in other:
             _subtract(other, other.pop(lead), tail)

@@ -265,6 +265,7 @@ class Presentation:
         self.family = family
         self.notes = tuple(notes)
         self._mul_cache = {}
+        self._basis_cache = {}  # degree -> filtration_basis(degree)
         self._rewriting = None
         self._report = None
 
@@ -292,6 +293,7 @@ class Presentation:
         )
         p._report = self._report
         p._rewriting = self._rewriting
+        p._basis_cache = self._basis_cache
         return p
 
     # -- element constructors ----------------------------------------------
@@ -613,8 +615,14 @@ class Presentation:
 
     # -- bases ---------------------------------------------------------------
 
-    def filtration_basis(self, d: int):
-        """All standard monomials of degree <= d, graded-lex ascending."""
+    def filtration_basis(self, d: int) -> tuple:
+        """All standard monomials of degree <= d, graded-lex ascending.
+
+        The presentation is immutable, so each degree's basis is computed
+        once and kept on the instance."""
+        hit = self._basis_cache.get(d)
+        if hit is not None:
+            return hit
         out = []
 
         def rec(pos, remaining, prefix):
@@ -630,7 +638,8 @@ class Presentation:
 
         rec(0, d, [])
         out.sort(key=grlex_key)
-        return out
+        self._basis_cache[d] = hit = tuple(out)
+        return hit
 
     # -- rendering -----------------------------------------------------------
 

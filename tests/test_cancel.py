@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from skewcalc import cancel
+from skewcalc import cancel, cli
 from skewcalc.cancel import (
     FiniteDimAlgebra,
     ImplicationDAG,
@@ -29,7 +29,8 @@ from skewcalc.invariants import center_bounded, gk_estimate, growth_dims
 from skewcalc.poly import roots
 from skewcalc.divisor import divisor_closure
 from skewcalc.presentation import Morphism, identity_morphism
-from skewcalc.scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor
+from skewcalc.scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor, scalar_parse
+from test_golden_cli import _FIELDS, _MODULI
 from test_linalg import ref_solve, sparse, to_dense
 
 Q = FieldDescriptor(RATIONAL)
@@ -207,6 +208,27 @@ def test_idempotent_factor_coordinates_match_solve():
                 for v, x in zip(chosen, row):
                     assert to_dense(x, fac.dim, field) == coords(a.mul(u, v))
                     assert back(x) == a.mul(u, v)
+
+
+@pytest.mark.parametrize("tag", ["q", "gf7", "cyc3"])
+def test_idempotent_factor_table_matches_solving_every_product(tag):
+    """The factor table is solved for u <= v only and mirrored: on the
+    `decompose` golden inputs it equals the dense solves of all n^2
+    products."""
+    field = cli._parse_field_arg(_FIELDS[tag])
+    factors = 0
+    for text in _MODULI[tag]:
+        a = univariate_quotient(field, [scalar_parse(field, t) for t in text.split(",")])
+        for e in local_decomposition(a)["idempotents"]:
+            fac, chosen = cancel._subalgebra_on_idempotent(a, e)
+            matrix = [list(row) for row in zip(*(to_dense(v, a.dim, field) for v in chosen))]
+
+            def coords(w):
+                return sparse(ref_solve(matrix, to_dense(w, a.dim, field), field))
+
+            assert fac.table == [[coords(a.mul(u, v)) for v in chosen] for u in chosen]
+            factors += 1
+    assert factors > len(_MODULI[tag])  # some modulus splits
 
 
 def test_units_generated():

@@ -1,7 +1,12 @@
+import random
+
 import pytest
 
+from skewcalc import divisor
 from skewcalc.errors import NotADomainError
 from skewcalc.families import (
+    FamilySpec,
+    build,
     laurent,
     minus_one_plane,
     poly,
@@ -12,12 +17,19 @@ from skewcalc.families import (
 from skewcalc.divisor import (
     _inv_degree,
     _sandwich,
+    _subword_pairs,
     divisor_closure,
     is_controlling,
     subalgebra_closure_bounded,
     subword_search,
 )
-from skewcalc.presentation import Element, grlex_key, ore_extend, parse_element
+from skewcalc.presentation import (
+    Element,
+    grlex_key,
+    mono_degree,
+    ore_extend,
+    parse_element,
+)
 from skewcalc.scalars import CYCLOTOMIC, RATIONAL, FieldDescriptor
 from test_linalg import ref_solve
 from test_rewriting import FAMILIES, _presentation
@@ -146,3 +158,75 @@ def test_closure_stable_under_ore_extension():
     t_pos = ext.gen_position("t")
     for e in report.certified_basis:
         assert all(m[t_pos] == 0 for m in e.terms)
+
+
+# -- the order of the subword pairs ------------------------------------------
+
+
+def reference_subword_pairs(p, max_a, max_b):
+    """`_span_subwords`'s pairs before they were made lazily: every pair,
+    sorted by (deg a + deg b, grlex a, grlex b)."""
+    pairs = [(m_a, m_b)
+             for m_a in p.filtration_basis(max_a)
+             for m_b in p.filtration_basis(max_b)]
+    pairs.sort(key=lambda t: (mono_degree(t[0]) + mono_degree(t[1]),
+                              grlex_key(t[0]), grlex_key(t[1])))
+    return pairs
+
+
+def _pair_presentations():
+    return [
+        quantum_torus(2, {(1, 2): C3.q()}, C3),  # invertible generators
+        poly(2, Q),
+        quantum_weyl1(),
+        build(FamilySpec.make("LOCALIZED_QWEYL1", C3, q=C3.q())),
+        minus_one_plane(Q),
+    ]
+
+
+@pytest.mark.parametrize("p", _pair_presentations(), ids=repr)
+def test_subword_pairs_come_in_the_sorted_order(p):
+    for max_a in range(4):
+        for max_b in range(4):
+            assert list(_subword_pairs(p, max_a, max_b)) == \
+                reference_subword_pairs(p, max_a, max_b)
+
+
+def _closure_facts(report):
+    return (
+        report.status,
+        [r["span_dim"] for r in report.rounds],
+        [[(h.a, str(h.g), h.b) for h in r["new_subwords"]] for r in report.rounds],
+        [str(e) for e in report.certified_basis],
+    )
+
+
+def _closure_inputs():
+    """The benchmark's closure runs (presentation, F, caps): the fixed ones
+    and a few seeded torus and poly(2) monomials of the same shapes."""
+    caps3 = {"degree_cap": 3, "max_rounds": 2}
+    caps2 = {"degree_cap": 2, "max_rounds": 2}
+    t2, kxy, a1q, b1q, _ = _pair_presentations()
+    runs = [
+        (a1q, [parse_element(a1q, "x*y - y*x")], caps3),
+        (t2, [t2.one()], caps2),
+        (b1q, [b1q.one()],
+         {"degree_cap": 3, "max_rounds": 3, "max_deg_a": 1, "max_deg_b": 1}),
+        (kxy, [kxy.generator("x1")], caps3),
+    ]
+    rng = random.Random(20261019)
+    for m in ((1, -1), (0, -2), (-1, 0), (2, 0)):
+        runs.append((t2, [t2.from_terms({m: C3.from_int(rng.randint(2, 5))})], caps2))
+    for m in ((2, 0), (3, 0), (1, 1), (1, 2)):
+        runs.append((kxy, [kxy.from_terms({m: Q.from_int(rng.randint(-5, -2))})], caps3))
+    return runs
+
+
+def test_divisor_closure_reports_match_the_sorted_pair_order(monkeypatch):
+    runs = _closure_inputs()
+    lazy = [_closure_facts(divisor_closure(p, F, caps)) for p, F, caps in runs]
+    monkeypatch.setattr(divisor, "_subword_pairs", reference_subword_pairs)
+    eager = [_closure_facts(divisor_closure(p, F, caps)) for p, F, caps in runs]
+    assert lazy == eager
+    assert [facts[0] for facts in lazy] == ["FULL"] * 3 + ["INCONCLUSIVE"] + \
+        ["FULL"] * 4 + ["INCONCLUSIVE"] * 2 + ["FULL"] * 2

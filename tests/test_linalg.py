@@ -2,6 +2,7 @@
 replaced, kept here verbatim as the reference, and the structure-constant
 products of finite-dimensional algebras against dense products."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -286,6 +287,28 @@ def test_span_basis_spans_the_rref_row_space(kind, param, data):
             assert span.contains({c: x for c, x in enumerate(row) if not x.is_zero()})
             assert not span.reduce({c: x for c, x in enumerate(row)})
     assert [dense(r) for r in first.basis_rows()] == red
+
+
+def test_span_basis_of_one_term_rows_matches_the_dense_reference():
+    """One-term rows with non-unit coefficients over cyclotomic(3): their
+    pivots are not scaled, and the basis is the dense RREF all the same."""
+    field = FieldDescriptor(CYCLOTOMIC, 3)
+    q, ncols = field.q(), 8
+    coefficients = [field.from_int(2) + q, q * q, field.from_fraction(Fraction(-3, 2)),
+                    field.from_int(5) * q]
+    rng = random.Random(20261019)
+    for _ in range(20):
+        matrix = []
+        for _ in range(rng.randint(1, 10)):
+            row = [field.zero()] * ncols
+            for c in rng.sample(range(ncols), rng.choice((1, 1, 1, 2, 3))):
+                row[c] = rng.choice(coefficients)
+            matrix.append(row)
+        span = SpanBasis(field, lambda c: -c)  # pivot: first column, as in rref
+        for row in matrix:
+            span.add({c: x for c, x in enumerate(row) if not x.is_zero()})
+        dense = [to_dense(r, ncols, field) for r in span.basis_rows()]
+        assert dense == ref_rref(matrix, field)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -271,3 +271,15 @@ def test_exponent_literal_cap():
             parse_element(p, text)
     with pytest.raises(ResourceLimitError, match="MAX_EXPONENT"):
         scalar_parse(FieldDescriptor(RATFUNC_Q), f"q^{MAX_EXPONENT + 1}")
+
+
+def test_filtration_basis_is_computed_once_per_presentation():
+    p = laurent(2, Q)
+    copy = p.with_flags({"NOETHERIAN": True})
+    first = p.filtration_basis(3)
+    assert isinstance(first, tuple)
+    assert p.filtration_basis(3) is first  # kept, not rebuilt
+    assert copy.filtration_basis(3) == first
+    assert laurent(2, Q).filtration_basis(3) == first  # a fresh, empty cache
+    assert len(first) == 25  # |a| + |b| <= 3 has 1 + 4 + 8 + 12 points
+    assert poly(2, Q).filtration_basis(3) == tuple(m for m in first if min(m) >= 0)
