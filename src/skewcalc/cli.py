@@ -41,10 +41,12 @@ from .presentation import (
 )
 from .scalars import (
     CYCLOTOMIC,
+    MAX_EXPONENT,
     PRIME,
     RATFUNC_Q,
     RATIONAL,
     FieldDescriptor,
+    _exponent_cap_error,
     scalar_parse,
 )
 
@@ -101,6 +103,9 @@ class _Tokenizer:
                     elif depth == 0 and (ch in " \t\r\n{};,=#"):
                         break
                     j += 1
+                if j == i:  # a ')' that closes nothing
+                    line, col = self._loc(i)
+                    raise ExprSyntaxError("unmatched ')'", i, line, col)
                 self.tokens.append(("ATOM", text[i:j], i))
                 i = j
                 continue
@@ -288,11 +293,7 @@ def _parse_family_stanza(tz):
     params = {}
     if "n" in raw:
         params["n"] = raw["n"]
-    exponents = {
-        (int(k[1]), int(k[2])): v
-        for k, v in raw.items()
-        if len(k) == 3 and k[0] == "a" and k[1:].isdigit()
-    }
+    exponents = _family_exponents(raw)
     if fid in ("SKEW_POLY", "QUANTUM_TORUS"):
         q = field.q() if field.kind in (RATFUNC_Q, CYCLOTOMIC) else None
         if exponents and q is None:
@@ -314,6 +315,18 @@ def _parse_family_stanza(tz):
         params["q"] = field.q()
     return FamilySpec(fid, field, tuple(sorted(params.items())),
                       raw=tuple(sorted(raw.items())))
+
+
+def _family_exponents(raw: dict) -> dict:
+    """The `aij=v` parameters of a family line as {(i, j): v}; a v past
+    MAX_EXPONENT in absolute value is a resource limit."""
+    out = {}
+    for key, v in raw.items():
+        if len(key) == 3 and key[0] == "a" and key[1:].isdigit():
+            if abs(v) > MAX_EXPONENT:
+                raise _exponent_cap_error(f"exponent {key}")
+            out[(int(key[1]), int(key[2]))] = v
+    return out
 
 
 def parse_algebra_file(text: str):
@@ -489,16 +502,26 @@ def _load(path):
         raise BadParamsError(f"cannot read {path}: {exc}") from exc
 
 
+def _assert_flag(text):
+    """An `--assert` value, NAME or NAME=V with V an integer, as a
+    (name, value) pair; NAME alone asserts True."""
+    name, eq, value = text.partition("=")
+    if not name:
+        raise argparse.ArgumentTypeError(f"{text!r} names no flag")
+    if not eq:
+        return name, True
+    try:
+        return name, int(value)
+    except ValueError:  # not an integer, or too long for int()
+        raise argparse.ArgumentTypeError(
+            f"{name}: the value must be an integer of at most "
+            f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def _apply_asserts(p, asserts):
-    extra = {}
-    for flag in asserts or ():
-        if "=" in flag:
-            k, v = flag.split("=", 1)
-            extra[k] = int(v)
-        else:
-            extra[flag] = True
-    if extra:
-        p = p.with_flags(extra, "asserted(user)")
+    """`p` with the (name, value) pairs of `--assert` added as flags."""
+    if asserts:
+        p = p.with_flags(dict(asserts), "asserted(user)")
     return p
 
 
@@ -549,11 +572,9 @@ def _cmd_center_torus(args):
     raw = dict(spec.raw)
     n = raw["n"]
     a = [[0] * n for _ in range(n)]
-    for key, v in raw.items():
-        if len(key) == 3 and key[0] == "a" and key[1:].isdigit():
-            i, j = int(key[1]) - 1, int(key[2]) - 1
-            a[i][j] = v
-            a[j][i] = -v
+    for (i, j), v in _family_exponents(raw).items():
+        a[i - 1][j - 1] = v
+        a[j - 1][i - 1] = -v
     # without l=, q is not a root of unity and no test mod l applies
     if "l" not in raw and any(any(row) for row in a):
         raise BadParamsError("center-torus needs q to be a root of unity (l=)")
@@ -798,12 +819,14 @@ def _build_parser():
         sp.add_argument("--max-rounds", dest="max_rounds", type=int, default=4)
         sp.add_argument("--max-deg-a", dest="max_deg_a", type=int, default=2)
         sp.add_argument("--max-deg-b", dest="max_deg_b", type=int, default=2)
-        sp.add_argument("--assert", dest="assert_flags", action="append", default=[])
+        sp.add_argument("--assert", dest="assert_flags", action="append",
+                        type=_assert_flag, default=[])
     sp = add("certify", _cmd_certify)
     sp.add_argument("--degree-cap", dest="degree_cap", type=int, default=4)
     sp.add_argument("--max-rounds", dest="max_rounds", type=int, default=4)
     sp.add_argument("--N", type=int, default=12)
-    sp.add_argument("--assert", dest="assert_flags", action="append", default=[])
+    sp.add_argument("--assert", dest="assert_flags", action="append",
+                    type=_assert_flag, default=[])
     sp = add("verify-iso", _cmd_verify_iso, needs_file=False)
     sp.add_argument("--fixture", required=True)
     for name, fn in (("nilradical", _cmd_nilradical), ("decompose", _cmd_decompose)):

@@ -17,7 +17,6 @@ from .presentation import (
     _delta_of,
     commutator,
     grlex_key,
-    identity_morphism,
     mono_degree,
 )
 
@@ -227,7 +226,6 @@ def is_locally_algebraic(p: Presentation, sigma: Morphism, bound: int = 20) -> d
 def is_locally_nilpotent(p: Presentation, delta: dict, bound: int = 20) -> dict:
     """delta: generator name -> Element (an ordinary derivation)."""
     p.require_validated()
-    identity = identity_morphism(p)
     trace = []
     all_nil = True
     for g in p.gens:
@@ -249,7 +247,7 @@ def is_locally_nilpotent(p: Presentation, delta: dict, bound: int = 20) -> dict:
                     }
             seen.append(current)
             gen_trace.append(str(current))
-            current = _delta_of(p, identity, delta, current)
+            current = _delta_of(p, delta, current)
         trace.append({"generator": g.name, "images": gen_trace, "status": status})
         if status != "TRUE":
             all_nil = False

@@ -49,7 +49,8 @@ PRIME = "prime"
 RATFUNC_Q = "ratfunc"
 CYCLOTOMIC = "cyclotomic"
 
-# largest |n| accepted after `^` in scalar and element expressions
+# largest |n| accepted after `^` in scalar and element expressions, and for
+# the a_ij exponents of a `family` line
 MAX_EXPONENT = 10_000
 
 # Miller-Rabin with the prime bases 2..41 is deterministic below this
@@ -65,6 +66,14 @@ def _digits_limit_error(what: str, **details) -> ResourceLimitError:
         f"{what} has more digits than the interpreter's limit "
         f"int_max_str_digits = {limit}",
         cap="int_max_str_digits", limit=limit, **details,
+    )
+
+
+def _exponent_cap_error(what: str, **details) -> ResourceLimitError:
+    """`what`, an exponent, exceeds MAX_EXPONENT in absolute value."""
+    return ResourceLimitError(
+        f"{what} exceeds the cap MAX_EXPONENT = {MAX_EXPONENT}",
+        cap="MAX_EXPONENT", limit=MAX_EXPONENT, **details,
     )
 
 
@@ -751,11 +760,7 @@ class _ScalarParser:
         except ResourceLimitError:  # too many digits, far above the cap
             n = None
         if n is None or abs(n) > MAX_EXPONENT:
-            raise ResourceLimitError(
-                f"exponent at position {start} exceeds the cap "
-                f"MAX_EXPONENT = {MAX_EXPONENT}",
-                cap="MAX_EXPONENT", limit=MAX_EXPONENT, pos=start,
-            )
+            raise _exponent_cap_error(f"exponent at position {start}", pos=start)
         return n
 
     def atom(self) -> Scalar:

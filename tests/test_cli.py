@@ -1,11 +1,13 @@
 import json
 import pathlib
+import resource
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skewcalc.cli import parse_algebra_file, print_algebra
+from skewcalc.cli import _Tokenizer, parse_algebra_file, print_algebra
 from skewcalc.errors import BadParamsError, ExprSyntaxError
 from skewcalc.families import FamilySpec
 from skewcalc.presentation import Presentation
@@ -235,3 +237,58 @@ def test_decompose_over_a_large_prime_field_is_prompt():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["result"]["factor_count"] == 4
+
+
+def _limit_memory():
+    # 1 GiB of address space: a run that grows without bound fails fast
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("text", [
+    ")",
+    "algebra a { field rational; gens x, y; rule y*x = x*y); }",
+])
+def test_a_stray_close_paren_is_a_parse_error(tmp_path, text):
+    path = tmp_path / "paren.alg"
+    path.write_text(text)
+    out = subprocess.run(
+        [sys.executable, "-m", "skewcalc.cli", "check", str(path)],
+        capture_output=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert out.returncode == 2, out.stderr
+    assert b"unmatched ')'" in out.stderr
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text=st.text(alphabet="x*y()1 ;={}#\n", max_size=20))
+def test_every_token_is_nonempty(text):
+    try:
+        tokens = _Tokenizer(text).tokens
+    except ExprSyntaxError as err:
+        assert err.line >= 1 and err.col >= 1
+        return
+    assert all(tok[1] for tok in tokens)
+
+
+@pytest.mark.parametrize("value", [
+    "STRATIFORM=abc",          # not an integer
+    "STRATIFORM=" + "9" * 5000,  # too long for int()
+    "=3",                      # no flag name
+])
+def test_a_bad_assert_is_a_usage_error(value):
+    out = _run("certify", str(FIXTURES / "weyl1.alg"), "--assert", value)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith(b"usage error: argument --assert")
+
+
+def test_family_exponents_share_the_exponent_cap(tmp_path):
+    path = tmp_path / "torus.alg"
+    path.write_text("family quantum_torus n=2 a12=30000000;")
+    out = subprocess.run(
+        [sys.executable, "-m", "skewcalc.cli", "check", str(path)],
+        capture_output=True, timeout=60,
+    )
+    assert out.returncode == 4, out.stderr
+    assert b"exponent a12 exceeds the cap MAX_EXPONENT = 10000" in out.stderr
+    path.write_text("family quantum_torus n=2 a12=10000;")
+    assert _run("check", str(path)).returncode == 0

@@ -154,6 +154,18 @@ def test_parse_element_negative_power_needs_inverse():
         parse_element(poly(1, Q), "x1^-1")
 
 
+def test_elements_divide_by_scalars_and_invert_units():
+    p = laurent(2, Q)
+    x1, x2 = p.generator("x1"), p.generator("x2")
+    half = (x1 + x2) / p.one().scale(Q.from_int(2))
+    assert half + half == x1 + x2
+    with pytest.raises(ValidationError, match="nonzero scalar"):
+        x1 / x2
+    assert (x1 * x2) ** -2 == p.from_terms({(-2, -2): Q.one()})
+    with pytest.raises(ValidationError, match="cannot invert"):
+        (x1 + x2) ** -1
+
+
 def test_inverse_of_a_monomial_word_in_a_quantum_torus():
     # (x1*x2)^-1 is x2^-1*x1^-1, which is not x1^-1*x2^-1 when x2*x1 = q*x1*x2
     c3 = FieldDescriptor(CYCLOTOMIC, 3)

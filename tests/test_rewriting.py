@@ -5,7 +5,9 @@ it never merges equal words, so its cost is exponential in degree, but it
 is a straightforward reading of the rewriting rules. Closed forms cover
 degrees the reference cannot reach. The validation that normalized every
 letter triple under two strategies, replaced by the overlap check of
-`Presentation.validate`, is kept as `reference_validate`.
+`Presentation.validate`, is kept as `reference_validate`, with the Ore-step
+check it ran on every step of a tower (`_check_ore_step`), which
+`ore_extend` and the overlap check replaced.
 """
 
 import pathlib
@@ -15,7 +17,9 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewcalc import presentation
 from skewcalc.cli import _as_presentation, parse_algebra_file
+from skewcalc.errors import ValidationError
 from skewcalc.families import (
     build_localized_qweyl,
     finite_rank_quantum_weyl,
@@ -31,13 +35,20 @@ from skewcalc.families import (
 from skewcalc.presentation import (
     Element,
     GeneratorInfo,
+    Morphism,
+    OreStep,
     Presentation,
     RewriteRule,
+    SIGMA_PREIMAGE_DEGREE,
     ValidationReport,
-    _check_ore_step,
+    _invert_monomial_element,
+    broken_relations,
+    grlex_key,
+    identity_morphism,
     mono_degree,
     ore_extend,
 )
+from skewcalc.linalg import solve
 from skewcalc.scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor
 
 Q = FieldDescriptor(RATIONAL)
@@ -122,6 +133,82 @@ def reference_word_normal_form(p, word, pick=None) -> dict:
         cur = result.get(e)
         result[e] = coef if cur is None else cur + coef
     return {m: c for m, c in result.items() if not c.is_zero()}
+
+
+# reference: the Ore-step check `validate` once ran on every step of a
+# tower; `ore_extend` now checks sigma's relations and preimages, and the
+# overlap check covers delta
+
+
+def _sigma_delta_failures(base: Presentation, sigma, delta):
+    """Check sigma respects relations and delta is a sigma-derivation;
+    delta is checked only against a sigma that respects them."""
+    failures = [("BAD_SIGMA", f"sigma: {w}") for w in broken_relations(sigma)]
+    if failures:
+        return failures
+    for (j, i), rule in base.rules.items():
+        gj, gi = base.generator(base.gens[j].name), base.generator(base.gens[i].name)
+        tail = base.from_terms(rule.tail_dict())
+        lhs = _delta_of(base, sigma, delta, gj * gi)
+        rhs = _delta_of(base, sigma, delta, gi * gj).scale(rule.leading) + _delta_of(
+            base, sigma, delta, tail
+        )
+        if not (lhs - rhs).is_zero():
+            failures.append(
+                ("BAD_DELTA", f"delta breaks the ({base.gens[j].name},{base.gens[i].name}) relation")
+            )
+    for (i, j), tail_terms in base.elim.items():
+        gi, gj = base.generator(base.gens[i].name), base.generator(base.gens[j].name)
+        lhs = _delta_of(base, sigma, delta, gi * gj)
+        rhs = _delta_of(base, sigma, delta, base.from_terms(dict(tail_terms)))
+        if not (lhs - rhs).is_zero():
+            failures.append(("BAD_DELTA", "delta breaks an elimination relation"))
+    return failures
+
+
+def _delta_of(base: Presentation, sigma: Morphism, delta: dict, x: Element) -> Element:
+    """Extend delta by the twisted Leibniz rule d(uv) = s(u)d(v) + d(u)v."""
+    out = base.zero()
+    for m, c in x.terms.items():
+        letters = base._letters(m)
+        for k in range(len(letters)):
+            pos, sign = letters[k]
+            name = base.gens[pos].name
+            dg = delta[name]
+            if sign == -1:
+                # d(g^-1) = -s(g)^-1 d(g) g^-1
+                ginv = base.gen_inverse(name)
+                dg = (-_invert_monomial_element(sigma.apply(base.generator(name)))) * dg * ginv
+            if dg.is_zero():
+                continue
+            prefix = base.one()
+            for p, s in letters[:k]:
+                prefix = prefix * sigma.apply(
+                    base.generator(base.gens[p].name) if s == 1 else base.gen_inverse(base.gens[p].name)
+                )
+            suffix = base.one()
+            for p, s in letters[k + 1:]:
+                suffix = suffix * (
+                    base.generator(base.gens[p].name) if s == 1 else base.gen_inverse(base.gens[p].name)
+                )
+            out = out + (prefix * dg * suffix).scale(c)
+    return out
+
+
+def _check_ore_step(step: OreStep) -> list:
+    base = step.base
+    sigma = Morphism(
+        base, base, {g.name: img for g, img in zip(base.gens, step.sigma_images)}
+    )
+    delta = {g.name: img for g, img in zip(base.gens, step.delta_images)}
+    failures = _sigma_delta_failures(base, sigma, delta)
+    # bounded invertibility: exhibit a preimage for every generator
+    basis = base.filtration_basis(SIGMA_PREIMAGE_DEGREE)
+    images = [sigma.apply(Element(base, {m: base.field.one()})).terms for m in basis]
+    for g in base.gens:
+        if solve(images, base.generator(g.name).terms, base.field) is None:
+            failures.append(("BAD_SIGMA", f"no bounded preimage for {g.name}"))
+    return failures
 
 
 def reference_validate(p) -> ValidationReport:
@@ -414,3 +501,139 @@ def test_validated_presentations_are_associative(p):
             ab = a * b
             for c in monos:
                 assert ab * c == a * (b * c)
+
+
+# ---------------------------------------------------------------------------
+# Ore extensions: each step checked once, against the old step check
+
+
+def test_a_delta_that_is_not_a_sigma_derivation_fails_the_overlap_check():
+    # delta(x) = x, delta(y) = 0 on the Weyl algebra: delta(y*x) = y*x but
+    # delta(x*y - 1) = x*y. The old delta check compared two evaluations of
+    # one normal form, so it could not see this.
+    w = weyl1(Q)
+    delta = {"x": w.generator("x"), "y": w.zero()}
+    assert _sigma_delta_failures(w, identity_morphism(w), delta) == []
+    with pytest.raises(ValidationError, match=r"word t\*y\*x normalizes") as err:
+        ore_extend(w, "t", delta_images=delta)
+    assert err.value.code == "INCONSISTENT_RULES"
+
+
+def test_a_sigma_without_bounded_preimages_is_refused():
+    p = poly(2, Q)
+    s = p.generator("x1") + p.generator("x2")
+    with pytest.raises(ValidationError, match="no bounded preimage for x1") as err:
+        ore_extend(p, "t", sigma_images={"x1": s, "x2": s})
+    assert err.value.code == "BAD_SIGMA"
+
+
+def test_ore_extend_checks_only_the_new_step(monkeypatch):
+    # a tower of two steps over the quantum Weyl algebra: one relation check
+    # and one preimage solve per base generator for each new step
+    calls = {"broken_relations": 0, "solve": 0}
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    a = quantum_weyl1()
+    q = a.field.q()
+    for fn in (presentation.broken_relations, presentation.solve):
+        monkeypatch.setattr(presentation, fn.__name__, counting(fn))
+    ext = ore_extend(a, "t", sigma_images={"x": a.generator("x").scale(q),
+                                           "y": a.generator("y").scale(q.inv())})
+    t = ext.generator("t")
+    ore_extend(ext, "u", delta_images={g.name: t * ext.generator(g.name)
+                                       - ext.generator(g.name) * t
+                                       for g in ext.gens})
+    assert calls == {"broken_relations": 2, "solve": 5}
+
+
+def reference_ore_extend(p, name, sigma_images, delta_images, invertible):
+    """What `ore_extend` gave before it checked each step once: the first
+    error code of the old step check, of the rule shapes, or of
+    `reference_validate` (which runs the old step check on every step of
+    the tower); else the rules and sigma_status of the extension. The
+    rules are built here, independently of `ore_extend`."""
+    m = len(p.gens)
+    sigma = Morphism(p, p, sigma_images)
+    failures = _sigma_delta_failures(p, sigma, delta_images)
+    if failures:
+        return failures[0][0]
+    rules = [RewriteRule(j, i, r.leading, tuple((mo + (0,), c) for mo, c in r.tail))
+             for (j, i), r in p.rules.items()]
+    for i, g in enumerate(p.gens):
+        img, dg = sigma_images[g.name], delta_images[g.name]
+        c = img.coefficient(tuple(int(k == i) for k in range(m)))
+        rest = img - p.generator(g.name).scale(c)
+        if (c.is_zero() or any(mono_degree(mo) > 1 for mo in rest.terms)
+                or any(mono_degree(mo) > 2 for mo in dg.terms)):
+            return "TAIL_DEGREE"
+        tail = {mo + (1,): cm for mo, cm in rest.terms.items()}
+        tail.update((mo + (0,), cm) for mo, cm in dg.terms.items())
+        if invertible and tail:
+            return "BAD_INVERSE"
+        rules.append(RewriteRule(m, i, c, tuple(sorted(
+            tail.items(), key=lambda t: grlex_key(t[0])))))
+    ext = Presentation(
+        p.field, list(p.gens) + [GeneratorInfo(name, m + 1, invertible)],
+        rules=rules,
+        elim={k: {mo + (0,): c for mo, c in tail} for k, tail in p.elim.items()},
+    )
+    ext.tower = p.tower + (OreStep(
+        p, name, tuple(sigma_images[g.name] for g in p.gens),
+        tuple(delta_images[g.name] for g in p.gens)),)
+    report = reference_validate(ext)
+    if not report.ok:
+        return report.first_failure()[0]
+    return ext.rules, report.sigma_status
+
+
+_ORE_BASES = ["poly3", "laurent2", "skew3", "weyl1_q", "minus_one", "gwa"]
+
+
+def _small_elements(p, degree):
+    terms = st.dictionaries(st.sampled_from(p.filtration_basis(degree)),
+                            st.sampled_from([1, 1, -1, 2]), max_size=2)
+    return terms.map(lambda t: p.from_terms(
+        {mo: p.field.from_int(c) for mo, c in t.items()}))
+
+
+@st.composite
+def _sigma_images(draw, p):
+    # "sum" sends every generator to the sum of them all, which is not onto
+    kind = draw(st.sampled_from(["scale", "scale", "perturb", "sum", "any"]))
+    out = {}
+    for g in p.gens:
+        x = p.generator(g.name).scale(p.field.from_int(draw(st.sampled_from([1, 1, -1, 2]))))
+        if kind == "sum":
+            x = sum((p.generator(h.name) for h in p.gens), p.zero())
+        elif kind == "perturb":
+            x = x + draw(_small_elements(p, 1))
+        elif kind == "any":
+            x = draw(_small_elements(p, 2))
+        out[g.name] = x
+    return out
+
+
+@pytest.mark.parametrize("name", _ORE_BASES)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_ore_extend_agrees_with_the_old_step_check(name, data):
+    p = _presentation(name)
+    sigma_images = data.draw(_sigma_images(p))
+    zero = st.just(p.zero())
+    images = st.one_of(zero, _small_elements(p, 2), _small_elements(p, 3))
+    if data.draw(st.booleans()):
+        images = zero
+    delta_images = {g.name: data.draw(images) for g in p.gens}
+    invertible = data.draw(st.booleans())
+    expected = reference_ore_extend(p, "t", sigma_images, delta_images, invertible)
+    try:
+        ext = ore_extend(p, "t", sigma_images, delta_images, invertible)
+    except ValidationError as err:
+        assert err.code == expected
+    else:
+        assert (ext.rules, ext.validate().sigma_status) == expected
