@@ -11,16 +11,7 @@ import argparse
 import json
 import sys
 
-from .cancel import (
-    certify,
-    counterexample_registry,
-    fixture_passes,
-    local_decomposition,
-    nilradical,
-    univariate_quotient,
-    verify_fixture,
-)
-from .divisor import divisor_closure, is_controlling
+from . import cancel, divisor, invariants
 from .errors import (
     BadParamsError,
     ExprSyntaxError,
@@ -32,7 +23,6 @@ from .errors import (
     ValidationError,
 )
 from .families import FAMILY_IDS, FamilySpec, build
-from .invariants import center_bounded, center_torus, gk_estimate, growth_dims
 from .presentation import (
     GeneratorInfo,
     Presentation,
@@ -554,7 +544,7 @@ def _cmd_mul(args):
 
 def _cmd_center(args):
     p = _as_presentation(_load(args.file))
-    cb = center_bounded(p, args.max_degree)
+    cb = invariants.center_bounded(p, args.max_degree)
     result = {
         "degree_bound": cb.degree_bound,
         "basis": [str(e) for e in cb.basis],
@@ -579,7 +569,7 @@ def _cmd_center_torus(args):
     if "l" not in raw and any(any(row) for row in a):
         raise BadParamsError("center-torus needs q to be a root of unity (l=)")
     l = raw.get("l", 1)
-    out = center_torus(n, l, a)
+    out = invariants.center_torus(n, l, a)
     result = {
         "lattice_basis": out["lattice_basis"],
         "index": out["index"],
@@ -592,7 +582,7 @@ def _cmd_center_torus(args):
 
 def _cmd_growth(args):
     p = _as_presentation(_load(args.file))
-    table = growth_dims(p, args.N)
+    table = invariants.growth_dims(p, args.N)
     result = {"dims": table.dims, "gen_space": table.gen_space}
     return _report("growth", p.describe(), {"N": args.N}, result,
                    [{"claim": "filtration dimensions", "status": "COMPUTED",
@@ -601,8 +591,8 @@ def _cmd_growth(args):
 
 def _cmd_gkdim(args):
     p = _as_presentation(_load(args.file))
-    table = growth_dims(p, args.N)
-    est = gk_estimate(table)
+    table = invariants.growth_dims(p, args.N)
+    est = invariants.gk_estimate(table)
     result = {
         "estimate": _round6(est["estimate"]),
         "snap": est["snap"],
@@ -632,7 +622,7 @@ def _cmd_divisor(args):
     p = _apply_asserts(p, args.assert_flags)
     F = [parse_element(p, t) for t in args.from_exprs]
     caps = _divisor_caps(args)
-    report = divisor_closure(p, F, caps)
+    report = divisor.divisor_closure(p, F, caps)
     return _report("divisor", p.describe(), caps, _closure_result(report),
                    [{"claim": "certified divisor-subalgebra approximation",
                      "status": "COMPUTED", "paper_ref": "Lemma 4.4"}])
@@ -643,7 +633,7 @@ def _cmd_controlling(args):
     p = _apply_asserts(p, args.assert_flags)
     F = [parse_element(p, t) for t in args.from_exprs]
     caps = _divisor_caps(args)
-    out = is_controlling(p, F, caps)
+    out = divisor.is_controlling(p, F, caps)
     result = {"status": out["status"], "closure": _closure_result(out["report"])}
     return _report("controlling", p.describe(), caps, result,
                    [{"claim": "controlling-set certification",
@@ -658,19 +648,19 @@ def _cmd_certify(args):
         "max_rounds": args.max_rounds,
         "N": args.N,
     }
-    inputs = {"center": center_bounded(p, args.degree_cap)}
+    inputs = {"center": invariants.center_bounded(p, args.degree_cap)}
     try:
-        inputs["closure_one"] = divisor_closure(
+        inputs["closure_one"] = divisor.divisor_closure(
             p, [p.one()],
             {"degree_cap": args.degree_cap, "max_rounds": args.max_rounds},
         )
     except NotADomainError:
         pass
     try:
-        inputs["gk"] = gk_estimate(growth_dims(p, args.N))
+        inputs["gk"] = invariants.gk_estimate(invariants.growth_dims(p, args.N))
     except (InsufficientDataError, ResourceLimitError):
         pass
-    verdicts = certify(p, inputs)
+    verdicts = cancel.certify(p, inputs)
     return _report("certify", p.describe(), caps,
                    {"verdicts": _verdict_dicts(verdicts)},
                    [{"claim": f"rule {v.rule} for {v.property}",
@@ -679,7 +669,7 @@ def _cmd_certify(args):
 
 
 def _cmd_verify_iso(args):
-    for fixture in counterexample_registry():
+    for fixture in cancel.counterexample_registry():
         if fixture["id"] == args.fixture:
             out = fixture["verify"]()
             result = {
@@ -687,7 +677,7 @@ def _cmd_verify_iso(args):
                 "iso_status": out["iso"]["status"],
                 "base_noncommutative": out["base_noncommutative"],
                 "base_commutative": out["base_commutative"],
-                "pass": fixture_passes(out),
+                "pass": cancel.fixture_passes(out),
             }
             claim = ("isomorphism (homomorphisms both ways, generator round trip)"
                      " + base non-isomorphism")
@@ -700,7 +690,7 @@ def _cmd_verify_iso(args):
 def _findim_from_args(args):
     field = _parse_field_arg(args.field)
     coeffs = [scalar_parse(field, t.strip()) for t in args.poly.split(",")]
-    return univariate_quotient(field, coeffs)
+    return cancel.univariate_quotient(field, coeffs)
 
 
 def _parse_field_arg(text):
@@ -719,7 +709,7 @@ def _coordinates(a, v):
 
 def _cmd_nilradical(args):
     a = _findim_from_args(args)
-    nil = nilradical(a)
+    nil = cancel.nilradical(a)
     result = {
         "dim": a.dim,
         "basis_names": list(a.basis_names),
@@ -736,7 +726,7 @@ def _cmd_nilradical(args):
 
 def _cmd_decompose(args):
     a = _findim_from_args(args)
-    dec = local_decomposition(a)
+    dec = cancel.local_decomposition(a)
     result = {
         "status": dec["status"],
         "factor_count": len(dec["factors"]),
@@ -757,7 +747,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_registry(args):
-    fixtures = counterexample_registry()
+    fixtures = cancel.counterexample_registry()
     entries = []
     for fx in fixtures:
         entry = {
@@ -767,7 +757,7 @@ def _cmd_registry(args):
             "dotted_edges": [list(e) for e in fx["dotted_edges"]],
         }
         if args.verify:
-            entry["verified"] = verify_fixture(fx)
+            entry["verified"] = cancel.verify_fixture(fx)
         entries.append(entry)
     return _report("registry", {}, {"verify": bool(args.verify)},
                    {"fixtures": entries},

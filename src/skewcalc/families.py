@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import BadParamsError, UnsupportedGWAError
+from .errors import BadParamsError, ResourceLimitError, UnsupportedGWAError
 from .linalg import solve
 from .presentation import (
     Element,
@@ -35,6 +35,11 @@ FAMILY_IDS = (
     "MINUS_ONE_PLANE",
     "GWA",
 )
+
+# largest `n` of the n-generator families: validation is cubic in n, and
+# `check` on `family quantum_torus n=16;`, the slowest of them at the cap,
+# takes 0.5 s on a 2-CPU VM under Python 3.11
+MAX_FAMILY_N = 16
 
 
 @dataclass(frozen=True)
@@ -164,6 +169,10 @@ def _positive_n(spec: FamilySpec) -> int:
     n = spec.param("n")
     if not isinstance(n, int) or n < 1:
         raise BadParamsError("n must be a positive integer")
+    if n > MAX_FAMILY_N:
+        raise ResourceLimitError(
+            f"n = {n} exceeds the cap MAX_FAMILY_N = {MAX_FAMILY_N}",
+            cap="MAX_FAMILY_N", limit=MAX_FAMILY_N)
     return n
 
 

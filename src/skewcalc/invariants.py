@@ -20,6 +20,15 @@ from .presentation import (
     mono_degree,
 )
 
+# largest vector space an invariant works in: the span `growth_dims` grows,
+# and the monomials of degree <= d that `center_bounded` solves over
+MAX_DIM = 20_000
+
+
+def _dim_cap_error(what: str) -> ResourceLimitError:
+    return ResourceLimitError(f"{what} exceeds the cap MAX_DIM = {MAX_DIM}",
+                              cap="MAX_DIM", limit=MAX_DIM)
+
 
 @dataclass
 class GrowthTable:
@@ -54,6 +63,15 @@ class StratTower:
 def center_bounded(p: Presentation, d: int) -> CenterBasis:
     """Basis of {f : deg f <= d, [f, g] = 0 for every generator g}."""
     p.require_validated()
+    # the exponent vectors of total degree <= d, which `filtration_basis(d)`
+    # enumerates (elimination pairs drop some): k of the b invertible
+    # generators nonzero, with a sign each
+    a = sum(1 for g in p.gens if not g.invertible)
+    b = len(p.gens) - a
+    size = sum(math.comb(b, k) * 2 ** k * math.comb(d + a, a + k)
+               for k in range(min(b, d) + 1))
+    if size > MAX_DIM:
+        raise _dim_cap_error(f"the degree-{d} filtration ({size} monomials)")
     basis_monos = p.filtration_basis(d)
     gens = [p.generator(g.name) for g in p.gens]
     # one column per basis monomial: its commutators with the generators,
@@ -104,7 +122,7 @@ def center_torus(n: int, l: int, a: list) -> dict:
 # growth
 
 
-def growth_dims(p: Presentation, N: int, max_dim: int = 20000) -> GrowthTable:
+def growth_dims(p: Presentation, N: int) -> GrowthTable:
     """dims[n] = dim span(products of <= n factors from V),
     V = span(1, generators, inverses of invertible generators)."""
     p.require_validated()
@@ -124,8 +142,8 @@ def growth_dims(p: Presentation, N: int, max_dim: int = 20000) -> GrowthTable:
                 prod = f * v
                 if span.add(prod.terms):
                     new_frontier.append(prod)
-                if len(span) > max_dim:
-                    raise ResourceLimitError("growth span exceeded the dimension ceiling")
+                if len(span) > MAX_DIM:
+                    raise _dim_cap_error("the growth span")
         dims.append(len(span))
         frontier = new_frontier
     gen_space = "span(1, generators, inverses of invertible generators)"

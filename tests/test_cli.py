@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from skewcalc.cli import _Tokenizer, parse_algebra_file, print_algebra
 from skewcalc.errors import BadParamsError, ExprSyntaxError
-from skewcalc.families import FamilySpec
+from skewcalc.families import MAX_FAMILY_N, FamilySpec
+from skewcalc.invariants import MAX_DIM
 from skewcalc.presentation import Presentation
 from skewcalc.scalars import RATIONAL, FieldDescriptor
 
@@ -292,3 +293,33 @@ def test_family_exponents_share_the_exponent_cap(tmp_path):
     assert b"exponent a12 exceeds the cap MAX_EXPONENT = 10000" in out.stderr
     path.write_text("family quantum_torus n=2 a12=10000;")
     assert _run("check", str(path)).returncode == 0
+
+
+@pytest.mark.parametrize("family", ["poly", "laurent", "skew_poly", "quantum_torus"])
+def test_family_n_is_capped(tmp_path, family):
+    path = tmp_path / "family.alg"
+    path.write_text(f"family {family} n={MAX_FAMILY_N + 1};")
+    out = subprocess.run(
+        [sys.executable, "-m", "skewcalc.cli", "check", str(path)],
+        capture_output=True, timeout=20,
+    )
+    assert out.returncode == 4, out.stderr
+    assert f"exceeds the cap MAX_FAMILY_N = {MAX_FAMILY_N}".encode() in out.stderr
+    path.write_text(f"family {family} n={MAX_FAMILY_N};")
+    out = _run("check", str(path))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["result"]["ok"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["center", str(FIXTURES / "weyl1.alg"), "--max-degree", "99999"],
+    ["certify", str(FIXTURES / "weyl1.alg"), "--degree-cap", "99999"],
+    ["center", str(FIXTURES / "t2q3.alg"), "--max-degree", "1000000000"],
+])
+def test_a_center_past_the_dimension_cap_exits_4_promptly(argv):
+    out = subprocess.run(
+        [sys.executable, "-m", "skewcalc.cli", *argv],
+        capture_output=True, timeout=20, preexec_fn=_limit_memory,
+    )
+    assert out.returncode == 4, out.stderr
+    assert f"exceeds the cap MAX_DIM = {MAX_DIM}".encode() in out.stderr

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewcalc.errors import BadParamsError, InsufficientDataError
+from skewcalc import invariants
+from skewcalc.errors import BadParamsError, InsufficientDataError, ResourceLimitError
 from skewcalc.families import (
     laurent,
     minus_one_plane,
@@ -89,6 +92,35 @@ def test_center_bounded_matches_the_dense_reference(name):
     p = _presentation(name)
     for d in range(4):
         assert center_bounded(p, d).basis == reference_center_bounded(p, d)
+
+
+def _exponent_vectors(p, d):
+    """Brute force: how many exponent vectors have total degree <= d."""
+    ranges = [range(-d if g.invertible else 0, d + 1) for g in p.gens]
+    return sum(1 for e in itertools.product(*ranges) if sum(map(abs, e)) <= d)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_center_bounded_refuses_past_the_dimension_cap_before_building(name, monkeypatch):
+    p = _presentation(name)
+    for d in range(4):
+        size = _exponent_vectors(p, d)
+        assert len(p.filtration_basis(d)) <= size  # elimination pairs drop some
+        p._basis_cache.clear()
+        monkeypatch.setattr(invariants, "MAX_DIM", size - 1)
+        with pytest.raises(ResourceLimitError, match=f"MAX_DIM = {size - 1}"):
+            center_bounded(p, d)
+        assert d not in p._basis_cache  # refused before the basis was built
+        monkeypatch.setattr(invariants, "MAX_DIM", size)
+        center_bounded(p, d)
+
+
+def test_growth_dims_stops_at_the_dimension_cap(monkeypatch):
+    monkeypatch.setattr(invariants, "MAX_DIM", 45)
+    assert growth_dims(weyl1(Q), 8).dims[-1] == 45
+    monkeypatch.setattr(invariants, "MAX_DIM", 44)
+    with pytest.raises(ResourceLimitError, match="growth span exceeds the cap MAX_DIM = 44"):
+        growth_dims(weyl1(Q), 8)
 
 
 def test_center_torus_rank2():
