@@ -2,7 +2,7 @@
 
 Public surface: exact scalar fields, PBW presentations with a confluent
 rewriting engine, named algebra families, computable invariants (centers,
-growth, GK estimates, stratiform data), divisor-subalgebra closures, and
+growth, GK estimates), divisor-subalgebra closures, and
 a cancellation-property rule engine with an executable counterexample
 registry. The `skewcalc` command line fronts all of it.
 
@@ -39,19 +39,18 @@ _EXPORTS = {
         "quantum_torus", "quantum_weyl1", "skew_poly", "weyl1",
     ),
     "invariants": (
-        "CenterBasis", "GrowthTable", "StratTower", "center_bounded",
-        "center_torus", "gk_estimate", "growth_dims", "is_locally_algebraic",
-        "is_locally_nilpotent", "strat_tower", "stratiform_length",
-        "tower_compose",
+        "CenterBasis", "GrowthTable", "center_bounded", "center_torus",
+        "gk_estimate", "growth_dims", "is_locally_algebraic",
+        "is_locally_nilpotent",
     ),
     "presentation": (
         "Element", "GeneratorInfo", "Morphism", "OreStep", "Presentation",
         "RewriteRule", "ValidationReport", "commutator", "identity_morphism",
-        "normal_form", "ore_extend", "parse_element", "tensor_product",
+        "ore_extend", "parse_element", "tensor_product",
     ),
     "scalars": (
         "CYCLOTOMIC", "PRIME", "RATFUNC_Q", "RATIONAL", "FieldDescriptor",
-        "Scalar", "scalar_arith", "scalar_parse",
+        "Scalar", "scalar_parse",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,12 +1,12 @@
 """Computable invariants: bounded centers, quantum-torus lattice centers,
-growth tables and GK-dimension estimates, local algebraicity / nilpotency
-of tower maps, and stratiform-length bookkeeping.
+growth tables and GK-dimension estimates, and local algebraicity /
+nilpotency of tower maps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import BadParamsError, InsufficientDataError, ResourceLimitError
 from .linalg import SpanBasis, hnf_row, integer_kernel, nullspace
@@ -20,8 +20,9 @@ from .presentation import (
     mono_degree,
 )
 
-# largest vector space an invariant works in: the span `growth_dims` grows,
-# and the monomials of degree <= d that `center_bounded` solves over
+# largest vector space an invariant works in: the filtration F_N whose
+# dimensions `growth_dims` counts, and the monomials of degree <= d that
+# `center_bounded` solves over
 MAX_DIM = 20_000
 
 
@@ -34,7 +35,6 @@ def _dim_cap_error(what: str) -> ResourceLimitError:
 class GrowthTable:
     dims: list  # dims[n] = dim of span of products of <= n generators
     gen_space: str
-    exact: bool = True
 
 
 @dataclass
@@ -47,15 +47,6 @@ class CenterBasis:
         return [e.leading_monomial() for e in self.basis]
 
 
-@dataclass
-class StratTower:
-    steps: list  # entries "FINITE" | "ORE"
-
-    @property
-    def length(self) -> int:
-        return sum(1 for s in self.steps if s == "ORE")
-
-
 # ---------------------------------------------------------------------------
 # centers
 
@@ -63,13 +54,7 @@ class StratTower:
 def center_bounded(p: Presentation, d: int) -> CenterBasis:
     """Basis of {f : deg f <= d, [f, g] = 0 for every generator g}."""
     p.require_validated()
-    # the exponent vectors of total degree <= d, which `filtration_basis(d)`
-    # enumerates (elimination pairs drop some): k of the b invertible
-    # generators nonzero, with a sign each
-    a = sum(1 for g in p.gens if not g.invertible)
-    b = len(p.gens) - a
-    size = sum(math.comb(b, k) * 2 ** k * math.comb(d + a, a + k)
-               for k in range(min(b, d) + 1))
+    size = p.filtration_size(d)
     if size > MAX_DIM:
         raise _dim_cap_error(f"the degree-{d} filtration ({size} monomials)")
     basis_monos = p.filtration_basis(d)
@@ -123,29 +108,20 @@ def center_torus(n: int, l: int, a: list) -> dict:
 
 
 def growth_dims(p: Presentation, N: int) -> GrowthTable:
-    """dims[n] = dim span(products of <= n factors from V),
-    V = span(1, generators, inverses of invertible generators)."""
+    """dims[n] = dim V^n for n <= N, V = span(1, generators, inverses of
+    invertible generators).
+
+    V^n is F_n, the span of the standard monomials of degree <= n.
+    `validate` refuses any rule tail of degree > 2, so no rewriting step
+    lengthens a word, and the normal form of a product of n letters lies
+    in F_n; a standard monomial of degree <= n is itself a reduced word
+    of at most n letters. The standard monomials are a basis by the
+    diamond lemma (Bergman, Adv. Math. 29, 1978), so dims[n] is their
+    number, `filtration_size(n)`, and nothing is multiplied."""
     p.require_validated()
-    v_elements = []
-    for g in p.gens:
-        v_elements.append(p.generator(g.name))
-        if g.invertible:
-            v_elements.append(p.gen_inverse(g.name))
-    span = SpanBasis(p.field, grlex_key)
-    span.add(p.one().terms)
-    dims = [len(span)]
-    frontier = [p.one()]
-    for _ in range(N):
-        new_frontier = []
-        for f in frontier:
-            for v in v_elements:
-                prod = f * v
-                if span.add(prod.terms):
-                    new_frontier.append(prod)
-                if len(span) > MAX_DIM:
-                    raise _dim_cap_error("the growth span")
-        dims.append(len(span))
-        frontier = new_frontier
+    if p.filtration_size(N) > MAX_DIM:
+        raise _dim_cap_error("the growth span")
+    dims = [p.filtration_size(n) for n in range(N + 1)]
     gen_space = "span(1, generators, inverses of invertible generators)"
     return GrowthTable(dims, gen_space)
 
@@ -270,25 +246,3 @@ def is_locally_nilpotent(p: Presentation, delta: dict, bound: int = 20) -> dict:
         if status != "TRUE":
             all_nil = False
     return {"status": "TRUE" if all_nil else "UNKNOWN", "trace": trace}
-
-
-# ---------------------------------------------------------------------------
-# stratiform bookkeeping
-
-
-def stratiform_length(t: StratTower) -> int:
-    return t.length
-
-
-def tower_compose(a: StratTower, ore_steps: int) -> StratTower:
-    if ore_steps < 0:
-        raise BadParamsError("ore_steps must be nonnegative")
-    return StratTower(list(a.steps) + ["ORE"] * ore_steps)
-
-
-def strat_tower(p: Presentation) -> StratTower:
-    """The tower recorded for a built family (via its STRATIFORM flag)."""
-    length = p.flag("STRATIFORM")
-    if isinstance(length, bool) or not isinstance(length, int):
-        raise BadParamsError("presentation has no recorded stratiform length")
-    return StratTower(["ORE"] * length)

@@ -19,6 +19,7 @@ monomials, always kept in normal form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from heapq import heappop, heappush
 
@@ -646,6 +647,34 @@ class Presentation:
         self._basis_cache[d] = hit = tuple(out)
         return hit
 
+    def filtration_size(self, d: int) -> int:
+        """len(filtration_basis(d)), counted without building the basis.
+
+        A standard monomial of degree <= d is a support S that holds no
+        elimination pair, a sign on each invertible generator in S, and
+        positive exponents on S summing to at most d, of which there are
+        C(d, |S|). So the count is sum c[s] * C(d, s), where c[s] is the
+        number of signed supports of size s: the coefficient of t^s in the
+        product, over the components of the elimination-pair graph, of
+        their generating polynomials. A generator in no pair gives 1 + t,
+        or 1 + 2t if it is invertible. `validate` admits only pairs of
+        consecutive non-invertible generators, so each component is a run
+        of consecutive generators, and the loop builds the product one
+        generator at a time."""
+        if d < 0:
+            return 0
+        m = len(self.gens)
+        # free[s] / held[s]: signed supports of size s among the generators
+        # seen so far, without / with the latest one
+        free, held = [1] + [0] * m, [0] * (m + 1)
+        for k, g in enumerate(self.gens):
+            either = [a + b for a, b in zip(free, held)]
+            allowed = free if (k - 1, k) in self.elim else either
+            w = 2 if g.invertible else 1
+            free, held = either, [0] + [w * c for c in allowed[:-1]]
+        return sum((a + b) * math.comb(d, s)
+                   for s, (a, b) in enumerate(zip(free, held)))
+
     # -- rendering -----------------------------------------------------------
 
     def describe(self):
@@ -930,24 +959,7 @@ def tensor_product(
 
 
 # ---------------------------------------------------------------------------
-# raw input and parsing
-
-
-def normal_form(p: Presentation, raw_terms) -> Element:
-    """Normalize a raw term list [(Scalar, [(gen position, exponent), ...])]."""
-    p.require_validated()
-    out = p.zero()
-    for coef, factors in raw_terms:
-        word = []
-        for pos, e in factors:
-            g = p.gens[pos]
-            if e < 0 and not g.invertible:
-                raise NegativeExponentError(
-                    f"negative exponent on non-invertible generator {g.name}"
-                )
-            word.extend([(pos, 1 if e > 0 else -1)] * abs(e))
-        out = out + Element(p, p.word_normal_form(word)).scale(coef)
-    return out
+# commutators and element parsing
 
 
 def commutator(a: Element, b: Element) -> Element:

@@ -646,22 +646,6 @@ def _poly_str(coeffs) -> str:
     return out
 
 
-# ---------------------------------------------------------------------------
-# operation-style entry points
-
-
-def scalar_arith(op: str, a: Scalar, b: Scalar) -> Scalar:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise BadParamsError(f"unknown op {op!r}")
-
-
 _NORMALIZE = str.maketrans({"−": "-", "·": "*", "⋅": "*"})
 
 

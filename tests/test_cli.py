@@ -323,3 +323,14 @@ def test_a_center_past_the_dimension_cap_exits_4_promptly(argv):
     )
     assert out.returncode == 4, out.stderr
     assert f"exceeds the cap MAX_DIM = {MAX_DIM}".encode() in out.stderr
+
+
+def test_a_growth_table_past_the_dimension_cap_exits_4_promptly():
+    # dim F_N of the Weyl algebra is (N + 1)(N + 2)/2, counted, not built
+    out = subprocess.run(
+        [sys.executable, "-m", "skewcalc.cli", "growth",
+         str(FIXTURES / "weyl1.alg"), "--N", "100000"],
+        capture_output=True, timeout=5, preexec_fn=_limit_memory,
+    )
+    assert out.returncode == 4, out.stderr
+    assert f"growth span exceeds the cap MAX_DIM = {MAX_DIM}".encode() in out.stderr

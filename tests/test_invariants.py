@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,19 +15,17 @@ from skewcalc.families import (
     weyl1,
 )
 from skewcalc.invariants import (
-    StratTower,
     center_bounded,
     center_torus,
     gk_estimate,
     growth_dims,
     is_locally_algebraic,
     is_locally_nilpotent,
-    strat_tower,
-    stratiform_length,
-    tower_compose,
 )
+from skewcalc.linalg import SpanBasis
 from skewcalc.presentation import (
     Element,
+    GeneratorInfo,
     Presentation,
     _delta_of,
     commutator,
@@ -37,7 +36,7 @@ from skewcalc.presentation import (
 )
 from skewcalc.scalars import CYCLOTOMIC, RATIONAL, FieldDescriptor
 from test_linalg import ref_nullspace
-from test_rewriting import FAMILIES, _presentation
+from test_rewriting import FAMILIES, _presentation, _terminating_presentations
 
 Q = FieldDescriptor(RATIONAL)
 C3 = FieldDescriptor(CYCLOTOMIC, 3)
@@ -95,9 +94,12 @@ def test_center_bounded_matches_the_dense_reference(name):
 
 
 def _exponent_vectors(p, d):
-    """Brute force: how many exponent vectors have total degree <= d."""
+    """Brute force: how many exponent vectors have total degree <= d and
+    no elimination pair with both exponents positive."""
     ranges = [range(-d if g.invertible else 0, d + 1) for g in p.gens]
-    return sum(1 for e in itertools.product(*ranges) if sum(map(abs, e)) <= d)
+    return sum(1 for e in itertools.product(*ranges)
+               if sum(map(abs, e)) <= d
+               and not any(e[i] > 0 and e[j] > 0 for i, j in p.elim))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -105,7 +107,7 @@ def test_center_bounded_refuses_past_the_dimension_cap_before_building(name, mon
     p = _presentation(name)
     for d in range(4):
         size = _exponent_vectors(p, d)
-        assert len(p.filtration_basis(d)) <= size  # elimination pairs drop some
+        assert len(p.filtration_basis(d)) == size
         p._basis_cache.clear()
         monkeypatch.setattr(invariants, "MAX_DIM", size - 1)
         with pytest.raises(ResourceLimitError, match=f"MAX_DIM = {size - 1}"):
@@ -121,6 +123,62 @@ def test_growth_dims_stops_at_the_dimension_cap(monkeypatch):
     monkeypatch.setattr(invariants, "MAX_DIM", 44)
     with pytest.raises(ResourceLimitError, match="growth span exceeds the cap MAX_DIM = 44"):
         growth_dims(weyl1(Q), 8)
+
+
+def reference_growth_dims(p, N):
+    """`growth_dims` before it counted the standard monomials: V^n grown by
+    multiplying a frontier by each element of V and reducing each product
+    into a span."""
+    p.require_validated()
+    v_elements = []
+    for g in p.gens:
+        v_elements.append(p.generator(g.name))
+        if g.invertible:
+            v_elements.append(p.gen_inverse(g.name))
+    span = SpanBasis(p.field, grlex_key)
+    span.add(p.one().terms)
+    dims = [len(span)]
+    frontier = [p.one()]
+    for _ in range(N):
+        new_frontier = []
+        for f in frontier:
+            for v in v_elements:
+                prod = f * v
+                if span.add(prod.terms):
+                    new_frontier.append(prod)
+        dims.append(len(span))
+        frontier = new_frontier
+    return dims
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_growth_dims_matches_the_span_reference(name):
+    p = _presentation(name)
+    assert growth_dims(p, 10).dims == reference_growth_dims(p, 10)
+    for d in range(7):
+        assert p.filtration_size(d) == len(p.filtration_basis(d))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(p=_terminating_presentations(elim=True))
+def test_growth_dims_matches_the_span_reference_on_random_presentations(p):
+    if not p.validate().ok:
+        return
+    assert growth_dims(p, 6).dims == reference_growth_dims(p, 6)
+    for d in range(7):
+        assert p.filtration_size(d) == len(p.filtration_basis(d))
+
+
+def test_filtration_size_counts_supports_without_an_elimination_pair():
+    # gens x1..x4, x5^+-1 with pairs (x1, x2) and (x2, x3): the supports
+    # in x1..x3 are {}, {x1}, {x2}, {x3}, {x1, x3}, so c = (1 + 3t + t^2)
+    # (1 + t)(1 + 2t) = 1 + 6t + 12t^2 + 9t^3 + 2t^4
+    gens = [GeneratorInfo(f"x{k}", k, invertible=k == 5) for k in range(1, 6)]
+    p = Presentation(Q, gens, elim={(0, 1): {}, (1, 2): {}})
+    for d in range(6):
+        assert p.filtration_size(d) == len(p.filtration_basis(d)) == sum(
+            c * math.comb(d, s) for s, c in enumerate([1, 6, 12, 9, 2]))
+    assert p.filtration_size(-1) == len(p.filtration_basis(-1)) == 0
 
 
 def test_center_torus_rank2():
@@ -226,10 +284,6 @@ def test_delta_of_with_identity_sigma_is_the_untwisted_leibniz_rule(data):
         reference_apply_derivation(p, delta, x)
 
 
-def test_stratiform_bookkeeping():
-    t = StratTower(["ORE", "FINITE", "ORE"])
-    assert stratiform_length(t) == 2
-    t2 = tower_compose(t, 1)
-    assert stratiform_length(t2) == 3
-    assert stratiform_length(strat_tower(weyl1(Q))) == 2
-    assert stratiform_length(strat_tower(quantum_weyl1())) == 1
+def test_stratiform_lengths_of_the_families():
+    assert weyl1(Q).flag("STRATIFORM") == 2
+    assert quantum_weyl1().flag("STRATIFORM") == 1

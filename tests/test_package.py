@@ -38,19 +38,18 @@ EXPORTS = {
         "quantum_torus", "quantum_weyl1", "skew_poly", "weyl1",
     ],
     "invariants": [
-        "CenterBasis", "GrowthTable", "StratTower", "center_bounded",
-        "center_torus", "gk_estimate", "growth_dims", "is_locally_algebraic",
-        "is_locally_nilpotent", "strat_tower", "stratiform_length",
-        "tower_compose",
+        "CenterBasis", "GrowthTable", "center_bounded", "center_torus",
+        "gk_estimate", "growth_dims", "is_locally_algebraic",
+        "is_locally_nilpotent",
     ],
     "presentation": [
         "Element", "GeneratorInfo", "Morphism", "OreStep", "Presentation",
         "RewriteRule", "ValidationReport", "commutator", "identity_morphism",
-        "normal_form", "ore_extend", "parse_element", "tensor_product",
+        "ore_extend", "parse_element", "tensor_product",
     ],
     "scalars": [
         "CYCLOTOMIC", "PRIME", "RATFUNC_Q", "RATIONAL", "FieldDescriptor",
-        "Scalar", "scalar_arith", "scalar_parse",
+        "Scalar", "scalar_parse",
     ],
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)

@@ -22,7 +22,6 @@ from skewcalc.scalars import (
     RATIONAL,
     FieldDescriptor,
     is_prime,
-    scalar_arith,
     scalar_parse,
 )
 
@@ -89,11 +88,6 @@ def test_scalar_parse_syntax_error_position():
     with pytest.raises(ExprSyntaxError) as err:
         scalar_parse(Q, "1 + ")
     assert err.value.code == "SYNTAX_ERROR"
-
-
-def test_scalar_arith_api():
-    assert scalar_arith("mul", Q.from_int(32), Q.from_int(32)) == Q.from_int(1024)
-    assert scalar_arith("sub", Q.from_int(3), Q.from_int(3)).is_zero()
 
 
 def test_characteristics():
