@@ -39,6 +39,10 @@ from .presentation import (
 )
 from .scalars import PRIME, RATIONAL, FieldDescriptor
 
+# Newton steps `_lift_idempotent` takes before it gives up; each step
+# doubles the power of the nilradical that the error lies in
+MAX_LIFT_STEPS = 64
+
 # ---------------------------------------------------------------------------
 # finite-dimensional commutative algebras
 #
@@ -389,16 +393,19 @@ def _split_idempotent(q: FiniteDimAlgebra, e):
     return None
 
 
-def _lift_idempotent(a: FiniteDimAlgebra, e0, max_iter=64):
+def _lift_idempotent(a: FiniteDimAlgebra, e0):
     """Newton lifting e <- 3e^2 - 2e^3 through the nilradical."""
     three, minus_two = a.field.from_int(3), a.field.from_int(-2)
     e = e0
-    for _ in range(max_iter):
+    for _ in range(MAX_LIFT_STEPS):
         e2 = a.mul(e, e)
         if e2 == e:
             return e
         e = _lincomb([(three, e2), (minus_two, a.mul(e2, e))])
-    raise ResourceLimitError("idempotent lifting did not converge")
+    raise ResourceLimitError(
+        f"idempotent lifting did not converge within "
+        f"MAX_LIFT_STEPS = {MAX_LIFT_STEPS} steps",
+        cap="MAX_LIFT_STEPS", limit=MAX_LIFT_STEPS)
 
 
 def _subalgebra_on_idempotent(a: FiniteDimAlgebra, e):

@@ -1,6 +1,12 @@
 """Command-line front end: presentation-file parsing, command dispatch,
 and deterministic TEXT/JSON reports.
 
+A presentation file holds one stanza, `algebra NAME { ... }` or
+`family NAME k=v ...;`. `_FileParser` reads it with the element
+scanner, extended by names, punctuation and `#` comments, so a rule's
+right side follows the `--lhs` grammar and a syntax error gives the
+line and column in the file.
+
 Exit codes: 0 success, 1 usage, 2 parse error, 3 validation/data error,
 4 resource limit, 5 internal error.
 """
@@ -27,6 +33,7 @@ from .presentation import (
     GeneratorInfo,
     Presentation,
     RewriteRule,
+    _ElementParser,
     parse_element,
 )
 from .scalars import (
@@ -37,6 +44,7 @@ from .scalars import (
     RATIONAL,
     FieldDescriptor,
     _exponent_cap_error,
+    _ScalarParser,
     scalar_parse,
 )
 
@@ -47,88 +55,78 @@ FORMAT_VERSION = 1
 # presentation-file grammar
 
 
-class _Tokenizer:
+class _FileParser(_ElementParser):
+    """The `.alg` grammar on the element scanner. Names, punctuation and
+    rule right sides are read at offsets into the whole file, `#` starts
+    a comment that runs to the end of its line, and a syntax error gives
+    the line and column. Rule right sides are read once the stanza's
+    field and generators are known (`pres` is None until then)."""
+
     def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-        self.index = 0
+        _ScalarParser.__init__(self, None, text)
+        self.pres = None
 
-    def _loc(self, pos):
+    def skip_ws(self):
+        super().skip_ws()
+        while self.text.startswith("#", self.pos):
+            end = self.text.find("\n", self.pos)
+            self.pos = len(self.text) if end < 0 else end
+            super().skip_ws()
+
+    def here(self) -> int:
+        """The offset of the next character that is no blank or comment."""
+        self.skip_ws()
+        return self.pos
+
+    def fail(self, msg, pos=None):
+        pos = self.pos if pos is None else pos
         line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
+        col = pos - self.text.rfind("\n", 0, pos)
+        raise ExprSyntaxError(f"{msg} at line {line}, column {col}", pos, line, col)
 
-    def _scan(self):
-        text = self.text
-        i = 0
-        n = len(text)
-        while i < n:
-            c = text[i]
-            if c in " \t\r\n":
-                i += 1
-                continue
-            if c == "#":
-                j = text.find("\n", i)
-                i = n if j < 0 else j
-                continue
-            if c in "{};,=":
-                self.tokens.append((c, c, i))
-                i += 1
-                continue
-            if c.isalnum() or c in "_+-*/^().":
-                j = i
-                depth = 0
-                # an expression atom runs until whitespace or a structural
-                # character at depth zero
-                while j < n:
-                    ch = text[j]
-                    if ch == "(":
-                        depth += 1
-                    elif ch == ")":
-                        if depth == 0:
-                            break
-                        depth -= 1
-                    elif depth == 0 and (ch in " \t\r\n{};,=#"):
-                        break
-                    j += 1
-                if j == i:  # a ')' that closes nothing
-                    line, col = self._loc(i)
-                    raise ExprSyntaxError("unmatched ')'", i, line, col)
-                self.tokens.append(("ATOM", text[i:j], i))
-                i = j
-                continue
-            line, col = self._loc(i)
-            raise ExprSyntaxError(f"unexpected character {c!r}", i, line, col)
+    def unexpected(self, wanted):
+        c = self.peek()
+        if c == ")":
+            self.fail("unmatched ')'")
+        self.fail(f"expected {wanted}, found {c!r}" if c else
+                  f"expected {wanted}, found the end of the file")
 
-    def peek(self):
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
+    def word(self, wanted="a name") -> str:
+        name = self.name()
+        if not name:
+            self.unexpected(wanted)
+        return name
 
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            line, col = self._loc(len(self.text))
-            raise ExprSyntaxError("unexpected end of input", len(self.text), line, col)
-        self.index += 1
-        return tok
+    def accept(self, mark) -> bool:
+        """Step over `mark`, a name or one punctuation character, if it
+        comes next."""
+        start = self.pos
+        if mark.isalpha():
+            if self.name() == mark:
+                return True
+        elif self.peek() == mark:
+            self.pos += 1
+            return True
+        self.pos = start
+        return False
 
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            line, col = self._loc(tok[2])
-            raise ExprSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2], line, col)
-        return tok
+    def expect(self, mark):
+        if not self.accept(mark):
+            self.unexpected(repr(mark))
 
-    def fail(self, msg, tok=None):
-        pos = tok[2] if tok else (
-            self.tokens[self.index - 1][2] if self.index else 0
-        )
-        line, col = self._loc(pos)
-        raise ExprSyntaxError(msg, pos, line, col)
+    def skip_to_semicolon(self) -> int:
+        """Step to the next ';' or '}' and return the end of the last
+        character before it that is no blank or comment."""
+        end = self.here()
+        while self.peek() not in ("", ";", "}"):
+            self.pos += 1
+            end = self.pos
+        return end
 
 
-def _parse_field(text, tz):
+def _parse_field(text):
+    """The field of a spec `rational`, `ratfunc(q)`, `gf(P)` or
+    `cyclotomic(L)`; any other spec is a BadParamsError."""
     m = text.strip()
     if m == "rational":
         return FieldDescriptor(RATIONAL)
@@ -140,107 +138,72 @@ def _parse_field(text, tz):
                 return FieldDescriptor(kind, int(m[len(name) + 1:-1]))
             except (ValueError, BadParamsError):
                 break
-    tz.fail(f"unrecognized field {m!r}")
+    raise BadParamsError(f"unrecognized field {m!r}")
 
 
-def _collect_expr(tz):
-    """Join atom tokens until ';' into one expression string."""
-    parts = []
-    while True:
-        tok = tz.peek()
-        if tok is None or tok[0] == ";":
-            break
-        tok = tz.next()
-        parts.append(tok[1])
-    if not parts:
-        tz.fail("missing expression")
-    return " ".join(parts)
-
-
-def _parse_algebra_stanza(name, tz):
-    tz.expect("{")
+def _parse_algebra_stanza(fp):
+    name = fp.word()
+    fp.expect("{")
     field = None
     gens = []
-    rule_texts = []
+    rule_sites = []  # (left name, right name, offset of the rule, of its right side)
     flags = {}
-    while True:
-        tok = tz.next()
-        if tok[0] == "}":
-            break
-        if tok[0] != "ATOM":
-            tz.fail(f"unexpected {tok[1]!r}", tok)
-        keyword = tok[1]
+    while not fp.accept("}"):
+        at = fp.here()
+        keyword = fp.word("a keyword or '}'")
         if keyword == "field":
-            field = _parse_field(_collect_expr(tz), tz)
-            tz.expect(";")
+            if field is not None:
+                fp.fail("a second field line", at)
+            start = fp.here()
+            try:
+                field = _parse_field(fp.text[start:fp.skip_to_semicolon()])
+            except BadParamsError as exc:
+                fp.fail(str(exc), start)
         elif keyword == "gens":
-            while True:
-                gtok = tz.expect("ATOM")
-                gname = gtok[1]
-                invertible = False
-                nxt = tz.peek()
-                if nxt and nxt[0] == "ATOM" and nxt[1] == "inv":
-                    tz.next()
-                    invertible = True
-                    nxt = tz.peek()
-                gens.append(GeneratorInfo(gname, len(gens) + 1, invertible))
-                if nxt and nxt[0] == ",":
-                    tz.next()
-                    continue
-                tz.expect(";")
-                break
+            gens.append(GeneratorInfo(fp.word(), len(gens) + 1, fp.accept("inv")))
+            while fp.accept(","):
+                gens.append(GeneratorInfo(fp.word(), len(gens) + 1, fp.accept("inv")))
         elif keyword == "rule":
-            lhs = tz.expect("ATOM")[1]
-            tz.expect("=")
-            rhs = _collect_expr(tz)
-            tz.expect(";")
-            rule_texts.append((lhs, rhs, tz.tokens[tz.index - 1][2]))
+            left = fp.word()
+            fp.expect("*")
+            right = fp.word()
+            fp.expect("=")
+            rule_sites.append((left, right, at, fp.here()))
+            fp.skip_to_semicolon()
         elif keyword == "flag":
-            ftok = tz.expect("ATOM")
-            fname = ftok[1]
-            value = True
-            nxt = tz.peek()
-            if nxt and nxt[0] == "=":
-                tz.next()
-                vtok = tz.expect("ATOM")
-                try:
-                    value = int(vtok[1])
-                except ValueError:
-                    tz.fail("flag value must be an integer", vtok)
-            tz.expect(";")
-            flags[fname] = value
+            fname = fp.word()
+            if fname in flags:
+                fp.fail(f"a second line for flag {fname!r}", at)
+            flags[fname] = fp.int_literal() if fp.accept("=") else True
         else:
-            tz.fail(f"unknown keyword {keyword!r}", tok)
+            fp.fail(f"unknown keyword {keyword!r}", at)
+        fp.expect(";")
+    end = fp.pos
     if field is None:
-        tz.fail("algebra stanza is missing a field declaration")
+        fp.fail("algebra stanza is missing a field declaration")
     if not gens:
-        tz.fail("algebra stanza is missing generators")
-    scaffold = Presentation(field, gens)
+        fp.fail("algebra stanza is missing generators")
+    fp.field, fp.pres = field, Presentation(field, gens)
     positions = {g.name: pos for pos, g in enumerate(gens)}
-    rules = []
-    for lhs, rhs, _ in rule_texts:
-        if "*" not in lhs:
-            tz.fail(f"rule left side {lhs!r} must be Gj*Gi")
-        left_name, right_name = (s.strip() for s in lhs.split("*", 1))
-        if left_name not in positions or right_name not in positions:
-            tz.fail(f"rule left side {lhs!r} names an unknown generator")
-        j, i = positions[left_name], positions[right_name]
+    rules = {}
+    for left, right, at, start in rule_sites:
+        lhs = f"{left}*{right}"
+        if left not in positions or right not in positions:
+            fp.fail(f"rule left side {lhs!r} names an unknown generator", at)
+        j, i = positions[left], positions[right]
         if not j > i:
-            tz.fail(f"rule left side {lhs!r} must have the later generator first")
-        value = parse_element(scaffold, rhs)
-        swap_mono = tuple(
-            1 if k in (i, j) else 0 for k in range(len(gens))
-        )
-        leading = value.coefficient(swap_mono)
-        tail = tuple(
-            sorted(
-                ((m, c) for m, c in value.terms.items() if m != swap_mono),
-                key=lambda t: t[0],
-            )
-        )
-        rules.append(RewriteRule(j, i, leading, tail))
+            fp.fail(f"rule left side {lhs!r} must have the later generator first", at)
+        if (j, i) in rules:
+            fp.fail(f"a second rule for {lhs!r}", at)
+        fp.pos = start
+        value = fp.expr()
+        fp.expect(";")
+        swap_mono = tuple(int(k in (i, j)) for k in range(len(gens)))
+        tail = tuple(sorted((m, c) for m, c in value.terms.items() if m != swap_mono))
+        rules[(j, i)] = RewriteRule(j, i, value.coefficient(swap_mono), tail)
+    fp.pos = end
     return Presentation(
-        field, gens, rules=rules, flags=flags,
+        field, gens, rules=list(rules.values()), flags=flags,
         flag_provenance={k: "asserted(user-file)" for k in flags},
         notes=(name,),
     )
@@ -260,25 +223,21 @@ def _family_field(fid, raw):
     return FieldDescriptor(RATIONAL)
 
 
-def _parse_family_stanza(tz):
-    ftok = tz.expect("ATOM")
-    fid = _FAMILY_ALIASES.get(ftok[1].lower())
+def _parse_family_stanza(fp):
+    at = fp.here()
+    family = fp.word("a family name")
+    fid = _FAMILY_ALIASES.get(family.lower())
     if fid is None:
-        tz.fail(f"unknown family {ftok[1]!r}", ftok)
+        fp.fail(f"unknown family {family!r}", at)
     raw = {}
-    while True:
-        tok = tz.peek()
-        if tok is None or tok[0] == ";":
-            if tok:
-                tz.next()
-            break
-        ktok = tz.expect("ATOM")
-        tz.expect("=")
-        vtok = tz.expect("ATOM")
-        try:
-            raw[ktok[1]] = int(vtok[1])
-        except ValueError:
-            tz.fail("family parameters must be integers", vtok)
+    while fp.peek() not in ("", ";"):
+        key_at = fp.here()
+        key = fp.word("a parameter name or ';'")
+        if key in raw:
+            fp.fail(f"a second value for {key!r}", key_at)
+        fp.expect("=")
+        raw[key] = fp.int_literal()
+    fp.accept(";")
     field = _family_field(fid, raw)
     params = {}
     if "n" in raw:
@@ -287,7 +246,7 @@ def _parse_family_stanza(tz):
     if fid in ("SKEW_POLY", "QUANTUM_TORUS"):
         q = field.q() if field.kind in (RATFUNC_Q, CYCLOTOMIC) else None
         if exponents and q is None:
-            tz.fail("commutation exponents need a q-field (l=... or the default)")
+            fp.fail("commutation exponents need a q-field (l=... or the default)", at)
         params["q_matrix"] = tuple(
             sorted(((pair, q ** a) for pair, a in exponents.items()))
         )
@@ -300,7 +259,7 @@ def _parse_family_stanza(tz):
             if k[0] == "a" and k[1:].isdigit() and len(k) == 2
         }
         if not coeffs:
-            tz.fail("gwa needs coefficients a0=, a1=, a2=")
+            fp.fail("gwa needs coefficients a0=, a1=, a2=", at)
         params["a"] = tuple(sorted(coeffs.items()))
         params["q"] = field.q()
     return FamilySpec(fid, field, tuple(sorted(params.items())),
@@ -320,21 +279,21 @@ def _family_exponents(raw: dict) -> dict:
 
 
 def parse_algebra_file(text: str):
-    """Parse one `algebra` or `family` stanza into a validated object."""
-    tz = _Tokenizer(text)
-    tok = tz.next()
-    if tok[0] != "ATOM":
-        tz.fail(f"expected 'algebra' or 'family', found {tok[1]!r}", tok)
-    if tok[1] == "algebra":
-        name = tz.expect("ATOM")[1]
-        p = _parse_algebra_stanza(name, tz)
-        p.require_validated()
-        return p
-    if tok[1] == "family":
-        spec = _parse_family_stanza(tz)
-        build(spec)  # validate eagerly
-        return spec
-    tz.fail(f"expected 'algebra' or 'family', found {tok[1]!r}", tok)
+    """Parse the one `algebra` or `family` stanza of a file into a
+    validated object."""
+    fp = _FileParser(text)
+    at = fp.here()
+    kind = fp.word("'algebra' or 'family'")
+    if kind == "algebra":
+        obj = _parse_algebra_stanza(fp)
+    elif kind == "family":
+        obj = _parse_family_stanza(fp)
+    else:
+        fp.fail(f"expected 'algebra' or 'family', found {kind!r}", at)
+    if fp.peek():
+        fp.fail("text after the stanza; a file holds one stanza")
+    _as_presentation(obj).require_validated()  # a family is built eagerly
+    return obj
 
 
 def print_algebra(obj) -> str:
@@ -430,9 +389,9 @@ def _closure_result(report):
             {
                 "new_subwords": [
                     {
-                        "a": _mono_str(h.f.algebra, h.a),
+                        "a": str(h.f.algebra.monomial(h.a)),
                         "g": str(h.g),
-                        "b": _mono_str(h.f.algebra, h.b),
+                        "b": str(h.f.algebra.monomial(h.b)),
                         "f": str(h.f),
                     }
                     for h in r["new_subwords"]
@@ -446,15 +405,6 @@ def _closure_result(report):
             (str(e) for e in report.certified_basis), key=lambda s: (len(s), s)
         ),
     }
-
-
-def _mono_str(p, m):
-    parts = [
-        g.name if e == 1 else f"{g.name}^{e}"
-        for g, e in zip(p.gens, m)
-        if e != 0
-    ]
-    return "*".join(parts) if parts else "1"
 
 
 def _verdict_dicts(verdicts):
@@ -688,17 +638,9 @@ def _cmd_verify_iso(args):
 
 
 def _findim_from_args(args):
-    field = _parse_field_arg(args.field)
+    field = _parse_field(args.field)
     coeffs = [scalar_parse(field, t.strip()) for t in args.poly.split(",")]
     return cancel.univariate_quotient(field, coeffs)
-
-
-def _parse_field_arg(text):
-    class _Dummy:
-        def fail(self, msg, tok=None):
-            raise BadParamsError(msg)
-
-    return _parse_field(text, _Dummy())
 
 
 def _coordinates(a, v):
@@ -788,7 +730,6 @@ def _build_parser():
         if needs_file:
             sp.add_argument("file")
         sp.add_argument("--format", choices=("text", "json"), default="json")
-        sp.add_argument("--seed", type=int, default=0)
         return sp
 
     add("check", _cmd_check)

@@ -15,6 +15,10 @@ from .errors import NotADomainError, ResourceLimitError
 from .linalg import SpanBasis, nullspace, solve
 from .presentation import Element, Presentation, grlex_key, mono_degree
 
+# passes of `subalgebra_closure_bounded`, each multiplying the newest span
+# elements by every element of S, before it gives up
+MAX_CLOSURE_PASSES = 64
+
 
 @dataclass
 class SubwordHit:
@@ -103,9 +107,7 @@ def subword_search(p: Presentation, f: Element, caps: dict) -> list:
     return hits
 
 
-def subalgebra_closure_bounded(
-    p: Presentation, S: list, degree_cap: int, max_passes: int = 64
-) -> SpanBasis:
+def subalgebra_closure_bounded(p: Presentation, S: list, degree_cap: int) -> SpanBasis:
     """Fixed point of span <- span + span*S within the degree cap."""
     p.require_validated()
     span = SpanBasis(p.field, grlex_key)
@@ -118,7 +120,7 @@ def subalgebra_closure_bounded(
             span.add(s.terms)
             gens.append(s)
     frontier = [Element(p, row) for row in span.basis_rows()]
-    for _ in range(max_passes):
+    for _ in range(MAX_CLOSURE_PASSES):
         new_frontier = []
         for e in frontier:
             for s in gens:
@@ -130,7 +132,10 @@ def subalgebra_closure_bounded(
         if not new_frontier:
             return span
         frontier = new_frontier
-    raise ResourceLimitError("subalgebra closure did not stabilize")
+    raise ResourceLimitError(
+        f"subalgebra closure did not stabilize within "
+        f"MAX_CLOSURE_PASSES = {MAX_CLOSURE_PASSES} passes",
+        cap="MAX_CLOSURE_PASSES", limit=MAX_CLOSURE_PASSES)
 
 
 def _span_elements(p: Presentation, span: SpanBasis) -> list:

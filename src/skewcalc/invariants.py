@@ -41,10 +41,6 @@ class GrowthTable:
 class CenterBasis:
     degree_bound: int
     basis: list  # Elements, ascending leading monomial
-    structure: str | None = None
-
-    def monomials(self):
-        return [e.leading_monomial() for e in self.basis]
 
 
 # ---------------------------------------------------------------------------

@@ -976,22 +976,11 @@ class _ElementParser(_ScalarParser):
 
     def atom(self) -> Element:
         c = self.peek()
-        if c == "(":
-            self.pos += 1
-            v = self.expr()
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            self.pos += 1
-            return v
         if c.isdigit():
-            return self.pres.one().scale(self.field.from_int(self.int_literal()))
+            return self.pres.one().scale(super().atom())
         if c.isalpha():
             start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            name = self.text[start:self.pos]
+            name = self.name()
             try:
                 return self.pres.generator(name)
             except KeyError:
@@ -999,7 +988,7 @@ class _ElementParser(_ScalarParser):
                     return self.pres.one().scale(self.field.q())
                 self.pos = start
                 self.fail(f"unknown generator {name!r}")
-        self.fail("expected element expression")
+        return super().atom()  # '(' expr ')', or the failure
 
 
 def parse_element(pres: Presentation, text: str) -> Element:

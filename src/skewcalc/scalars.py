@@ -747,6 +747,19 @@ class _ScalarParser:
             raise _exponent_cap_error(f"exponent at position {start}", pos=start)
         return n
 
+    def name(self) -> str:
+        """A letter and the letters, digits and '_' after it; '' when no
+        letter comes next."""
+        if not self.peek().isalpha():
+            return ""
+        start = self.pos
+        self.pos += 1
+        while self.pos < len(self.text) and (
+            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+        ):
+            self.pos += 1
+        return self.text[start:self.pos]
+
     def atom(self) -> Scalar:
         c = self.peek()
         if c == "(":
@@ -759,12 +772,7 @@ class _ScalarParser:
         if c.isdigit():
             return self.field.from_int(self.int_literal())
         if c.isalpha():
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            name = self.text[start:self.pos]
+            name = self.name()
             if name == "q":
                 return self.field.q()
             raise FieldMismatchError(

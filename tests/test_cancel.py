@@ -23,7 +23,12 @@ from skewcalc.cancel import (
     verify_isomorphism_bounded,
     verify_morphism,
 )
-from skewcalc.errors import BadParamsError, MissingEvidenceError, ValidationError
+from skewcalc.errors import (
+    BadParamsError,
+    MissingEvidenceError,
+    ResourceLimitError,
+    ValidationError,
+)
 from skewcalc.families import laurent, minus_one_plane, quantum_torus, weyl1
 from skewcalc.invariants import center_bounded, gk_estimate, growth_dims
 from skewcalc.poly import roots
@@ -176,6 +181,15 @@ def test_local_decomposition_with_nilpotents():
     assert len(dec["factors"]) == 2
 
 
+def test_idempotent_lifting_names_its_step_cap(monkeypatch):
+    a = univariate_quotient(Q, _q(Q, 0, 0, -1, 1))  # k[x]/(x^2 (x - 1))
+    assert len(local_decomposition(a)["factors"]) == 2
+    monkeypatch.setattr(cancel, "MAX_LIFT_STEPS", 0)
+    with pytest.raises(ResourceLimitError, match="MAX_LIFT_STEPS = 0") as err:
+        local_decomposition(a)
+    assert err.value.details == {"cap": "MAX_LIFT_STEPS", "limit": 0}
+
+
 def test_idempotent_factor_coordinates_match_solve():
     """The factor algebra's table and unit are the coordinates in `chosen`
     of the products and of e: the dense reference solve finds them, and
@@ -215,7 +229,7 @@ def test_idempotent_factor_table_matches_solving_every_product(tag):
     """The factor table is solved for u <= v only and mirrored: on the
     `decompose` golden inputs it equals the dense solves of all n^2
     products."""
-    field = cli._parse_field_arg(_FIELDS[tag])
+    field = cli._parse_field(_FIELDS[tag])
     factors = 0
     for text in _MODULI[tag]:
         a = univariate_quotient(field, [scalar_parse(field, t) for t in text.split(",")])

@@ -7,8 +7,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewcalc.cli import _Tokenizer, parse_algebra_file, print_algebra
-from skewcalc.errors import BadParamsError, ExprSyntaxError
+from skewcalc.cli import parse_algebra_file, print_algebra
+from skewcalc.errors import BadParamsError, ExprSyntaxError, SkewcalcError
 from skewcalc.families import MAX_FAMILY_N, FamilySpec
 from skewcalc.invariants import MAX_DIM
 from skewcalc.presentation import Presentation
@@ -125,17 +125,20 @@ def test_exit_code_contract(tmp_path):
         "algebra a { field rational; gens x, y; rule y*x = x*y + x*y^2; }"
     )
     assert _run("check", str(invalid)).returncode == 3
-    # 4: resource
-    assert _run("divisor", str(FIXTURES / "poly2.alg"),
-                "--from", "x", "--degree-cap", "100").returncode == 4
+    # 4: resource, naming the cap
+    out = _run("divisor", str(FIXTURES / "poly2.alg"), "--from", "x", "--degree-cap", "100")
+    assert out.returncode == 4
+    assert b"MAX_CLOSURE_PASSES = 64" in out.stderr
     # 0: success
     assert _run("check", str(FIXTURES / "poly2.alg")).returncode == 0
 
 
-def test_text_format_and_seed_flag():
-    out = _run("check", str(FIXTURES / "a1q.alg"), "--format", "text", "--seed", "5")
+def test_text_format():
+    out = _run("check", str(FIXTURES / "a1q.alg"), "--format", "text")
     assert out.returncode == 0
     assert b"format_version: 1" in out.stdout
+    # no subcommand takes --seed
+    assert _run("check", str(FIXTURES / "a1q.alg"), "--seed", "5").returncode == 1
 
 
 def test_assert_flag_attaches():
@@ -261,14 +264,93 @@ def test_a_stray_close_paren_is_a_parse_error(tmp_path, text):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(text=st.text(alphabet="x*y()1 ;={}#\n", max_size=20))
-def test_every_token_is_nonempty(text):
+@given(text=st.text(alphabet="x*y()1 ;={}#\n−", max_size=20)
+       | st.builds("algebra a {{ field rational; gens x, y; {} }}".format,
+                   st.text(alphabet="x*y()1 ;={}#\n−", max_size=20)))
+def test_every_file_parses_or_fails_with_a_place(text):
     try:
-        tokens = _Tokenizer(text).tokens
+        parse_algebra_file(text)
     except ExprSyntaxError as err:
-        assert err.line >= 1 and err.col >= 1
-        return
-    assert all(tok[1] for tok in tokens)
+        assert err.line >= 1 and err.col >= 1 and err.pos <= len(text)
+        assert f"at line {err.line}, column {err.col}" in str(err)
+    except SkewcalcError:
+        pass
+
+
+def _parse_error(text):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_algebra_file(text)
+    return err.value
+
+
+def test_an_unknown_generator_in_a_rule_gives_its_line_and_column():
+    err = _parse_error("algebra a {\n  field rational;\n  gens x, y;\n"
+                       "  rule y*x = x*y + z;\n}\n")
+    assert (err.line, err.col) == (4, 20)
+    assert str(err) == "unknown generator 'z' at line 4, column 20"
+
+
+def test_a_rule_may_come_before_the_generators_it_names():
+    early = parse_algebra_file(
+        "algebra w { rule y*x = x*y + 1; field rational; gens x; gens y; }")
+    late = parse_algebra_file(
+        "algebra w { field rational; gens x, y; rule y*x = x*y + 1; }")
+    assert print_algebra(early) == print_algebra(late)
+
+
+def test_unicode_minus_and_dot_read_in_files_as_in_lhs():
+    ascii_ = parse_algebra_file(
+        "algebra w { field rational; gens x, y; rule y*x = -2*x*y - 1; }")
+    unicode_ = parse_algebra_file(
+        "algebra w { field rational; gens x, y; rule y·x = −2·x·y − 1; }")
+    assert print_algebra(unicode_) == print_algebra(ascii_)
+    path = FIXTURES / "weyl1.alg"
+    assert (json.loads(_run("mul", str(path), "--lhs", "y − x", "--rhs", "2·x").stdout)
+            == json.loads(_run("mul", str(path), "--lhs", "y - x", "--rhs", "2*x").stdout))
+
+
+@pytest.mark.parametrize("text,line,col", [
+    # a second stanza
+    ("family weyl1;\nfamily poly n=2;\n", 2, 1),
+    ("algebra a { field rational; gens x; }\n# two\nfamily weyl1;", 3, 1),
+    # a second rule for one pair
+    ("algebra a {\n field rational;\n gens x, y;\n rule y*x = x*y;\n"
+     " rule y*x = x*y + 1;\n}", 5, 2),
+    # a second field line
+    ("algebra a {\n field rational;\n field gf(7);\n gens x;\n}", 3, 2),
+    # a second line for one flag
+    ("algebra a { field rational; gens x; flag F=1;\n flag F=2; }", 2, 2),
+    # a second value for one family key
+    ("family poly n=2 n=3;", 1, 17),
+])
+def test_input_the_parser_would_drop_is_a_parse_error(tmp_path, text, line, col):
+    err = _parse_error(text)
+    assert (err.line, err.col) == (line, col)
+    path = tmp_path / "dropped.alg"
+    path.write_text(text)
+    out = _run("check", str(path))
+    assert out.returncode == 2
+    assert f"at line {line}, column {col}".encode() in out.stderr
+
+
+def test_several_gens_lines_add_up():
+    p = parse_algebra_file(
+        "algebra a { field rational; gens x; gens y inv, z; # a comment\n }")
+    assert [(g.name, g.invertible) for g in p.gens] == [
+        ("x", False), ("y", True), ("z", False)]
+
+
+@pytest.mark.parametrize("text", [
+    "algebra a { field rational; gens x+y; }",
+    "algebra a { field nosuch; gens x; }",
+    "algebra a { field rational; gens x; rule x*x = ; }",
+    "algebra a { field rational; gens x, y; rule y*x = x*y +; }",
+    "family no_such_family n=2;",
+    "algebra a { field rational; gens x; ",
+])
+def test_malformed_files_are_parse_errors(text):
+    err = _parse_error(text)
+    assert err.line == 1 and 1 <= err.col <= len(text) + 1
 
 
 @pytest.mark.parametrize("value", [

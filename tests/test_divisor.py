@@ -3,7 +3,7 @@ import random
 import pytest
 
 from skewcalc import divisor
-from skewcalc.errors import NotADomainError
+from skewcalc.errors import NotADomainError, ResourceLimitError
 from skewcalc.families import (
     FamilySpec,
     build,
@@ -94,6 +94,17 @@ def test_subalgebra_closure_powers_of_x():
     p = poly(2, Q)
     span = subalgebra_closure_bounded(p, [p.generator("x1")], 4)
     assert len(span) == 5  # 1, x, x^2, x^3, x^4
+
+
+def test_subalgebra_closure_names_its_pass_cap(monkeypatch):
+    # 1, x, ..., x^4 take four passes: the fourth finds nothing new
+    p = poly(2, Q)
+    monkeypatch.setattr(divisor, "MAX_CLOSURE_PASSES", 3)
+    with pytest.raises(ResourceLimitError, match="MAX_CLOSURE_PASSES = 3") as err:
+        subalgebra_closure_bounded(p, [p.generator("x1")], 4)
+    assert err.value.details == {"cap": "MAX_CLOSURE_PASSES", "limit": 3}
+    monkeypatch.setattr(divisor, "MAX_CLOSURE_PASSES", 4)
+    assert len(subalgebra_closure_bounded(p, [p.generator("x1")], 4)) == 5
 
 
 def test_subalgebra_closure_z_powers():
