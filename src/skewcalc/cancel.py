@@ -19,7 +19,6 @@ Four layers:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 
 from . import poly
 from .errors import (
@@ -42,6 +41,15 @@ from .scalars import PRIME, RATIONAL, FieldDescriptor
 # Newton steps `_lift_idempotent` takes before it gives up; each step
 # doubles the power of the nilradical that the error lies in
 MAX_LIFT_STEPS = 64
+
+# largest degree of a basis monomial of `commutative_quotient`; a quotient
+# with a standard monomial past it is taken to be infinite dimensional
+MAX_QUOTIENT_DEGREE = 60
+
+# passes of `verify_generating_set`, each multiplying the newest closure
+# elements by every generator, before it gives up; every pass but the last
+# adds a dimension to the closure
+MAX_GENERATING_SET_PASSES = 64
 
 # ---------------------------------------------------------------------------
 # finite-dimensional commutative algebras
@@ -222,8 +230,12 @@ def commutative_quotient(field, var_names, monomial_rels, univariate_rels) -> Fi
                         continue
                     if any(divisible(mm, r) for r in monomial_rels):
                         continue
-                    if sum(mm) > 60:
-                        raise ResourceLimitError("quotient appears infinite dimensional")
+                    if sum(mm) > MAX_QUOTIENT_DEGREE:
+                        raise ResourceLimitError(
+                            "quotient appears infinite dimensional: a basis monomial "
+                            f"exceeds the degree cap MAX_QUOTIENT_DEGREE = "
+                            f"{MAX_QUOTIENT_DEGREE}",
+                            cap="MAX_QUOTIENT_DEGREE", limit=MAX_QUOTIENT_DEGREE)
                     seen.add(mm)
                     out.append(mm)
                     nxt.append(mm)
@@ -593,7 +605,7 @@ def verify_generating_set(b: FiniteDimAlgebra, n: int, f_list: list, degree_cap:
     for g in gens:
         if span.add(coords(g)):
             frontier.append(g)
-    for _ in range(1 + degree_cap * (len(gens) + 1)):
+    for _ in range(MAX_GENERATING_SET_PASSES):
         new_frontier = []
         for u in frontier:
             for g in gens:
@@ -606,7 +618,10 @@ def verify_generating_set(b: FiniteDimAlgebra, n: int, f_list: list, degree_cap:
             break
         frontier = new_frontier
     else:
-        raise ResourceLimitError("generating-set closure did not stabilize")
+        raise ResourceLimitError(
+            f"generating-set closure did not stabilize within "
+            f"MAX_GENERATING_SET_PASSES = {MAX_GENERATING_SET_PASSES} passes",
+            cap="MAX_GENERATING_SET_PASSES", limit=MAX_GENERATING_SET_PASSES)
     for i in range(n):
         e = tuple(1 if k == i else 0 for k in range(n))
         target = coords({e: b.unit})
@@ -670,26 +685,29 @@ PROPERTIES = (
 )
 
 
-@dataclass
 class Verdict:
-    property: str
-    status: str  # PROVED | ASSERTED | INCONCLUSIVE | REFUTED_BY_EXAMPLE
-    rule: str
-    paper_ref: str
-    evidence: dict = dc_field(default_factory=dict)
+    def __init__(self, property: str, status: str, rule: str, paper_ref: str,
+                 evidence: dict):
+        self.property = property
+        self.status = status  # PROVED | ASSERTED | INCONCLUSIVE | REFUTED_BY_EXAMPLE
+        self.rule = rule
+        self.paper_ref = paper_ref
+        self.evidence = evidence
 
 
-@dataclass(frozen=True)
 class ImplicationDAG:
-    nodes: tuple = ("skew", "sigma", "sigma_alg", "delta", "cancellative")
-    solid_edges: tuple = (
+    """Figure 1: the solid implications between the cancellation
+    properties, and the dotted edges that fail, each with its example."""
+
+    nodes = ("skew", "sigma", "sigma_alg", "delta", "cancellative")
+    solid_edges = (
         ("skew", "sigma"),
         ("skew", "sigma_alg"),
         ("sigma", "cancellative"),
         ("sigma_alg", "delta"),
         ("delta", "cancellative"),
     )
-    dotted_edges: tuple = (
+    dotted_edges = (
         ("cancellative", "sigma", "ex5_5_2"),
         ("sigma", "skew", "ex5_5_1"),
         ("cancellative", "delta", "ex5_5_1"),

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from . import cancel, divisor, invariants
+from . import cancel, divisor, families, invariants
 from .errors import (
     BadParamsError,
     ExprSyntaxError,
@@ -28,7 +28,6 @@ from .errors import (
     SkewcalcError,
     ValidationError,
 )
-from .families import FAMILY_IDS, FamilySpec, build
 from .presentation import (
     GeneratorInfo,
     Presentation,
@@ -209,9 +208,6 @@ def _parse_algebra_stanza(fp):
     )
 
 
-_FAMILY_ALIASES = {fid.lower(): fid for fid in FAMILY_IDS}
-
-
 def _family_field(fid, raw):
     if "l" in raw:
         return FieldDescriptor(CYCLOTOMIC, raw["l"])
@@ -226,7 +222,7 @@ def _family_field(fid, raw):
 def _parse_family_stanza(fp):
     at = fp.here()
     family = fp.word("a family name")
-    fid = _FAMILY_ALIASES.get(family.lower())
+    fid = next((f for f in families.FAMILY_IDS if f.lower() == family.lower()), None)
     if fid is None:
         fp.fail(f"unknown family {family!r}", at)
     raw = {}
@@ -262,8 +258,8 @@ def _parse_family_stanza(fp):
             fp.fail("gwa needs coefficients a0=, a1=, a2=", at)
         params["a"] = tuple(sorted(coeffs.items()))
         params["q"] = field.q()
-    return FamilySpec(fid, field, tuple(sorted(params.items())),
-                      raw=tuple(sorted(raw.items())))
+    return families.FamilySpec(fid, field, tuple(sorted(params.items())),
+                               raw=tuple(sorted(raw.items())))
 
 
 def _family_exponents(raw: dict) -> dict:
@@ -298,7 +294,7 @@ def parse_algebra_file(text: str):
 
 def print_algebra(obj) -> str:
     """Canonical text form; parse(print(parse(s))) == parse(s)."""
-    if isinstance(obj, FamilySpec):
+    if not isinstance(obj, Presentation):  # a families.FamilySpec
         if obj.raw is None:
             raise BadParamsError("family spec was not produced by the parser")
         parts = [f"family {obj.family_id.lower()}"]
@@ -330,7 +326,7 @@ def print_algebra(obj) -> str:
 
 
 def _as_presentation(obj) -> Presentation:
-    return build(obj) if isinstance(obj, FamilySpec) else obj
+    return obj if isinstance(obj, Presentation) else families.build(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +503,7 @@ def _cmd_center(args):
 
 def _cmd_center_torus(args):
     spec = _load(args.file)
-    if not isinstance(spec, FamilySpec) or spec.family_id != "QUANTUM_TORUS":
+    if not isinstance(spec, families.FamilySpec) or spec.family_id != "QUANTUM_TORUS":
         raise BadParamsError("center-torus needs a `family quantum_torus` file")
     raw = dict(spec.raw)
     n = raw["n"]
@@ -799,9 +795,13 @@ def run(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        report = args.fn(args)
-        sys.stdout.buffer.write(emit_report(report, args.format))
-        sys.stdout.buffer.flush()
+        out = emit_report(args.fn(args), args.format)
+        # a text stream without bytes underneath, such as an io.StringIO
+        stream = getattr(sys.stdout, "buffer", None)
+        if stream is None:
+            stream, out = sys.stdout, out.decode()
+        stream.write(out)
+        stream.flush()
         return 0
     except ExprSyntaxError as exc:
         print(f"parse error [{exc.code}]: {exc}", file=sys.stderr)

@@ -9,8 +9,6 @@ no negative claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .errors import NotADomainError, ResourceLimitError
 from .linalg import SpanBasis, nullspace, solve
 from .presentation import Element, Presentation, grlex_key, mono_degree
@@ -20,12 +18,12 @@ from .presentation import Element, Presentation, grlex_key, mono_degree
 MAX_CLOSURE_PASSES = 64
 
 
-@dataclass
 class SubwordHit:
-    f: Element
-    a: tuple  # monomial (left cofactor)
-    g: Element
-    b: tuple  # monomial (right cofactor)
+    def __init__(self, f: Element, a: tuple, g: Element, b: tuple):
+        self.f = f
+        self.a = a  # monomial (left cofactor)
+        self.g = g
+        self.b = b  # monomial (right cofactor)
 
     def verify(self) -> bool:
         p = self.f.algebra
@@ -34,14 +32,14 @@ class SubwordHit:
         return (a_el * self.g * b_el - self.f).is_zero()
 
 
-@dataclass
 class ClosureReport:
-    F: list
-    degree_cap: int
-    caps: dict
-    rounds: list = dc_field(default_factory=list)
-    status: str = "INCONCLUSIVE"  # FULL | INCONCLUSIVE
-    certified_basis: list = dc_field(default_factory=list)  # Elements
+    def __init__(self, F: list, degree_cap: int, caps: dict):
+        self.F = F
+        self.degree_cap = degree_cap
+        self.caps = caps
+        self.rounds = []
+        self.status = "INCONCLUSIVE"  # FULL | INCONCLUSIVE
+        self.certified_basis = []  # Elements
 
     def basis_dim(self) -> int:
         return len(self.certified_basis)

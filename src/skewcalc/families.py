@@ -9,8 +9,6 @@ algebra instead of being transcribed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .errors import BadParamsError, ResourceLimitError, UnsupportedGWAError
 from .linalg import solve
 from .presentation import (
@@ -42,14 +40,29 @@ FAMILY_IDS = (
 MAX_FAMILY_N = 16
 
 
-@dataclass(frozen=True)
 class FamilySpec:
-    family_id: str
-    field: FieldDescriptor
-    params: tuple = ()  # sorted (key, value) pairs
-    # the parser's sorted raw `key=value` pairs, which `print_algebra` and
-    # `center-torus` read back; None when the spec was not parsed
-    raw: tuple | None = dc_field(default=None, compare=False)
+    """A named family with its field and parameters. Specs are equal when
+    family, field and parameters are; `raw` takes no part."""
+
+    def __init__(self, family_id: str, field: FieldDescriptor, params: tuple = (),
+                 raw: tuple | None = None):
+        self.family_id = family_id
+        self.field = field
+        self.params = params  # sorted (key, value) pairs
+        # the parser's sorted raw `key=value` pairs, which `print_algebra` and
+        # `center-torus` read back; None when the spec was not parsed
+        self.raw = raw
+
+    def _key(self):
+        return self.family_id, self.field, self.params
+
+    def __eq__(self, other):
+        if other.__class__ is not FamilySpec:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @staticmethod
     def make(family_id: str, field: FieldDescriptor, **params) -> "FamilySpec":

@@ -6,7 +6,6 @@ nilpotency of tower maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import BadParamsError, InsufficientDataError, ResourceLimitError
 from .linalg import SpanBasis, hnf_row, integer_kernel, nullspace
@@ -31,16 +30,16 @@ def _dim_cap_error(what: str) -> ResourceLimitError:
                               cap="MAX_DIM", limit=MAX_DIM)
 
 
-@dataclass
 class GrowthTable:
-    dims: list  # dims[n] = dim of span of products of <= n generators
-    gen_space: str
+    def __init__(self, dims: list, gen_space: str):
+        self.dims = dims  # dims[n] = dim of span of products of <= n generators
+        self.gen_space = gen_space
 
 
-@dataclass
 class CenterBasis:
-    degree_bound: int
-    basis: list  # Elements, ascending leading monomial
+    def __init__(self, degree_bound: int, basis: list):
+        self.degree_bound = degree_bound
+        self.basis = basis  # Elements, ascending leading monomial
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ cyclotomic scalar values live in `scalars`, over Z.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import BadParamsError
 from .scalars import PRIME, RATIONAL, FieldDescriptor, Scalar
@@ -155,7 +154,8 @@ def _rational_roots(f, field):
     for pp in _divisors(abs(ints[0])):
         for qq in _divisors(abs(ints[-1])):
             for sign in (1, -1):
-                cand = field.from_fraction(Fraction(sign * pp, qq))
+                g = gcd(pp, qq)
+                cand = Scalar(field, (sign * pp // g, qq // g))
                 if cand not in out and evaluate(f, cand, field).is_zero():
                     out.append(cand)
     return out

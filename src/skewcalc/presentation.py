@@ -20,7 +20,6 @@ monomials, always kept in normal form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from heapq import heappop, heappush
 
 from .errors import (
@@ -59,40 +58,50 @@ def grlex_key(m: Monomial):
     return (mono_degree(m), m)
 
 
-@dataclass(frozen=True)
 class GeneratorInfo:
-    name: str
-    index: int  # 1-based position in the declared order
-    invertible: bool = False
+    def __init__(self, name: str, index: int, invertible: bool = False):
+        self.name = name
+        self.index = index  # 1-based position in the declared order
+        self.invertible = invertible
 
 
-@dataclass(frozen=True)
 class RewriteRule:
-    j: int  # 0-based, j > i
-    i: int
-    leading: Scalar
-    tail: tuple  # sorted ((monomial, Scalar), ...)
+    """x_j * x_i = leading * x_i * x_j + tail. Rules are equal when all
+    four parts are."""
+
+    def __init__(self, j: int, i: int, leading: Scalar, tail: tuple):
+        self.j = j  # 0-based, j > i
+        self.i = i
+        self.leading = leading
+        self.tail = tail  # sorted ((monomial, Scalar), ...)
+
+    def __eq__(self, other):
+        if other.__class__ is not RewriteRule:
+            return NotImplemented
+        return (self.j, self.i, self.leading, self.tail) == (
+            other.j, other.i, other.leading, other.tail)
 
     def tail_dict(self):
         return dict(self.tail)
 
 
-@dataclass(frozen=True)
 class OreStep:
     """One step A[t; sigma, delta] of a tower, as `ore_extend` built and
     checked it: sigma and delta given on the generators of `base`."""
 
-    base: "Presentation"
-    name: str
-    sigma_images: tuple  # one Element of `base` per base generator
-    delta_images: tuple
+    def __init__(self, base: "Presentation", name: str, sigma_images: tuple,
+                 delta_images: tuple):
+        self.base = base
+        self.name = name
+        self.sigma_images = sigma_images  # one Element of `base` per base generator
+        self.delta_images = delta_images
 
 
-@dataclass
 class ValidationReport:
-    ok: bool
-    failures: list = dc_field(default_factory=list)  # (code, witness)
-    sigma_status: str | None = None  # BOUNDED_CERTIFIED when towers verify
+    def __init__(self, ok: bool, failures: list, sigma_status: str | None = None):
+        self.ok = ok
+        self.failures = failures  # (code, witness)
+        self.sigma_status = sigma_status  # BOUNDED_CERTIFIED when towers verify
 
     def first_failure(self):
         return self.failures[0] if self.failures else None
@@ -698,13 +707,13 @@ class Presentation:
 # generator maps
 
 
-@dataclass
 class Morphism:
     """An algebra map given on generators; verification lives in `cancel`."""
 
-    source: Presentation
-    target: Presentation
-    images: dict  # source generator name -> Element of target
+    def __init__(self, source: Presentation, target: Presentation, images: dict):
+        self.source = source
+        self.target = target
+        self.images = images  # source generator name -> Element of target
 
     def image_of_letter(self, pos: int, sign: int) -> Element:
         img = self.images[self.source.gens[pos].name]

@@ -23,17 +23,17 @@ structural equality and values are hashable:
   ``((), (1,))``.
 
 Integer polynomials are tuples of ints in ascending degree without
-trailing zeros. A rational prints as ``str(Fraction(num, den))`` would:
-``-7/2``, ``3``. The other kinds print through the monic-denominator
-``Fraction`` form, in ascending degree: ``(1/2 + 1/2*q)/(-1/2 + q)``,
-``1/2*q``. ``Fraction`` enters only there and at ``from_fraction``.
+trailing zeros. A rational prints as ``-7/2`` or ``3``. The other kinds
+print over a monic denominator, each coefficient a reduced ``n/d`` or an
+integer, in ascending degree: ``(1/2 + 1/2*q)/(-1/2 + q)``, ``1/2*q``.
+``from_fraction`` takes any value with integer ``numerator`` and
+``denominator``, such as a ``fractions.Fraction``; the module itself does
+not import ``fractions``.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field as _dc_field
-from fractions import Fraction
 from math import gcd
 
 from .errors import (
@@ -381,16 +381,15 @@ def _rf_mul(a, b):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FieldDescriptor:
-    kind: str
-    param: int | None = None
-    # zero, one and the cyclotomic tables, built on first use
-    _cache: dict = _dc_field(
-        default_factory=dict, init=False, repr=False, compare=False, hash=False
-    )
+    """A field kind and its parameter (the prime, or the cyclotomic
+    order). Equal descriptors hash equal; the cache takes no part."""
 
-    def __post_init__(self):
+    def __init__(self, kind: str, param: int | None = None):
+        self.kind = kind
+        self.param = param
+        # zero, one and the cyclotomic tables, built on first use
+        self._cache = {}
         if self.kind == RATIONAL or self.kind == RATFUNC_Q:
             if self.param is not None:
                 raise BadParamsError(f"{self.kind} takes no parameter")
@@ -402,6 +401,17 @@ class FieldDescriptor:
                 raise BadParamsError("cyclotomic order must be an integer >= 2")
         else:
             raise BadParamsError(f"unknown field kind {self.kind!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldDescriptor:
+            return NotImplemented
+        return self.kind == other.kind and self.param == other.param
+
+    def __hash__(self):
+        return hash((self.kind, self.param))
+
+    def __repr__(self):
+        return f"FieldDescriptor(kind={self.kind!r}, param={self.param!r})"
 
     # -- constants ----------------------------------------------------------
 
@@ -431,7 +441,10 @@ class FieldDescriptor:
             return ((n,), (1,)) if n else _RZERO
         return ((n,), 1) if n else _CZERO
 
-    def from_fraction(self, f: Fraction) -> "Scalar":
+    def from_fraction(self, f) -> "Scalar":
+        """The image of a rational `f`, any value with integer `numerator`
+        and `denominator` in lowest terms (the denominator positive), such
+        as an int or a `fractions.Fraction`."""
         if self.kind == RATIONAL:
             return Scalar(self, (f.numerator, f.denominator))
         if self.kind == PRIME:
@@ -610,17 +623,24 @@ class Scalar:
                 return str(n) if d == 1 else f"{n}/{d}"
             if k == CYCLOTOMIC:
                 c, d = self.value
-                return _poly_str([Fraction(x, d) for x in c] if d != 1 else c)
+                return _poly_str([_over(x, d) for x in c])
             n, d = self.value
             lc = d[-1]
-            ns = _poly_str([Fraction(x, lc) for x in n])
+            ns = _poly_str([_over(x, lc) for x in n])
             if len(d) == 1:
                 return ns
-            return f"({ns})/({_poly_str([Fraction(x, lc) for x in d])})"
+            return f"({ns})/({_poly_str([_over(x, lc) for x in d])})"
         except ValueError:  # an integer past int_max_str_digits
             raise _digits_limit_error("a coefficient to print") from None
 
     __repr__ = __str__
+
+
+def _over(n: int, d: int):
+    """n/d for d > 0 in lowest terms: the int when d divides n, else the
+    text ``n/d``, signed as ``str(Fraction(n, d))`` prints it."""
+    g = gcd(n, d)
+    return n // g if g == d else f"{n // g}/{d // g}"
 
 
 def _poly_str(coeffs) -> str:

@@ -263,6 +263,27 @@ def test_verify_generating_set_fixtures():
     assert verify_generating_set(k, 1, [f2], 4)["status"] == "INCONCLUSIVE"
 
 
+def test_generating_set_closure_names_its_pass_cap(monkeypatch):
+    b = univariate_quotient(Q, _q(Q, 0, 0, 1))  # k[x]/(x^2)
+    f = {(1,): b.unit, (2,): b._e(1)}
+    monkeypatch.setattr(cancel, "MAX_GENERATING_SET_PASSES", 1)
+    with pytest.raises(ResourceLimitError, match="MAX_GENERATING_SET_PASSES = 1") as err:
+        verify_generating_set(b, 1, [f], 4)
+    assert err.value.details == {"cap": "MAX_GENERATING_SET_PASSES", "limit": 1}
+
+
+def test_commutative_quotient_names_its_degree_cap(monkeypatch):
+    # k[x, y]/(xy) is infinite dimensional: every power of x survives
+    with pytest.raises(ResourceLimitError, match="MAX_QUOTIENT_DEGREE = 60") as err:
+        commutative_quotient(Q, ["x", "y"], [(1, 1)], {})
+    assert err.value.details == {"cap": "MAX_QUOTIENT_DEGREE", "limit": 60}
+    # the cap bounds the degree of a basis monomial, not the dimension
+    monkeypatch.setattr(cancel, "MAX_QUOTIENT_DEGREE", 1)
+    assert commutative_quotient(Q, ["x", "y"], [(2, 0), (1, 1), (0, 2)], {}).dim == 3
+    with pytest.raises(ResourceLimitError, match="MAX_QUOTIENT_DEGREE = 1"):
+        commutative_quotient(Q, ["x"], [(3,)], {})
+
+
 # -- morphisms ---------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import pathlib
 import resource
@@ -7,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewcalc.cli import parse_algebra_file, print_algebra
+from skewcalc.cli import parse_algebra_file, print_algebra, run
 from skewcalc.errors import BadParamsError, ExprSyntaxError, SkewcalcError
 from skewcalc.families import MAX_FAMILY_N, FamilySpec
 from skewcalc.invariants import MAX_DIM
@@ -22,6 +24,17 @@ def _run(*argv, inp=None):
         [sys.executable, "-m", "skewcalc.cli", *argv],
         capture_output=True, input=inp,
     )
+
+
+def test_run_writes_text_to_a_stream_without_a_buffer():
+    argv = ["mul", str(FIXTURES / "weyl1.alg"), "--lhs", "y", "--rhs", "x", "--format", "text"]
+    text, binary = io.StringIO(), io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    for stream in (text, binary):
+        with contextlib.redirect_stdout(stream):
+            assert run(argv) == 0
+    binary.flush()
+    assert text.getvalue().encode() == binary.buffer.getvalue()
+    assert "command: mul\n" in text.getvalue()
 
 
 def test_parse_print_parse_identity_on_all_fixtures():

@@ -118,6 +118,17 @@ def test_family_spec_build_roundtrip():
     assert [g.name for g in p.gens] == ["x1", "x2"]
 
 
+def test_family_spec_equality_ignores_raw():
+    spec = FamilySpec.make("POLY", Q, n=2)
+    parsed = FamilySpec("POLY", FieldDescriptor(RATIONAL), (("n", 2),), raw=(("n", 2),))
+    assert parsed == spec and hash(parsed) == hash(spec)
+    assert FamilySpec("POLY", Q, (("n", 2),), raw=(("n", 3),)) == spec
+    assert len({spec, parsed}) == 1
+    assert spec != FamilySpec.make("POLY", Q, n=3)
+    assert spec != FamilySpec.make("LAURENT", Q, n=2)
+    assert spec != FamilySpec.make("POLY", C3, n=2)
+
+
 def test_bad_params():
     with pytest.raises(BadParamsError):
         build(FamilySpec.make("POLY", Q, n=0))

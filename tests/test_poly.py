@@ -206,6 +206,19 @@ def test_evaluate_is_horner():
     assert poly.evaluate([Q.from_int(c) for c in (1, 2, 1)], x, Q) == Q.from_int(16)
 
 
+def test_roots_over_q_find_the_non_integer_roots():
+    def q_poly(*coeffs):
+        return [Q.from_int(c) for c in coeffs]
+
+    assert poly.roots(q_poly(-1, 2), Q) == [Q.from_fraction(Fraction(1, 2))]
+    # 6x^3 - x^2 - x = x (2x - 1) (3x + 1)
+    found = poly.roots(q_poly(0, -1, -1, 6), Q)
+    assert sorted(map(str, found)) == ["-1/3", "0", "1/2"]
+    # 4x^2 + 2x - 2 = 2 (2x - 1) (x + 1): the candidates 2/4 and 2/2 are
+    # 1/2 and 1 again, so each root is listed once
+    assert sorted(map(str, poly.roots(q_poly(-2, 2, 4), Q))) == ["-1", "1/2"]
+
+
 def test_roots_of_the_zero_polynomial_raise():
     with pytest.raises(BadParamsError):
         poly.roots([Q.zero(), Q.zero()], Q)

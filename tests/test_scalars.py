@@ -500,6 +500,47 @@ def test_constants_are_shared_per_field():
         assert repr(f) == repr(FieldDescriptor(kind, param))
 
 
+def test_field_equality_hash_and_repr_ignore_the_cache():
+    used, fresh = FieldDescriptor(CYCLOTOMIC, 5), FieldDescriptor(CYCLOTOMIC, 5)
+    used.q(), used.one()  # fills the cache of one of them only
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == "FieldDescriptor(kind='cyclotomic', param=5)"
+    assert repr(Q) == "FieldDescriptor(kind='rational', param=None)"
+    assert len({Q, FieldDescriptor(RATIONAL), F5, FieldDescriptor(PRIME, 5)}) == 2
+    assert F5 != FieldDescriptor(PRIME, 7) and Q != RQ and C3 != FieldDescriptor(CYCLOTOMIC, 4)
+    assert Q != "rational" and Q != (RATIONAL, None)
+
+
+@pytest.mark.parametrize("kind,param,message", [
+    (RATIONAL, 2, "rational takes no parameter"),
+    (RATFUNC_Q, 3, "ratfunc takes no parameter"),
+    (PRIME, 8, "8 is not prime"),
+    (PRIME, "7", "'7' is not prime"),
+    (PRIME, None, "None is not prime"),
+    (CYCLOTOMIC, 1, "cyclotomic order must be an integer >= 2"),
+    (CYCLOTOMIC, 3.0, "cyclotomic order must be an integer >= 2"),
+    ("real", None, "unknown field kind 'real'"),
+])
+def test_field_descriptor_validates_kind_and_parameter(kind, param, message):
+    with pytest.raises(BadParamsError, match=message):
+        FieldDescriptor(kind, param)
+
+
+@pytest.mark.parametrize("kind,param,value,expected", [
+    (RATIONAL, None, Fraction(-6, 4), "-3/2"),
+    (RATIONAL, None, 7, "7"),
+    (PRIME, 5, Fraction(1, 2), "3"),
+    (RATFUNC_Q, None, Fraction(2, 3), "2/3"),
+    (CYCLOTOMIC, 3, Fraction(-5, 10), "-1/2"),
+    (CYCLOTOMIC, 3, Fraction(0), "0"),
+])
+def test_from_fraction_takes_a_fraction_or_an_int(kind, param, value, expected):
+    field = FieldDescriptor(kind, param)
+    x = field.from_fraction(value)
+    assert str(x) == expected
+    assert x == scalar_parse(field, expected)
+
+
 def test_fields_equal_but_not_identical_combine():
     a, b = FieldDescriptor(CYCLOTOMIC, 5), FieldDescriptor(CYCLOTOMIC, 5)
     assert a is not b
