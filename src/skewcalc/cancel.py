@@ -27,7 +27,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .linalg import SpanBasis, nullspace, solve
+from .linalg import SpanBasis, nullspace, solve, solve_each
 from .presentation import (
     GeneratorInfo,
     Morphism,
@@ -72,7 +72,12 @@ def _lincomb(terms) -> dict:
 
 class FiniteDimAlgebra:
     """A commutative associative unital algebra of finite dimension,
-    given by structure constants; all three laws are engine-checked."""
+    given by structure constants. The constructor checks commutativity
+    on the whole table, then associativity by Light's test on a greedy
+    generating set G of basis vectors, then the unit. Light's test makes
+    n (n - 1) / 2 checks for each member of G that is not a unit, in
+    place of the n^3 of the plain test: for k[x]/(f), G = {1, x} and 28
+    checks at dim 8 where there were 512."""
 
     def __init__(self, field, basis_names, table, unit):
         self.field = field
@@ -104,16 +109,52 @@ class FiniteDimAlgebra:
             for j in range(n):
                 if self.table[i][j] != self.table[j][i]:
                     raise BadParamsError("algebra is not commutative")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.mul(self.table[i][j], self._e(k))
-                    rhs = self.mul(self._e(i), self.table[j][k])
+        # Light's test: the a with (x*a)*y = x*(a*y) for all x, y form a
+        # subalgebra, so checking the a of a generating set decides
+        # associativity. By commutativity the check for (x, y) is the one
+        # for (y, x) and holds for x = y, so the pairs i < k suffice
+        for g in self._generators():
+            if all(self.table[g][k] == self._e(k) for k in range(n)):
+                continue  # e_g is a unit: (x*e_g)*y = x*y = x*(e_g*y)
+            for i in range(n):
+                left = self.table[i][g]
+                for k in range(i + 1, n):
+                    lhs = self.mul(left, self._e(k))
+                    rhs = self.mul(self._e(i), self.table[g][k])
                     if lhs != rhs:
                         raise BadParamsError("algebra is not associative")
         for i in range(n):
             if self.mul(self.unit, self._e(i)) != self._e(i):
                 raise BadParamsError("unit is not a unit")
+
+    def _generators(self) -> list:
+        """Basis indices G that generate the algebra, unit or not, picked
+        greedily: e_g joins G when it is outside the span of the products
+        of the earlier members, and that span is then closed under left
+        multiplication by G. Every basis vector ends up in the span, so G
+        generates whatever the table is; the span holds products of G
+        only, so no law is assumed."""
+        n = self.dim
+        span = SpanBasis(self.field, lambda i: i)
+        gens, products, work = [], [], []
+
+        def grow(v):  # v is a product of members of G
+            if span.add(v):
+                products.append(v)
+                work.extend((h, v) for h in gens)
+
+        for g in range(n):
+            if len(span) == n:
+                break
+            if span.contains(self._e(g)):
+                continue
+            work.extend((g, v) for v in products)
+            gens.append(g)
+            grow(self._e(g))
+            while work and len(span) < n:
+                h, v = work.pop()
+                grow(self.mul(self._e(h), v))
+        return gens
 
     def _e(self, i):
         return {i: self.field.one()}
@@ -189,7 +230,8 @@ def univariate_quotient(field, coeffs) -> FiniteDimAlgebra:
         _, r = poly.divmod(p, coeffs, field)
         return {i: c for i, c in enumerate(r) if not c.is_zero()}
 
-    table = [[reduce_power(i + j) for j in range(d)] for i in range(d)]
+    powers = [reduce_power(k) for k in range(2 * d - 1)]
+    table = [[powers[i + j] for j in range(d)] for i in range(d)]
     return FiniteDimAlgebra(field, names, table, {0: field.one()})
 
 
@@ -422,29 +464,29 @@ def _lift_idempotent(a: FiniteDimAlgebra, e0):
 
 def _subalgebra_on_idempotent(a: FiniteDimAlgebra, e):
     """The unital algebra e*a with unit e, on the basis `chosen` of the
-    independent e*e_j; returns it with `chosen`."""
+    independent e*e_j; returns it with `chosen`. For e = 1 that is `a`
+    itself on its own basis."""
+    if e == a.unit:
+        return a, [a._e(j) for j in range(a.dim)]
     span = SpanBasis(a.field, lambda i: i)
     chosen = []
     for j in range(a.dim):
         w = a.mul(e, a._e(j))
         if span.add(w):
             chosen.append(w)
-
-    def coords(w):  # the coordinates of w in `chosen`
-        x = solve(chosen, w, a.field)
-        if x is None:
-            raise ValidationError("element not in the idempotent factor")
-        return x
-
     # e*a is commutative (FiniteDimAlgebra checks it): solve the products
-    # u*v for u <= v and mirror the rest
+    # u*v for u <= v, and e, in one elimination and mirror the rest
     n = len(chosen)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    coords = solve_each(
+        chosen, [a.mul(chosen[i], chosen[j]) for i, j in pairs] + [e], a.field)
+    if None in coords:
+        raise ValidationError("element not in the idempotent factor")
     table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            table[i][j] = table[j][i] = coords(a.mul(chosen[i], chosen[j]))
+    for (i, j), x in zip(pairs, coords):
+        table[i][j] = table[j][i] = x
     names = [f"b{k}" for k in range(n)]
-    return FiniteDimAlgebra(a.field, names, table, coords(e)), chosen
+    return FiniteDimAlgebra(a.field, names, table, coords[-1]), chosen
 
 
 def _certify_local(f: FiniteDimAlgebra):
@@ -468,17 +510,16 @@ def local_decomposition(a: FiniteDimAlgebra) -> dict:
     """Orthogonal primitive idempotents, lifted through the nilradical."""
     nil = nilradical(a)
     q, project, lift = quotient_by_ideal(a, nil["basis"])
-    idems_q = [q.unit]
-    changed = True
-    while changed:
-        changed = False
-        for e in list(idems_q):
-            split = _split_idempotent(q, e)
-            if split is not None:
-                idems_q.remove(e)
-                idems_q.extend(split)
-                changed = True
-                break
+    # a worklist in creation order: an idempotent that does not split is
+    # final, as `_split_idempotent` is deterministic in (q, e)
+    idems_q, pending = [], [q.unit]
+    while pending:
+        e = pending.pop(0)
+        split = _split_idempotent(q, e)
+        if split is None:
+            idems_q.append(e)
+        else:
+            pending.extend(split)
     idems = [_lift_idempotent(a, lift(e)) for e in idems_q]
     if _lincomb((a.field.one(), e) for e in idems) != a.unit:
         raise ValidationError("idempotents do not sum to 1")  # pragma: no cover

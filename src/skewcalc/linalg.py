@@ -14,12 +14,13 @@ and no tail holds another pivot (the basis is fully reduced). Reducing a
 row therefore removes each pivot it holds with one subtraction, in any
 order, and only nonzero entries are ever touched.
 
-`solve` and `nullspace` speak the kernel's format: a matrix is a list of
-columns, each a dict {row key: Scalar} with any hashable row keys, and a
-vector comes back as a dict {column index: nonzero Scalar}. That is also
-the vector format of `cancel.FiniteDimAlgebra`. `rref` keeps dense rows
-in and out; nothing in the package calls it, and it stays for the tests
-and for the benchmark's tracer, which patches it by name.
+`solve`, `solve_each` and `nullspace` speak the kernel's format: a
+matrix is a list of columns, each a dict {row key: Scalar} with any
+hashable row keys, and a vector comes back as a dict {column index:
+nonzero Scalar}. That is also the vector format of
+`cancel.FiniteDimAlgebra`. `rref` keeps dense rows in and out; nothing
+in the package calls it, and it stays for the tests and for the
+benchmark's tracer, which patches it by name.
 """
 
 from __future__ import annotations
@@ -115,11 +116,24 @@ def solve(columns: list[dict], rhs: dict, field: FieldDescriptor):
     variables set to zero, or None when there is none: in particular when
     `rhs` has a key that no column has.
     """
+    return solve_each(columns, [rhs], field)[0]
+
+
+def solve_each(columns: list[dict], rhss: list[dict], field: FieldDescriptor):
+    """`solve` for every right-hand side of `rhss`, from one elimination
+    of the columns followed by all of them: the list of the solutions,
+    None for each inconsistent one."""
     n = len(columns)
-    pivots = _echelon(_transpose(columns + [rhs]))
-    if n in pivots:
-        return None  # inconsistent
-    return {c: pivots[c][n] for c in sorted(pivots) if n in pivots[c]}
+    pivots = _echelon(_transpose(columns + rhss))
+    order = sorted(pivots)
+    out = []
+    for r in range(n, n + len(rhss)):
+        # a column that is no pivot is the combination of the pivot
+        # columns before it with the coefficients its rows hold; it is in
+        # the span of `columns` when none of them is a right-hand side
+        x = {c: pivots[c][r] for c in order if r in pivots[c]}
+        out.append(None if r in pivots or (x and max(x) >= n) else x)
+    return out
 
 
 def nullspace(columns: list[dict], field: FieldDescriptor):

@@ -69,6 +69,128 @@ def test_bad_structure_constant_tables_raise():
     FiniteDimAlgebra(Q, ["1", "x"], [[e0, e1], [e1, {}]], e0)
 
 
+def _table_mul(table, u, v):
+    """The product of dict vectors u, v under the structure constants."""
+    return cancel._lincomb(
+        (ci * cj, table[i][j]) for i, ci in u.items() for j, cj in v.items())
+
+
+def reference_check_laws(field, table, unit):
+    """The n^3 check of the three laws that `FiniteDimAlgebra` made before
+    Light's test, kept as the oracle: commutativity, then every product
+    (e_i e_j) e_k against e_i (e_j e_k), then the unit, on a table of
+    zero-free dict vectors."""
+    n = len(table)
+    e = [{i: field.one()} for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if table[i][j] != table[j][i]:
+                raise BadParamsError("algebra is not commutative")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if _table_mul(table, table[i][j], e[k]) != _table_mul(table, e[i], table[j][k]):
+                    raise BadParamsError("algebra is not associative")
+    for i in range(n):
+        if _table_mul(table, unit, e[i]) != e[i]:
+            raise BadParamsError("unit is not a unit")
+
+
+def _verdict(check, *args):
+    """The message of the BadParamsError that `check(*args)` raises, or
+    None when it raises none."""
+    try:
+        check(*args)
+    except BadParamsError as err:
+        return str(err)
+    return None
+
+
+@st.composite
+def _tables(draw):
+    """(field, table, unit) over GF(2) or GF(3), dim 2 to 4 (an algebra of
+    dim 1 is associative whatever its table): the table of
+    k[x]/(f) or of a product of two such, its basis permuted (so that the
+    unit is not always e_0), or a random symmetric table; then, each with
+    some chance, an entry pair replaced, one entry made asymmetric and the
+    unit replaced. Most draws are not associative."""
+    field = FieldDescriptor(PRIME, draw(st.sampled_from([2, 3])))
+    n = draw(st.integers(2, 4))
+
+    def vec():
+        return sparse(_q(field, *draw(st.lists(
+            st.integers(0, field.param - 1), min_size=n, max_size=n))))
+
+    def monic(d):
+        return _q(field, *draw(st.lists(
+            st.integers(0, field.param - 1), min_size=d, max_size=d)), 1)
+
+    kind = draw(st.sampled_from(["quotient", "product", "random"]))
+    if kind == "random":
+        table = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                table[i][j] = table[j][i] = vec()
+        unit = {0: field.one()}
+    else:
+        d = draw(st.integers(1, n - 1)) if kind == "product" else n
+        a = univariate_quotient(field, monic(d))
+        if d < n:
+            a = direct_product(a, univariate_quotient(field, monic(n - d)))
+        perm = draw(st.permutations(range(n)))  # new index -> old index
+        back = {old: new for new, old in enumerate(perm)}
+        table = [[{back[k]: c for k, c in a.table[perm[i]][perm[j]].items()}
+                  for j in range(n)] for i in range(n)]
+        unit = {back[k]: c for k, c in a.unit.items()}
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i][j] = table[j][i] = vec()
+    if draw(st.integers(0, 9)) == 0:
+        table[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = vec()
+    if draw(st.integers(0, 4)) == 0:
+        unit = vec()
+    return field, table, unit
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=_tables())
+def test_light_test_gives_the_reference_verdict(case):
+    field, table, unit = case
+    expected = _verdict(reference_check_laws, field, table, unit)
+    assert _verdict(FiniteDimAlgebra, field, ["b"] * len(table), table, unit) == expected
+
+
+def test_light_test_catches_a_failure_off_the_generating_set():
+    # 1, x, y, z with x^2 = 0, y^2 = z, z^2 = 1 and every other product of
+    # x, y, z zero. The greedy generating set is G = {1, x, y} (y^2 = z),
+    # and the first failing triple in n^3 order is (x, z, z), whose middle
+    # z is outside G: (x z) z = 0 but x (z z) = x. Light's test finds the
+    # failure at y instead: (y y) z = 1 but y (y z) = 0
+    one = Q.one()
+    e = [{i: one} for i in range(4)]
+    table = [e, [e[1], {}, {}, {}], [e[2], {}, e[3], {}], [e[3], {}, {}, e[0]]]
+    fails = [(i, j, k) for i, j, k in itertools.product(range(4), repeat=3)
+             if _table_mul(table, table[i][j], e[k]) != _table_mul(table, e[i], table[j][k])]
+    assert fails[0] == (1, 3, 3)
+    with pytest.raises(BadParamsError, match="not associative"):
+        reference_check_laws(Q, table, e[0])
+    with pytest.raises(BadParamsError, match="not associative"):
+        FiniteDimAlgebra(Q, ["1", "x", "y", "z"], table, e[0])
+
+
+def test_greedy_generating_sets():
+    # k[x]/(f) is generated by 1 and x, whatever f; a product of two such
+    # by the two units and the two x
+    f5 = FieldDescriptor(PRIME, 5)
+    for d in range(2, 9):
+        assert univariate_quotient(Q, _q(Q, *range(1, d + 1), 1))._generators() == [0, 1]
+        assert univariate_quotient(f5, _q(f5, *range(d), 1))._generators() == [0, 1]
+    a = direct_product(univariate_quotient(Q, _q(Q, 0, 0, 0, 1)),
+                       univariate_quotient(Q, _q(Q, -2, 0, 1)))
+    assert a._generators() == [0, 1, 3, 4]
+    assert scalar_field_algebra(Q)._generators() == [0]
+
+
 def test_vector_keys_outside_the_basis_raise():
     one = Q.one()
     with pytest.raises(BadParamsError, match="range"):
@@ -170,6 +292,27 @@ def test_local_decomposition_field_is_single_factor():
     dec = local_decomposition(a)
     assert dec["status"] == "DECOMPOSED"
     assert len(dec["factors"]) == 1
+    # the factor on the unit is the algebra itself, not a rebuilt copy
+    assert dec["factors"][0]["algebra"] is a
+    assert cancel._subalgebra_on_idempotent(a, a.unit) == (a, [a._e(0), a._e(1)])
+
+
+@pytest.mark.parametrize("field,coeffs,count", [
+    (Q, (-1, 0, 0, 0, 1), 3),  # (x - 1)(x + 1)(x^2 + 1)
+    (Q, (0, 0, -1, 0, 1), 3),  # x^2 (x - 1)(x + 1)
+    (FieldDescriptor(PRIME, 5), (-1, 0, 0, 0, 1), 4),  # four linear factors
+    (Q, (-2, 0, 1), 1),
+])
+def test_local_decomposition_tries_each_idempotent_once(monkeypatch, field, coeffs, count):
+    # every split adds two idempotents and removes one, and an idempotent
+    # that does not split is final: 2 * factors - 1 attempts at most
+    calls = []
+    split = cancel._split_idempotent
+    monkeypatch.setattr(cancel, "_split_idempotent",
+                        lambda q, e: calls.append(e) or split(q, e))
+    dec = local_decomposition(univariate_quotient(field, _q(field, *coeffs)))
+    assert len(dec["factors"]) == count
+    assert len(calls) <= 2 * count - 1
 
 
 def test_local_decomposition_with_nilpotents():

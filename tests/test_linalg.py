@@ -14,7 +14,7 @@ from skewcalc.cancel import (
     quotient_by_ideal,
     univariate_quotient,
 )
-from skewcalc.linalg import SpanBasis, nullspace, rref, solve
+from skewcalc.linalg import SpanBasis, nullspace, rref, solve, solve_each
 from skewcalc.scalars import CYCLOTOMIC, PRIME, RATFUNC_Q, RATIONAL, FieldDescriptor
 
 FIELDS = (
@@ -228,6 +228,13 @@ def test_rref_solve_nullspace_match_dense_reference(kind, param, data):
         b = [sum((a * y for a, y in zip(row, x)), field.zero()) for row in matrix]
         got = solve(cols, dict(enumerate(b)), field)
         assert got is not None and got == sparse(ref_solve(matrix, b, field))
+        # one elimination for all right-hand sides, in either order; the
+        # sum of `rhs` and b depends on both and is consistent when `rhs` is
+        dense = [rhs, b, [x + y for x, y in zip(rhs, b)]]
+        rhss = [dict(enumerate(v)) for v in dense]
+        expected = [sparse(ref_solve(matrix, v, field)) for v in dense]
+        assert solve_each(cols, rhss, field) == expected
+        assert solve_each(cols, rhss[::-1], field) == expected[::-1]
 
 
 @pytest.mark.parametrize("kind,param", FIELDS)
@@ -241,6 +248,7 @@ def test_edge_shapes_match_dense_reference(kind, param):
     one, two = field.one(), field.from_int(2)
     assert solve([{0: one, 1: one}, {0: one, 1: one}], {0: one, 1: two}, field) is None
     assert solve([], {0: one}, field) is None
+    assert solve_each([{0: one}], [], field) == []
     assert len(nullspace([{0: one}, {0: two}, {0: one}], field)) == 2
 
 
