@@ -88,8 +88,6 @@ def subword_search(p: Presentation, f: Element, caps: dict) -> list:
     for m_a in a_monos:
         for m_b in b_monos:
             g_bound = deg_f + _inv_degree(p, m_a) + _inv_degree(p, m_b)
-            if g_bound < 0:
-                continue
             candidates = p.filtration_basis(g_bound)
             cols = [_sandwich(p, m_a, m, m_b) for m in candidates]
             sol = solve(cols, f.terms, p.field)
@@ -140,13 +138,19 @@ def _span_elements(p: Presentation, span: SpanBasis) -> list:
     return [Element(p, row) for row in span.basis_rows()]
 
 
-def _is_full(p: Presentation, span: SpanBasis) -> bool:
+def _generator_terms(p: Presentation) -> list:
+    """The terms of every generator and of every inverse: a span is full
+    when it holds all of them."""
+    out = []
     for g in p.gens:
-        if not span.contains(p.generator(g.name).terms):
-            return False
-        if g.invertible and not span.contains(p.gen_inverse(g.name).terms):
-            return False
-    return True
+        out.append(p.generator(g.name).terms)
+        if g.invertible:
+            out.append(p.gen_inverse(g.name).terms)
+    return out
+
+
+def _is_full(span: SpanBasis, gen_terms: list) -> bool:
+    return all(span.contains(t) for t in gen_terms)
 
 
 def _subword_pairs(p: Presentation, max_a: int, max_b: int):
@@ -164,8 +168,30 @@ def _subword_pairs(p: Presentation, max_a: int, max_b: int):
                 yield m_a, m_b
 
 
+def _live_columns(cols: list, inside: set) -> list:
+    """The columns of `cols`, pairs (j, column) with dict columns, that a
+    null vector can use once every column is reduced against a span whose
+    rows hold only monomials of `inside`.
+
+    Reducing a column never touches a monomial outside `inside`. When such
+    a monomial occurs in one column only, that column's coefficient is 0
+    in every null vector: the column is dropped, and the count is made
+    again over the rest, until no column is dropped.
+    """
+    while True:
+        owner = {}  # monomial outside -> its one column, None if shared
+        for j, col in cols:
+            for mono in col:
+                if mono not in inside:
+                    owner[mono] = None if mono in owner else j
+        lone = {j for j in owner.values() if j is not None}
+        if not lone:
+            return cols
+        cols = [c for c in cols if c[0] not in lone]
+
+
 def _span_subwords(p: Presentation, span: SpanBasis, max_a: int, max_b: int,
-                   degree_cap: int) -> list:
+                   degree_cap: int, columns: dict, gen_terms: list) -> list:
     """All new subwords extractable from the span in one pass.
 
     For each monomial pair (a, b), the g with a.g.b inside the span form
@@ -174,24 +200,50 @@ def _span_subwords(p: Presentation, span: SpanBasis, max_a: int, max_b: int,
     Every hit certifies f := a.g.b as an explicit span element. The pairs
     come lazily from `_subword_pairs`, so none is built after the span is
     found full.
+
+    `columns` maps a pair (a, b) to its live columns (j, a.m_j.b) over
+    the candidates m_j, the standard monomials of F_cap. The first pass
+    to meet the pair builds every column and keeps the live ones; later
+    passes reuse them, since the products do not change between passes,
+    only the span does. Each pass reduces only the live columns against
+    the span and takes their null space; a pair with no live column makes
+    no null-space call.
+
+    The hits are those that all the columns give. The span lies in
+    F_cap, so reducing a column never touches a monomial of degree
+    > `degree_cap`. A column that alone holds such a monomial is 0 in
+    every null vector, and `_live_columns` drops it, again and again. A
+    dropped column is then a pivot column, since a free column is 1 in
+    its basis vector. The null basis that is 1 at one free column and 0
+    at the others is unique, and the live columns keep their order. So
+    the live basis, mapped back to the candidates, has the same vectors
+    in the same order.
     """
     working = span.copy()
     candidates = p.filtration_basis(degree_cap)
+    inside = set(candidates)
+    one = p.field.one()
     hits = []
     for m_a, m_b in _subword_pairs(p, max_a, max_b):
-        if _is_full(p, working):
-            break
-        cols = [span.reduce(_sandwich(p, m_a, m, m_b)) for m in candidates]
-        for v in nullspace(cols, p.field):
-            g = Element(p, {candidates[j]: c for j, c in v.items()})
+        live = columns.get((m_a, m_b))
+        if live is None:
+            live = columns[m_a, m_b] = _live_columns(
+                [(j, _sandwich(p, m_a, m, m_b)) for j, m in enumerate(candidates)],
+                inside)
+        if not live:
+            continue
+        grew = False
+        for v in nullspace([span.reduce(raw) for _, raw in live], p.field):
+            g = Element(p, {candidates[live[j][0]]: c for j, c in v.items()})
             if g.is_zero() or not working.add(g.terms):
                 continue
-            a_el = Element(p, {m_a: p.field.one()})
-            b_el = Element(p, {m_b: p.field.one()})
-            f = a_el * g * b_el
+            grew = True
+            f = Element(p, {m_a: one}) * g * Element(p, {m_b: one})
             if not span.contains(f.terms):  # pragma: no cover - solve is exact
                 continue
             hits.append(SubwordHit(f, m_a, g, m_b))
+        if grew and _is_full(working, gen_terms):
+            break
     return hits
 
 
@@ -207,20 +259,22 @@ def divisor_closure(p: Presentation, F: list, caps: dict) -> ClosureReport:
     max_a = caps.get("max_deg_a", 2)
     max_b = caps.get("max_deg_b", 2)
     report = ClosureReport(list(F), degree_cap, dict(caps))
+    gen_terms = _generator_terms(p)
+    columns = {}  # (a, b) -> its live columns, for every round
     S = list(F)
     span = subalgebra_closure_bounded(p, S, degree_cap)
     while len(report.rounds) < max_rounds:
-        if _is_full(p, span):
+        if _is_full(span, gen_terms):
             report.status = "FULL"
             break
-        new_hits = _span_subwords(p, span, max_a, max_b, degree_cap)
+        new_hits = _span_subwords(p, span, max_a, max_b, degree_cap, columns, gen_terms)
         if not new_hits:
             report.rounds.append({"new_subwords": [], "span_dim": len(span)})
             break
         S = S + [h.g for h in new_hits]
         span = subalgebra_closure_bounded(p, S, degree_cap)
         report.rounds.append({"new_subwords": new_hits, "span_dim": len(span)})
-    if _is_full(p, span):
+    if _is_full(span, gen_terms):
         report.status = "FULL"
     report.certified_basis = _span_elements(p, span)
     return report

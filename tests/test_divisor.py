@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewcalc import divisor
 from skewcalc.errors import NotADomainError, ResourceLimitError
@@ -15,7 +16,9 @@ from skewcalc.families import (
     weyl1,
 )
 from skewcalc.divisor import (
+    SubwordHit,
     _inv_degree,
+    _live_columns,
     _sandwich,
     _subword_pairs,
     divisor_closure,
@@ -30,7 +33,8 @@ from skewcalc.presentation import (
     ore_extend,
     parse_element,
 )
-from skewcalc.scalars import CYCLOTOMIC, RATIONAL, FieldDescriptor
+from skewcalc.linalg import SpanBasis, nullspace
+from skewcalc.scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor
 from test_linalg import ref_solve
 from test_rewriting import FAMILIES, _presentation
 
@@ -241,3 +245,134 @@ def test_divisor_closure_reports_match_the_sorted_pair_order(monkeypatch):
     assert lazy == eager
     assert [facts[0] for facts in lazy] == ["FULL"] * 3 + ["INCONCLUSIVE"] + \
         ["FULL"] * 4 + ["INCONCLUSIVE"] * 2 + ["FULL"] * 2
+
+
+# -- the live columns of a subword pass ---------------------------------------
+
+
+def reference_is_full(p, span):
+    for g in p.gens:
+        if not span.contains(p.generator(g.name).terms):
+            return False
+        if g.invertible and not span.contains(p.gen_inverse(g.name).terms):
+            return False
+    return True
+
+
+def reference_span_subwords(p, span, max_a, max_b, degree_cap):
+    """`_span_subwords` before it kept a column table for the closure:
+    every pass builds, reduces and solves all the columns a.m.b of each
+    pair it meets."""
+    working = span.copy()
+    candidates = p.filtration_basis(degree_cap)
+    hits = []
+    for m_a, m_b in _subword_pairs(p, max_a, max_b):
+        if reference_is_full(p, working):
+            break
+        cols = [span.reduce(_sandwich(p, m_a, m, m_b)) for m in candidates]
+        for v in nullspace(cols, p.field):
+            g = Element(p, {candidates[j]: c for j, c in v.items()})
+            if g.is_zero() or not working.add(g.terms):
+                continue
+            a_el = Element(p, {m_a: p.field.one()})
+            b_el = Element(p, {m_b: p.field.one()})
+            f = a_el * g * b_el
+            if not span.contains(f.terms):
+                continue
+            hits.append(SubwordHit(f, m_a, g, m_b))
+    return hits
+
+
+def _cap_grid_inputs():
+    """Weyl over Q (its rule has a tail of lower degree), the minus-one
+    plane and the Laurent plane, with degree caps 2-4 and both cofactor
+    caps 1-2."""
+    sources = [
+        (weyl1(Q), ["x", "x^2", "x*y", "y^2 + x", "x^2*y"]),
+        (minus_one_plane(Q), ["x^2", "x*y", "x + y"]),
+        (laurent(2, Q), ["x1^2", "x1^-1*x2", "x1 + x2^-1"]),
+    ]
+    runs = []
+    for p, exprs in sources:
+        for text in exprs:
+            F = [parse_element(p, text)]
+            for cap in (2, 3, 4):
+                for max_a in (1, 2):
+                    for max_b in (1, 2):
+                        runs.append((p, F, {"degree_cap": cap, "max_rounds": 3,
+                                            "max_deg_a": max_a, "max_deg_b": max_b}))
+    return runs
+
+
+@pytest.mark.parametrize("inputs", [_closure_inputs, _cap_grid_inputs],
+                         ids=["benchmark_runs", "cap_grid"])
+def test_live_columns_give_the_reference_closures(monkeypatch, inputs):
+    runs = inputs()
+    live = [_closure_facts(divisor_closure(p, F, caps)) for p, F, caps in runs]
+    monkeypatch.setattr(
+        divisor, "_span_subwords",
+        lambda p, span, max_a, max_b, degree_cap, columns, gen_terms:
+            reference_span_subwords(p, span, max_a, max_b, degree_cap))
+    reference = [_closure_facts(divisor_closure(p, F, caps)) for p, F, caps in runs]
+    assert live == reference
+    # both verdicts occur, and some closure finds subwords in its second round
+    assert {facts[0] for facts in live} == {"FULL", "INCONCLUSIVE"}
+    assert any(len(facts[2]) > 1 and facts[2][1] for facts in live)
+
+
+def test_each_pair_builds_its_columns_once(monkeypatch):
+    # x1^2 in k[x1, x2] at cap 3: two passes over all 36 pairs, 10 candidates
+    p = poly(2, Q)
+    F = [p.from_terms({(2, 0): Q.from_int(-3)})]
+    caps = {"degree_cap": 3, "max_rounds": 2}
+    calls = {"_sandwich": 0, "nullspace": 0}
+
+    def counted(name):
+        inner = getattr(divisor, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(divisor, name, counted(name))
+    report = divisor_closure(p, F, caps)
+    assert [r["span_dim"] for r in report.rounds] == [4, 4]
+    assert calls["_sandwich"] == 36 * 10
+    # 9 of the 36 pairs have no live column and make no null-space call
+    assert calls["nullspace"] == 2 * (36 - 9)
+
+
+@st.composite
+def _column_problems(draw):
+    """Sparse columns over GF(p) on rows 0..n-1, the rows below `low`
+    inside F_cap, with a span on the inside rows to reduce them by."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    field = FieldDescriptor(PRIME, p)
+    n_rows = draw(st.integers(1, 7))
+    low = draw(st.integers(0, n_rows))
+    entry = st.integers(1, p - 1).map(field.from_int)
+
+    def vector(rows):
+        keys = draw(st.sets(st.sampled_from(rows), max_size=3)) if rows else set()
+        return {k: draw(entry) for k in sorted(keys)}
+
+    cols = [vector(range(n_rows)) for _ in range(draw(st.integers(1, 7)))]
+    span = SpanBasis(field, lambda k: k)
+    for _ in range(draw(st.integers(0, 3))):
+        span.add(vector(range(low)))
+    return field, cols, set(range(low)), span
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(problem=_column_problems())
+def test_live_columns_keep_the_null_basis(problem):
+    field, cols, inside, span = problem
+    full = nullspace([span.reduce(c) for c in cols], field)
+    live = _live_columns(list(enumerate(cols)), inside)
+    mapped = [{live[j][0]: x for j, x in v.items()}
+              for v in nullspace([span.reduce(c) for _, c in live], field)]
+    assert [list(v.items()) for v in mapped] == [list(v.items()) for v in full]
+    dropped = set(range(len(cols))) - {j for j, _ in live}
+    assert not any(j in v for v in full for j in dropped)

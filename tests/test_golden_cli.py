@@ -67,6 +67,14 @@ CASES = [
                      "--degree-cap", "3", "--max-rounds", "2"]),
     ("divisor_poly2_text", ["divisor", "@poly2.alg", "--from", "x",
                             "--degree-cap", "2", "--format", "text"]),
+    ("divisor_t2q3", ["divisor", "@t2q3.alg", "--from", "x1^2", "--degree-cap", "2"]),
+    ("divisor_weyl1", ["divisor", "@weyl1.alg", "--from", "x^2",
+                       "--degree-cap", "3", "--max-rounds", "2"]),
+    ("divisor_weyl1_text", ["divisor", "@weyl1.alg", "--from", "x*y",
+                            "--degree-cap", "3", "--max-rounds", "2",
+                            "--format", "text"]),
+    ("divisor_b1q3", ["divisor", "@b1q3.alg", "--from", "z*x", "--degree-cap", "3",
+                      "--max-rounds", "3", "--max-deg-a", "1", "--max-deg-b", "1"]),
     ("controlling_poly2", ["controlling", "@poly2.alg", "--from", "x", "--from", "y",
                            "--degree-cap", "2"]),
     ("controlling_minusone_text", ["controlling", "@minusone.alg", "--from", "x^2",
