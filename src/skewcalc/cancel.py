@@ -415,13 +415,15 @@ def _split_idempotent(q: FiniteDimAlgebra, e):
     one = field.one()
     if not e:
         return None
+    dim = None  # dim(e*q), counted at the first minimal polynomial with no root
     for j in range(q.dim):
         u = q.mul(e, q._e(j))
         # minimal polynomial of u acting on e*q
         minp = q.min_poly(u, e)
         if len(minp) <= 2:
             continue
-        for lam in poly.roots(minp, field):
+        found = poly.roots(minp, field)
+        for lam in found:
             f = [-lam, one]
             g, rem = poly.divmod(minp, f, field)
             if rem:
@@ -444,6 +446,12 @@ def _split_idempotent(q: FiniteDimAlgebra, e):
                 and e2
             ):
                 return e1, e2
+        if not found:
+            if dim is None:
+                rank = SpanBasis(field, lambda i: i)
+                dim = sum(rank.add(q.mul(e, q._e(i))) for i in range(q.dim))
+            if len(minp) - 1 == dim and poly.irreducible(minp, field):
+                return None  # e*q = k[u] is a field: no element splits e
     return None
 
 
@@ -498,11 +506,10 @@ def _certify_local(f: FiniteDimAlgebra):
     for j in range(q.dim):
         minp = q.min_poly(q._e(j))
         if len(minp) - 1 == q.dim:
+            # q = k[e_j]; `roots` is complete over GF(p) and Q: all agree there
             irr = poly.irreducible(minp, q.field)
-            if irr is True:
-                return True
-            if irr is False:
-                return False
+            if irr is not None or q.field.kind in (PRIME, RATIONAL):
+                return irr
     return None
 
 

@@ -13,8 +13,8 @@ from .errors import NotADomainError, ResourceLimitError
 from .linalg import SpanBasis, nullspace, solve
 from .presentation import Element, Presentation, grlex_key, mono_degree
 
-# passes of `subalgebra_closure_bounded`, each multiplying the newest span
-# elements by every element of S, before it gives up
+# passes of a bounded closure (`_close`), each multiplying the newest span
+# elements by the elements of S, before it gives up
 MAX_CLOSURE_PASSES = 64
 
 
@@ -104,30 +104,57 @@ def subword_search(p: Presentation, f: Element, caps: dict) -> list:
 
 
 def subalgebra_closure_bounded(p: Presentation, S: list, degree_cap: int) -> SpanBasis:
-    """Fixed point of span <- span + span*S within the degree cap."""
+    """The span C that right multiplication by S reaches within the cap.
+
+    S' is the nonzero elements of S of degree <= `degree_cap`. The first
+    pass multiplies the reduced basis of span({1} + S') by each s in S',
+    each later pass the products the pass before added; the products of
+    degree <= `degree_cap` join C, until a pass adds none.
+
+    If S' holds single terms only and monomials of p multiply to single
+    terms (`_monomial`), C is spanned by the monomials that S' reaches
+    from 1 within the cap, whatever the order. So if S' holds a multiple
+    of each generator and inverse, C = F_cap, returned with no product
+    formed: a standard monomial of degree d <= cap is its prefix of
+    degree d - 1 times one of them.
+    """
     p.require_validated()
+    gens = [s for s in S if not s.is_zero() and s.degree() <= degree_cap]
     span = SpanBasis(p.field, grlex_key)
-    span.add(p.one().terms)
-    gens = []
-    for s in S:
-        if s.is_zero():
-            continue
-        if s.degree() <= degree_cap:
-            span.add(s.terms)
-            gens.append(s)
-    frontier = [Element(p, row) for row in span.basis_rows()]
+    for s in [p.one()] + gens:
+        span.add(s.terms)
+    return _close(p, span, _span_elements(p, span), gens, gens, degree_cap)
+
+
+def _monomial(p: Presentation, S: list) -> bool:
+    """Whether S holds single terms and p's rules have no tails and no
+    elimination pairs, so that monomials multiply to single terms."""
+    return (not p.elim and not any(r.tail for r in p.rules.values())
+            and all(len(s.terms) == 1 for s in S))
+
+
+def _close(p: Presentation, span: SpanBasis, frontier: list, right: list,
+           S: list, degree_cap: int) -> SpanBasis:
+    """Pass by pass, add to `span` the products of degree <= cap of the
+    frontier by `right`, then of each pass's new elements by S. A
+    `_monomial` S with every generator and inverse makes `span` F_cap at
+    once (see `subalgebra_closure_bounded`)."""
+    if _monomial(p, S) and ({next(iter(t)) for t in _generator_terms(p)}
+                            <= {next(iter(s.terms)) for s in S}):
+        span.pivots = {m: {} for m in p.filtration_basis(degree_cap)}
+        return span
     for _ in range(MAX_CLOSURE_PASSES):
-        new_frontier = []
+        grew = []
         for e in frontier:
-            for s in gens:
+            for s in right:
                 prod = e * s
                 if prod.is_zero() or prod.degree() > degree_cap:
                     continue
                 if span.add(prod.terms):
-                    new_frontier.append(prod)
-        if not new_frontier:
+                    grew.append(prod)
+        if not grew:
             return span
-        frontier = new_frontier
+        frontier, right = grew, S
     raise ResourceLimitError(
         f"subalgebra closure did not stabilize within "
         f"MAX_CLOSURE_PASSES = {MAX_CLOSURE_PASSES} passes",
@@ -261,7 +288,7 @@ def divisor_closure(p: Presentation, F: list, caps: dict) -> ClosureReport:
     report = ClosureReport(list(F), degree_cap, dict(caps))
     gen_terms = _generator_terms(p)
     columns = {}  # (a, b) -> its live columns, for every round
-    S = list(F)
+    S = [f for f in F if f.degree() <= degree_cap]  # the rest make no product
     span = subalgebra_closure_bounded(p, S, degree_cap)
     while len(report.rounds) < max_rounds:
         if _is_full(span, gen_terms):
@@ -271,8 +298,13 @@ def divisor_closure(p: Presentation, F: list, caps: dict) -> ClosureReport:
         if not new_hits:
             report.rounds.append({"new_subwords": [], "span_dim": len(span)})
             break
-        S = S + [h.g for h in new_hits]
-        span = subalgebra_closure_bounded(p, S, degree_cap)
+        new = [h.g for h in new_hits]
+        S = S + new
+        if _monomial(p, S):
+            # the old span is closed under the old S: its rows meet the new S
+            _close(p, span, _span_elements(p, span), new, S, degree_cap)
+        else:
+            span = subalgebra_closure_bounded(p, S, degree_cap)
         report.rounds.append({"new_subwords": new_hits, "span_dim": len(span)})
     if _is_full(span, gen_terms):
         report.status = "FULL"

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from skewcalc import cancel, cli
+from skewcalc import cancel, cli, poly
 from skewcalc.cancel import (
     FiniteDimAlgebra,
     ImplicationDAG,
@@ -322,6 +322,114 @@ def test_local_decomposition_with_nilpotents():
     dec = local_decomposition(a)
     assert dec["status"] == "DECOMPOSED"
     assert len(dec["factors"]) == 2
+
+
+def reference_split_idempotent(q, e):
+    """`_split_idempotent` before it stopped at a field: the minimal
+    polynomial of every e*e_j is tried."""
+    field = q.field
+    one = field.one()
+    if not e:
+        return None
+    for j in range(q.dim):
+        u = q.mul(e, q._e(j))
+        # minimal polynomial of u acting on e*q
+        minp = q.min_poly(u, e)
+        if len(minp) <= 2:
+            continue
+        for lam in poly.roots(minp, field):
+            f = [-lam, one]
+            g, rem = poly.divmod(minp, f, field)
+            if rem:
+                continue
+            if poly.evaluate(g, lam, field).is_zero():
+                continue  # repeated root; not usable for a clean split
+            gcd, s, t = poly.xgcd(f, g, field)
+            if len(gcd) != 1:
+                continue
+            # e1 = (t*g)(u)*e, by Horner in q
+            e1 = {}
+            for c in reversed(poly.mul(t, g, field)):
+                e1 = cancel._lincomb([(one, q.mul(e1, u)), (c, e)])
+            e2 = cancel._lincomb([(one, e), (-one, e1)])
+            if (
+                q.mul(e1, e1) == e1
+                and q.mul(e2, e2) == e2
+                and not q.mul(e1, e2)
+                and e1
+                and e2
+            ):
+                return e1, e2
+    return None
+
+
+def reference_certify_local(f):
+    """`_certify_local` before it took the first full-degree verdict over
+    GF(p) and Q: basis vectors are probed until one is decided."""
+    nil = nilradical(f)
+    q, _, _ = quotient_by_ideal(f, nil["basis"])
+    if q.dim == 1:
+        return True
+    for j in range(q.dim):
+        minp = q.min_poly(q._e(j))
+        if len(minp) - 1 == q.dim:
+            irr = poly.irreducible(minp, q.field)
+            if irr is True:
+                return True
+            if irr is False:
+                return False
+    return None
+
+
+@st.composite
+def _factored_quotients(draw):
+    """k[x]/(f) over Q or GF(p), f of degree <= 12 a product of one to
+    three random monic factors of degree <= 4, each taken once or twice,
+    so that the algebra splits and has nilpotents at times."""
+    field = draw(st.sampled_from([Q, F2, FieldDescriptor(PRIME, 3),
+                                  FieldDescriptor(PRIME, 7)]))
+    f = [field.one()]
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4))
+        g = [field.from_int(c) for c in coeffs] + [field.one()]
+        for _ in range(draw(st.integers(1, 2))):
+            if len(f) + len(g) - 2 <= 12:
+                f = poly.mul(f, g, field)
+    assume(len(f) > 1)
+    return univariate_quotient(field, f)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(a=_factored_quotients())
+def test_field_stops_give_the_reference_verdicts(a):
+    q, _, _ = quotient_by_ideal(a, nilradical(a)["basis"])
+    pending = [q.unit]
+    while pending:  # the idempotents local_decomposition tries, in turn
+        e = pending.pop(0)
+        split = cancel._split_idempotent(q, e)
+        assert split == reference_split_idempotent(q, e)
+        pending.extend(split or ())
+    for fac in [a] + [f["algebra"] for f in local_decomposition(a)["factors"]]:
+        assert cancel._certify_local(fac) is reference_certify_local(fac)
+
+
+def test_field_stops_skip_the_rest_of_the_basis(monkeypatch):
+    calls = []
+    min_poly = FiniteDimAlgebra.min_poly
+    monkeypatch.setattr(FiniteDimAlgebra, "min_poly",
+                        lambda q, *args: calls.append(args) or min_poly(q, *args))
+    # x^8 + 1 is irreducible over Q, which `irreducible` leaves undecided at
+    # degree 8: the minimal polynomial of x gives the verdict, the unit's
+    # comes first
+    a = univariate_quotient(Q, _q(Q, 1, 0, 0, 0, 0, 0, 0, 0, 1))
+    assert cancel._certify_local(a) is None
+    assert len(calls) == 2
+    # k[x]/(x^3 - 2) is a field once x has an irreducible cubic: x^2 is
+    # not tried
+    del calls[:]
+    a = univariate_quotient(Q, _q(Q, -2, 0, 0, 1))
+    assert cancel._split_idempotent(a, a.unit) is None
+    assert len(calls) == 2
 
 
 def test_idempotent_lifting_names_its_step_cap(monkeypatch):

@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -16,10 +17,16 @@ from skewcalc.families import (
     weyl1,
 )
 from skewcalc.divisor import (
+    MAX_CLOSURE_PASSES,
+    ClosureReport,
     SubwordHit,
+    _generator_terms,
     _inv_degree,
+    _is_full,
     _live_columns,
     _sandwich,
+    _span_elements,
+    _span_subwords,
     _subword_pairs,
     divisor_closure,
     is_controlling,
@@ -376,3 +383,220 @@ def test_live_columns_keep_the_null_basis(problem):
     assert [list(v.items()) for v in mapped] == [list(v.items()) for v in full]
     dropped = set(range(len(cols))) - {j for j, _ in live}
     assert not any(j in v for v in full for j in dropped)
+
+
+# -- closures without recomputation -------------------------------------------
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+def reference_subalgebra_closure_bounded(p, S, degree_cap):
+    """`subalgebra_closure_bounded` before the F_cap shortcut: the span of
+    {1} + S, then passes over every element of S."""
+    p.require_validated()
+    span = SpanBasis(p.field, grlex_key)
+    span.add(p.one().terms)
+    gens = []
+    for s in S:
+        if s.is_zero():
+            continue
+        if s.degree() <= degree_cap:
+            span.add(s.terms)
+            gens.append(s)
+    frontier = [Element(p, row) for row in span.basis_rows()]
+    for _ in range(MAX_CLOSURE_PASSES):
+        new_frontier = []
+        for e in frontier:
+            for s in gens:
+                prod = e * s
+                if prod.is_zero() or prod.degree() > degree_cap:
+                    continue
+                if span.add(prod.terms):
+                    new_frontier.append(prod)
+        if not new_frontier:
+            return span
+        frontier = new_frontier
+    raise ResourceLimitError(
+        f"subalgebra closure did not stabilize within "
+        f"MAX_CLOSURE_PASSES = {MAX_CLOSURE_PASSES} passes",
+        cap="MAX_CLOSURE_PASSES", limit=MAX_CLOSURE_PASSES)
+
+
+def reference_divisor_closure(p, F, caps):
+    """`divisor_closure` before its rounds extended the span: every round
+    restarts the bounded closure from {1} + S."""
+    p.require_validated()
+    if not p.has_flag("DOMAIN"):
+        raise NotADomainError("divisor closure requires a DOMAIN-flagged algebra")
+    if not F or any(f.is_zero() for f in F):
+        raise NotADomainError("F must be a nonempty list of nonzero elements")
+    degree_cap = caps.get("degree_cap", 4)
+    max_rounds = caps.get("max_rounds", 4)
+    max_a = caps.get("max_deg_a", 2)
+    max_b = caps.get("max_deg_b", 2)
+    report = ClosureReport(list(F), degree_cap, dict(caps))
+    gen_terms = _generator_terms(p)
+    columns = {}  # (a, b) -> its live columns, for every round
+    S = list(F)
+    span = reference_subalgebra_closure_bounded(p, S, degree_cap)
+    while len(report.rounds) < max_rounds:
+        if _is_full(span, gen_terms):
+            report.status = "FULL"
+            break
+        new_hits = _span_subwords(p, span, max_a, max_b, degree_cap, columns, gen_terms)
+        if not new_hits:
+            report.rounds.append({"new_subwords": [], "span_dim": len(span)})
+            break
+        S = S + [h.g for h in new_hits]
+        span = reference_subalgebra_closure_bounded(p, S, degree_cap)
+        report.rounds.append({"new_subwords": new_hits, "span_dim": len(span)})
+    if _is_full(span, gen_terms):
+        report.status = "FULL"
+    report.certified_basis = _span_elements(p, span)
+    return report
+
+
+def _generators_and_inverses(p):
+    out = []
+    for g in p.gens:
+        out.append(p.generator(g.name))
+        if g.invertible:
+            out.append(p.gen_inverse(g.name))
+    return out
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(FAMILIES) if n.startswith("fixture:")])
+def test_generators_close_to_the_whole_filtration_piece(name):
+    p = _presentation(name)
+    S = _generators_and_inverses(p)
+    for cap in range(1, 5):
+        span = subalgebra_closure_bounded(p, S, cap)
+        assert len(span) == p.filtration_size(cap)
+        assert span.basis_rows() == \
+            reference_subalgebra_closure_bounded(p, S, cap).basis_rows()
+
+
+def _recording_closes(monkeypatch):
+    """Wrap `divisor._close` and count products; returns a list that gets,
+    for each `_close` call, its `right` argument as text and the number of
+    products the call formed."""
+    calls, products = [], [0]
+    close, mul = divisor._close, Element.__mul__
+
+    def counted_mul(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    def wrapper(p, span, frontier, right, S, degree_cap):
+        before = products[0]
+        out = close(p, span, frontier, right, S, degree_cap)
+        calls.append(([str(s) for s in right], products[0] - before))
+        return out
+    monkeypatch.setattr(Element, "__mul__", counted_mul)
+    monkeypatch.setattr(divisor, "_close", wrapper)
+    return calls
+
+
+def test_the_filtration_shortcut_and_its_boundary_cases(monkeypatch):
+    calls = _recording_closes(monkeypatch)
+
+    def closes(p, S, cap):
+        """The closure's size and the number of products it formed."""
+        del calls[:]
+        span = subalgebra_closure_bounded(p, S, cap)
+        assert span.basis_rows() == \
+            reference_subalgebra_closure_bounded(p, S, cap).basis_rows()
+        return len(span), sum(n for _, n in calls)
+
+    t2 = _presentation("fixture:t2q3")
+    gens = _generators_and_inverses(t2)
+    x1, x1_inv, x2, x2_inv = gens
+    three = t2.field.from_int(3)
+    # no product: 3*x1 counts as x1, and x1*x2 only adds a monomial
+    assert closes(t2, [x1 * three, x1_inv, x2, x2_inv], 2) == (13, 0)
+    assert closes(t2, gens + [x1 * x2], 3) == (25, 0)
+    # the loop: an inverse missing, cap 0 (the scalar 3 is multiplied),
+    # a term that is not single, or a rule with a tail (y*x = x*y + 1)
+    w = _presentation("fixture:weyl1")
+    for p, S, cap, size in ((t2, [x1, x1_inv, x2], 2, 9),
+                            (t2, gens + [t2.one() * three], 0, 1),
+                            (t2, gens + [x1 + x2], 2, 13),
+                            (w, _generators_and_inverses(w), 2, 6)):
+        n, formed = closes(p, S, cap)
+        assert n == size and formed > 0
+
+
+def test_rounds_extend_single_terms_and_restart_otherwise(monkeypatch):
+    calls = _recording_closes(monkeypatch)
+    t2, kxy, a1q, _, _ = _pair_presentations()
+    caps3 = {"degree_cap": 3, "max_rounds": 2}
+    caps2 = {"degree_cap": 2, "max_rounds": 2}
+    z = parse_element(a1q, "x*y - y*x")
+    runs = [
+        # x1^2 gives x1: the old rows meet x1 alone
+        (kxy, [kxy.from_terms({(2, 0): Q.from_int(-3)})], caps3,
+         [["-3*x1^2"], ["x1"]]),
+        # x1^-1*x2 gives the generators and inverses: F_2, no product
+        (t2, [t2.from_terms({(-1, 1): C3.from_int(3)})], caps2,
+         [["3*x1^-1*x2"], ["x2", "x1", "x1^-1", "x2^-1"]]),
+        # z is not a single term: the round restarts from {1} + S
+        (a1q, [z], caps3, [[str(z)], [str(z), "x", "y"]]),
+    ]
+    for p, F, caps, rights in runs:
+        del calls[:]
+        report = divisor_closure(p, F, caps)
+        assert _closure_facts(report) == _closure_facts(reference_divisor_closure(p, F, caps))
+        assert [right for right, _ in calls] == rights
+        if p is t2:
+            assert calls[-1][1] == 0
+
+
+_DOMAINS = {}
+
+
+def _domain(name):
+    """The presentation `name` of tests/test_rewriting.py, flagged DOMAIN
+    where it is not (every one of them is a domain)."""
+    if name not in _DOMAINS:
+        p = _presentation(name)
+        if not p.has_flag("DOMAIN"):
+            p = p.with_flags({"DOMAIN": True}, "asserted(test)")
+        _DOMAINS[name] = p
+    return _DOMAINS[name]
+
+
+@st.composite
+def _closure_problems(draw):
+    """A presentation of tests/test_rewriting.py, one or two elements of
+    degree <= 2 (single terms half the time, so that rounds extend and
+    take the F_cap shortcut, else one to three terms), and caps 2-3."""
+    p = _domain(draw(st.sampled_from(sorted(FAMILIES))))
+    monos = st.sampled_from(p.filtration_basis(2))
+    coef = st.integers(-3, 3).filter(bool).map(p.field.from_int)
+    size = draw(st.sampled_from([1, 3]))
+    F = [p.from_terms(t) for t in draw(st.lists(
+        st.dictionaries(monos, coef, min_size=1, max_size=size), min_size=1, max_size=2))]
+    F = [f for f in F if not f.is_zero()] or [p.one()]
+    caps = {"degree_cap": draw(st.integers(2, 3)), "max_rounds": draw(st.integers(1, 3)),
+            "max_deg_a": draw(st.integers(1, 2)), "max_deg_b": draw(st.integers(1, 2))}
+    return p, F, caps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(problem=_closure_problems())
+def test_closures_match_the_restarting_reference(problem):
+    p, F, caps = problem
+    assert _closure_facts(divisor_closure(p, F, caps)) == \
+        _closure_facts(reference_divisor_closure(p, F, caps))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_benchmark_closures_match_the_restarting_reference(monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+    jobs = [j for j in workloads.invariants_jobs(seed) if j.label.startswith("closure/")]
+    reports = [j.prepare()() for j in jobs]
+    assert all(j.check(r) for j, r in zip(jobs, reports))
+    monkeypatch.setattr(divisor, "divisor_closure", reference_divisor_closure)
+    assert [_closure_facts(j.prepare()()) for j in jobs] == \
+        [_closure_facts(r) for r in reports]
