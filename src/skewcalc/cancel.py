@@ -62,6 +62,9 @@ MAX_GENERATING_SET_PASSES = 64
 def _lincomb(terms) -> dict:
     """The dict vector sum of c * v over the pairs (c, v) of `terms`; the
     entries that cancel are dropped."""
+    # not `linalg.add_scaled`: zeros are dropped only at the end, so a key
+    # that cancels and comes back keeps its first place. The idempotents
+    # print in this order, and the benchmark's invariants digest shows it
     out = {}
     for c, v in terms:
         for k, x in v.items():

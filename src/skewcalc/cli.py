@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import cancel, divisor, families, invariants
@@ -219,6 +220,11 @@ def _family_field(fid, raw):
     return FieldDescriptor(RATIONAL)
 
 
+# the keys of a family line besides `l` and `p`: `aij` takes single digits
+_FAMILY_KEYS = {"POLY": "n", "LAURENT": "n", "SKEW_POLY": "n|a[0-9]{2}",
+                "QUANTUM_TORUS": "n|a[0-9]{2}", "GWA": "a[0-9]"}
+
+
 def _parse_family_stanza(fp):
     at = fp.here()
     family = fp.word("a family name")
@@ -229,8 +235,12 @@ def _parse_family_stanza(fp):
     while fp.peek() not in ("", ";"):
         key_at = fp.here()
         key = fp.word("a parameter name or ';'")
+        if not re.fullmatch(f"[lp]|{_FAMILY_KEYS.get(fid, '[lp]')}", key):
+            fp.fail(f"family {fid.lower()} has no parameter {key!r}", key_at)
         if key in raw:
             fp.fail(f"a second value for {key!r}", key_at)
+        if key in ("l", "p") and raw.keys() & {"l", "p"}:
+            fp.fail("a field is given by l or by p, not both", key_at)
         fp.expect("=")
         raw[key] = fp.int_literal()
     fp.accept(";")
@@ -249,11 +259,7 @@ def _parse_family_stanza(fp):
     if fid in ("QUANTUM_WEYL1", "LOCALIZED_QWEYL1"):
         params["q"] = field.q()
     if fid == "GWA":
-        coeffs = {
-            int(k[1:]): field.from_int(v)
-            for k, v in raw.items()
-            if k[0] == "a" and k[1:].isdigit() and len(k) == 2
-        }
+        coeffs = {int(k[1:]): field.from_int(v) for k, v in raw.items() if k[0] == "a"}
         if not coeffs:
             fp.fail("gwa needs coefficients a0=, a1=, a2=", at)
         params["a"] = tuple(sorted(coeffs.items()))
@@ -267,7 +273,7 @@ def _family_exponents(raw: dict) -> dict:
     MAX_EXPONENT in absolute value is a resource limit."""
     out = {}
     for key, v in raw.items():
-        if len(key) == 3 and key[0] == "a" and key[1:].isdigit():
+        if len(key) == 3:  # `aij`: the parser lets no other such key by
             if abs(v) > MAX_EXPONENT:
                 raise _exponent_cap_error(f"exponent {key}")
             out[(int(key[1]), int(key[2]))] = v

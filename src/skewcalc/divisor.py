@@ -10,7 +10,7 @@ no negative claim.
 from __future__ import annotations
 
 from .errors import NotADomainError, ResourceLimitError
-from .linalg import SpanBasis, nullspace, solve
+from .linalg import SpanBasis, add_scaled, nullspace, solve
 from .presentation import Element, Presentation, grlex_key, mono_degree
 
 # passes of a bounded closure (`_close`), each multiplying the newest span
@@ -51,19 +51,11 @@ def _inv_degree(p: Presentation, m) -> int:
 
 
 def _sandwich(p: Presentation, m_a, m, m_b) -> dict:
-    """The product m_a.m.m_b of three monomials, as normal-form terms."""
+    """The product m_a.m.m_b of three monomials, as normal-form terms
+    summed by `linalg.add_scaled`, the one scaled sparse sum."""
     prod = {}
     for mid, c1 in p._mono_mul(m_a, m).items():
-        for mono, c2 in p._mono_mul(mid, m_b).items():
-            s = prod.get(mono)
-            if s is None:
-                prod[mono] = c1 * c2
-                continue
-            s = s + c1 * c2
-            if s.is_zero():
-                del prod[mono]
-            else:
-                prod[mono] = s
+        add_scaled(prod, p._mono_mul(mid, m_b), c1)
     return prod
 
 

@@ -11,8 +11,9 @@ Two flavors live here:
 The echelon kernel keeps rows as dicts {key: nonzero Scalar} and a basis
 as a dict pivot -> tail: the pivot's coefficient is 1 and is not stored,
 and no tail holds another pivot (the basis is fully reduced). Reducing a
-row therefore removes each pivot it holds with one subtraction, in any
-order, and only nonzero entries are ever touched.
+row therefore removes each pivot it holds with one `add_scaled`, in any
+order, and only nonzero entries are ever touched. `add_scaled` is the
+one scaled sparse sum: element sums and products run on it too.
 
 `solve`, `solve_each` and `nullspace` speak the kernel's format: a
 matrix is a list of columns, each a dict {row key: Scalar} with any
@@ -28,24 +29,31 @@ from __future__ import annotations
 from .scalars import FieldDescriptor, Scalar
 
 
-def _subtract(row: dict, c: Scalar, other: dict) -> None:
-    """row -= c * other, in place, dropping the entries that cancel."""
+def add_scaled(row: dict, other: dict, c: Scalar | None = None) -> dict:
+    """row += c * other in place (row += other, with no product, for c
+    None), deleting each entry as it cancels: a key that comes back goes
+    to the end of `row`, as a new one does. Returns `row`."""
     for k, x in other.items():
+        if c is not None:
+            x = c * x
         y = row.get(k)
         if y is None:
-            row[k] = -(c * x)
+            row[k] = x
         else:
-            y = y - c * x
+            y = y + x
             if y.is_zero():
                 del row[k]
             else:
                 row[k] = y
+    return row
 
 
 def reduce_row(pivots: dict, row: dict) -> dict:
     """Remove from `row`, in place, every pivot of the echelon basis."""
     for p in [p for p in row if p in pivots]:
-        _subtract(row, row.pop(p), pivots[p])
+        c = row.pop(p)
+        if pivots[p]:  # an empty tail takes no negation
+            add_scaled(row, pivots[p], -c)
     return row
 
 
@@ -60,7 +68,9 @@ def _insert(pivots: dict, row: dict, lead) -> None:
         tail = {k: x * inv for k, x in tail.items()}
     for other in pivots.values():
         if lead in other:
-            _subtract(other, other.pop(lead), tail)
+            c = other.pop(lead)
+            if tail:
+                add_scaled(other, tail, -c)
     pivots[lead] = tail
 
 

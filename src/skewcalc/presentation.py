@@ -29,7 +29,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .linalg import solve
+from .linalg import add_scaled, solve
 from .scalars import FieldDescriptor, Scalar, _ScalarParser
 
 Monomial = tuple  # exponent vector, one entry per generator
@@ -154,18 +154,7 @@ class Element:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-                continue
-            s = s + c
-            if s.is_zero():
-                del out[m]
-            else:
-                out[m] = s
-        return Element(self.algebra, out)
+        return Element(self.algebra, add_scaled(dict(self.terms), other.terms))
 
     def __neg__(self):
         return Element(self.algebra, {m: -c for m, c in self.terms.items()})
@@ -511,21 +500,12 @@ class Presentation:
         return hit
 
     def multiply(self, x: Element, y: Element) -> Element:
+        """x*y, the terms ca*cb*(ma*mb) summed by `linalg.add_scaled`."""
         self.require_validated()
         out = {}
         for ma, ca in x.terms.items():
             for mb, cb in y.terms.items():
-                c = ca * cb
-                for m, cm in self._mono_mul(ma, mb).items():
-                    s = out.get(m)
-                    if s is None:
-                        out[m] = c * cm
-                        continue
-                    s = s + c * cm
-                    if s.is_zero():
-                        del out[m]
-                    else:
-                        out[m] = s
+                add_scaled(out, self._mono_mul(ma, mb), ca * cb)
         return Element(self, out)
 
     def require_validated(self):

@@ -63,8 +63,10 @@ def test_print_algebra_reads_the_raw_parameters_of_its_own_spec():
     assert first == second
     assert print_algebra(first) == "family quantum_torus a12=1 l=3 n=2;\n"
     assert print_algebra(second) == "family quantum_torus a12=4 l=3 n=2;\n"
+    # a key the family does not read is a parse error, not a silent no-op
+    with pytest.raises(ExprSyntaxError, match="no parameter 'zzz' at line 1, column 17"):
+        parse_algebra_file("family poly n=2 zzz=5;")
     # an equal spec that the parser did not produce has no text to print
-    parse_algebra_file("family poly n=2 zzz=5;")
     with pytest.raises(BadParamsError, match="not produced by the parser"):
         print_algebra(FamilySpec.make("POLY", FieldDescriptor(RATIONAL), n=2))
 
@@ -335,6 +337,17 @@ def test_unicode_minus_and_dot_read_in_files_as_in_lhs():
     ("algebra a { field rational; gens x; flag F=1;\n flag F=2; }", 2, 2),
     # a second value for one family key
     ("family poly n=2 n=3;", 1, 17),
+    # a key the family does not read
+    ("family weyl1 foo=3;", 1, 14),
+    ("family quantum_torus n=3 l=3 a12=1 a12x=4;", 1, 36),
+    # a two-digit index: x1 and x10 would commute with no word
+    ("family quantum_torus n=12 l=3 a110=1;", 1, 31),
+    ("family gwa a0=1 a10=2;", 1, 17),
+    ("family gwa n=2 a0=1;", 1, 12),
+    ("family laurent n=2 a12=1;", 1, 20),
+    ("family weyl1 n=2;", 1, 14),
+    # two fields
+    ("family poly n=2 l=3\n  p=5;", 2, 3),
 ])
 def test_input_the_parser_would_drop_is_a_parse_error(tmp_path, text, line, col):
     err = _parse_error(text)
@@ -344,6 +357,22 @@ def test_input_the_parser_would_drop_is_a_parse_error(tmp_path, text, line, col)
     out = _run("check", str(path))
     assert out.returncode == 2
     assert f"at line {line}, column {col}".encode() in out.stderr
+
+
+@pytest.mark.parametrize("text", [
+    "family poly n=2 p=7;",
+    "family laurent n=1 l=5;",
+    "family skew_poly n=3 a12=1 a23=2;",
+    "family quantum_torus n=9 l=3 a19=1 a89=2;",
+    "family weyl1 p=5;",
+    "family quantum_weyl1 l=5;",
+    "family localized_qweyl1 l=3;",
+    "family minus_one_plane;",
+    "family gwa a0=1 a1=1 a9=0;",
+])
+def test_every_key_a_family_reads_parses(text):
+    words = text.rstrip(";").split()
+    assert print_algebra(parse_algebra_file(text)) == " ".join(words[:2] + sorted(words[2:])) + ";\n"
 
 
 def test_several_gens_lines_add_up():

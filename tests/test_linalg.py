@@ -1,6 +1,8 @@
 """The sparse echelon kernel against the dense Gaussian elimination it
-replaced, kept here verbatim as the reference, and the structure-constant
-products of finite-dimensional algebras against dense products."""
+replaced, kept here verbatim as the reference, the scaled sparse sum
+`add_scaled` against dense sums and the loops it replaced, and the
+structure-constant products of finite-dimensional algebras against dense
+products."""
 
 import random
 from fractions import Fraction
@@ -14,7 +16,7 @@ from skewcalc.cancel import (
     quotient_by_ideal,
     univariate_quotient,
 )
-from skewcalc.linalg import SpanBasis, nullspace, rref, solve, solve_each
+from skewcalc.linalg import SpanBasis, add_scaled, nullspace, rref, solve, solve_each
 from skewcalc.scalars import CYCLOTOMIC, PRIME, RATFUNC_Q, RATIONAL, FieldDescriptor
 
 FIELDS = (
@@ -206,6 +208,79 @@ def _shapes(field):
         ([[z] * 4 for _ in range(3)], [z, one, z]),
         ([[one, one], [one, one]], [one, two]),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the scaled sparse sum against dense sums and the loops it replaced
+
+
+def ref_subtract(row, c, other):
+    """row -= c * other, in place, dropping the entries that cancel: the
+    echelon kernel's loop before `add_scaled`, kept verbatim as the
+    reference for the order of the keys."""
+    for k, x in other.items():
+        y = row.get(k)
+        if y is None:
+            row[k] = -(c * x)
+        else:
+            y = y - c * x
+            if y.is_zero():
+                del row[k]
+            else:
+                row[k] = y
+
+
+def ref_add(row, other):
+    """row += other, in place: the loop of `Element.__add__` before
+    `add_scaled`, kept verbatim."""
+    for m, c in other.items():
+        s = row.get(m)
+        if s is None:
+            row[m] = c
+            continue
+        s = s + c
+        if s.is_zero():
+            del row[m]
+        else:
+            row[m] = s
+
+
+def _nonzero(field):
+    return _values(field).filter(lambda x: not x.is_zero())
+
+
+@st.composite
+def _dict_vectors(draw, field, size):
+    """A dict vector over keys 0..size-1, its keys in random order."""
+    keys = draw(st.permutations(range(size)))[:draw(st.integers(0, size))]
+    return {k: draw(_nonzero(field)) for k in keys}
+
+
+@pytest.mark.parametrize("kind,param", FIELDS)
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_add_scaled_matches_dense_sums_and_the_old_key_order(kind, param, data):
+    field = FieldDescriptor(kind, param)
+    n = 8
+    row = data.draw(_dict_vectors(field, n))
+    old = dict(row)
+    # three sums in a row, so that a key that cancels can come back
+    for _ in range(3):
+        other = data.draw(_dict_vectors(field, n))
+        c = data.draw(st.none() | _nonzero(field))
+        if row and data.draw(st.booleans()):  # make one entry cancel
+            k = data.draw(st.sampled_from(sorted(row)))
+            other[k] = -row[k] if c is None else -row[k] * c.inv()
+        scaled = other if c is None else {k: c * x for k, x in other.items()}
+        want = [x + y for x, y in zip(to_dense(row, n, field), to_dense(scaled, n, field))]
+        assert add_scaled(row, other, c) is row
+        assert to_dense(row, n, field) == want
+        assert not any(x.is_zero() for x in row.values())
+        if c is None:
+            ref_add(old, other)
+        else:
+            ref_subtract(old, -c, other)
+        assert list(row.items()) == list(old.items())
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ degrees the reference cannot reach. The validation that normalized every
 letter triple under two strategies, replaced by the overlap check of
 `Presentation.validate`, is kept as `reference_validate`, with the Ore-step
 check it ran on every step of a tower (`_check_ore_step`), which
-`ore_extend` and the overlap check replaced.
+`ore_extend` and the overlap check replaced. The loops of element
+products and sums before `linalg.add_scaled` are kept as
+`reference_multiply` and `reference_add`: the terms they give, in the same
+order, are the ones the reports print.
 """
 
 import pathlib
@@ -637,3 +640,69 @@ def test_ore_extend_agrees_with_the_old_step_check(name, data):
         assert err.code == expected
     else:
         assert (ext.rules, ext.validate().sigma_status) == expected
+
+
+# ---------------------------------------------------------------------------
+# element products against the loop they had before `linalg.add_scaled`
+
+
+def reference_multiply(x, y) -> dict:
+    """x*y as a terms dict: the loop of `Presentation.multiply` before it
+    called `linalg.add_scaled`, kept verbatim. The order of its keys shows
+    in the reports and the benchmark's digests."""
+    p = x.algebra
+    out = {}
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            c = ca * cb
+            for m, cm in p._mono_mul(ma, mb).items():
+                s = out.get(m)
+                if s is None:
+                    out[m] = c * cm
+                    continue
+                s = s + c * cm
+                if s.is_zero():
+                    del out[m]
+                else:
+                    out[m] = s
+    return out
+
+
+def reference_add(x, y) -> dict:
+    """x+y as a terms dict: the loop of `Element.__add__` before it called
+    `linalg.add_scaled`, kept verbatim."""
+    out = dict(x.terms)
+    for m, c in y.terms.items():
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+            continue
+        s = s + c
+        if s.is_zero():
+            del out[m]
+        else:
+            out[m] = s
+    return out
+
+
+def _elements(p, degree, size):
+    """Random elements of up to `size` terms of degree <= `degree`, their
+    terms in random order."""
+    scalars = st.sampled_from([1, 1, -1, 2, -3])
+    pairs = st.lists(st.tuples(st.sampled_from(p.filtration_basis(degree)), scalars),
+                     max_size=size, unique_by=lambda t: t[0])
+    return pairs.map(lambda t: p.from_terms(
+        {mo: p.field.from_int(c) for mo, c in t}))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@SETTINGS
+@given(data=st.data())
+def test_products_and_sums_keep_the_terms_and_order_of_the_old_loops(name, data):
+    p = _presentation(name)
+    x, y = data.draw(_elements(p, 2, 4)), data.draw(_elements(p, 2, 4))
+    assert list((x * y).terms.items()) == list(reference_multiply(x, y).items())
+    # x + (-x) cancels every term; (x + y) - y brings back the ones of x
+    # that y cancelled, at the end
+    for a, b in ((x, y), (x, -x), (x + y, -y), (x * y, y * x)):
+        assert list((a + b).terms.items()) == list(reference_add(a, b).items())
