@@ -4,7 +4,8 @@ Four layers:
 
 * finite-dimensional commutative algebras (nilradical via the trace
   form, von Neumann regularity, local decomposition through idempotent
-  lifting, units-generated checks, bounded generating-set verification),
+  lifting, whether the units span the algebra by a count of the residue
+  fields GF(2), bounded generating-set verification),
   on the dict vectors {basis index: nonzero Scalar} that `linalg` uses;
 * exact morphism and isomorphism verification between presentations:
   a map is a homomorphism when it respects every defining relation, and
@@ -17,8 +18,6 @@ Four layers:
 """
 
 from __future__ import annotations
-
-import itertools
 
 from . import poly
 from .errors import (
@@ -554,64 +553,36 @@ def local_decomposition(a: FiniteDimAlgebra) -> dict:
 
 
 def units_generated(a) -> dict:
-    """TRUE/FALSE/UNKNOWN with a witness; accepts FiniteDimAlgebra or a
-    recognized family Presentation."""
+    """Whether the units span `a`: TRUE or FALSE with a witness for a
+    FiniteDimAlgebra; for a Presentation, TRUE by its family name or
+    UNKNOWN.
+
+    A finite-dimensional commutative algebra A is spanned by its units
+    exactly when at most one of its local factors has residue field GF(2)
+    (cf. Vamos, "2-good rings", Q. J. Math. 2005). A local factor is
+    spanned by its units, as r in m is (1 + r) - 1. A factor whose residue
+    field has more than two elements has a unit lam with lam - 1 a unit,
+    so its idempotent (lam - 1)^-1 ((lam, 1, ..., 1) - 1) lies in the span
+    of the units, which is closed under products. Two factors with residue
+    field GF(2) send every unit to (1, 1) in GF(2) x GF(2). The witness is
+    the number of residue fields GF(2): 0 over any other field. Over GF(2)
+    it is the number of algebra maps A -> GF(2), dim A/I for I the span of
+    the (e_i^2 + e_i) e_j: a -> a^2 + a is linear in characteristic 2, and
+    A/I is Boolean, so A/I = GF(2)^r."""
     if isinstance(a, Presentation):
         if a.family in ("LAURENT", "QUANTUM_TORUS"):
             witness = [f"{g.name}^(+-1)" for g in a.gens]
             return {"status": "TRUE", "witness": witness, "mode": "structural"}
         return {"status": "UNKNOWN", "witness": None, "mode": "structural"}
-    field = a.field
-    if field.kind == PRIME and field.param ** a.dim <= 4096:
-        return _units_generated_exhaustive(a)
-    # infinite (or large) field: shift each basis element off its spectrum
-    witnesses = []
-    for j in range(a.dim):
-        g = a._e(j)
-        lam = None
-        for k in range(1, a.dim + 2):
-            cand = field.from_int(k)
-            shifted = _lincomb([(field.one(), g), (cand, a.unit)])
-            if _invertible(a, shifted):
-                lam = cand
-                break
-        if lam is None:  # pragma: no cover - spectrum has <= dim points
-            return {"status": "UNKNOWN", "witness": None, "mode": "shift"}
-        witnesses.append(
-            {"basis": a.basis_names[j], "lambda": str(lam)}
-        )
-    return {"status": "TRUE", "witness": witnesses, "mode": "shift"}
-
-
-def _invertible(a: FiniteDimAlgebra, u) -> bool:
-    columns = [a.mul(u, a._e(j)) for j in range(a.dim)]
-    return solve(columns, a.unit, a.field) is not None
-
-
-def _units_generated_exhaustive(a: FiniteDimAlgebra) -> dict:
-    field = a.field
-    vectors = (
-        {i: field.from_int(r) for i, r in enumerate(coords) if r}
-        for coords in itertools.product(range(field.param), repeat=a.dim)
-    )
-    units = [u for u in vectors if u and _invertible(a, u)]
-    span = SpanBasis(field, lambda i: i)
-    for u in [a.unit] + units:
-        span.add(u)
-    while True:
-        grew = False
-        for u in span.basis_rows():
-            for v in units:
-                if span.add(a.mul(u, v)):
-                    grew = True
-        if not grew:
-            break
-    full = len(span) == a.dim
-    return {
-        "status": "TRUE" if full else "FALSE",
-        "witness": {"units": len(units), "closure_dim": len(span)},
-        "mode": "exhaustive",
-    }
+    field, r = a.field, 0
+    if field.kind == PRIME and field.param == 2:
+        ideal = SpanBasis(field, lambda i: i)
+        for i in range(a.dim):
+            f = _lincomb([(field.one(), a.table[i][i]), (field.one(), a._e(i))])
+            for j in range(a.dim):
+                ideal.add(a.mul(f, a._e(j)))
+        r = a.dim - len(ideal)
+    return {"status": "TRUE" if r <= 1 else "FALSE", "witness": r, "mode": "residue_fields"}
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def center_torus(n: int, l: int, a: list) -> dict:
     if len(basis) != n:
         raise BadParamsError("central lattice unexpectedly degenerate")
     index = 1
-    for i, row in enumerate(basis):
+    for row in basis:
         pivot = next(x for x in row if x != 0)
         index *= pivot
     return {"lattice_basis": basis, "index": index}

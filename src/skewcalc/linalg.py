@@ -5,8 +5,9 @@ Two flavors live here:
 * row reduction / solving / null spaces and span bases over any of the
   coefficient fields (entries are Scalars, all arithmetic exact), all on
   one sparse echelon kernel, and
-* integer lattice routines (Hermite normal form, kernels) used for quantum
-  torus centers.
+* integer lattice routines used for quantum torus centers: Hermite
+  normal form, and lattice kernels read from the Hermite normal form of
+  [M^T | I].
 
 The echelon kernel keeps rows as dicts {key: nonzero Scalar} and a basis
 as a dict pivot -> tail: the pivot's coefficient is 1 and is not stored,
@@ -247,43 +248,14 @@ def hnf_row(mat: list[list[int]]):
 
 
 def integer_kernel(mat: list[list[int]]):
-    """Basis (list of integer vectors) of {x : mat @ x = 0} over Z."""
+    """Basis (list of integer vectors) of {x : mat @ x = 0} over Z, in
+    Hermite normal form. Unimodular row operations keep the row lattice of
+    [mat^T | I], so each HNF row is (x mat^T, x) for an integer vector x,
+    and the rows whose mat^T block is not 0 are independent: the rows
+    whose mat^T block is 0 hold a kernel basis in their I block."""
     if not mat:
         return []
     rows, cols = len(mat), len(mat[0])
-    # column operations on mat, mirrored on an identity block
-    m = [list(r) for r in mat]
-    u = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def col_swap(a, b):
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-        for row in u:
-            row[a], row[b] = row[b], row[a]
-
-    def col_addmul(dst, src, f):
-        for row in m:
-            row[dst] += f * row[src]
-        for row in u:
-            row[dst] += f * row[src]
-
-    r = 0
-    for i in range(rows):
-        piv = next((j for j in range(r, cols) if m[i][j] != 0), None)
-        if piv is None:
-            continue
-        col_swap(r, piv)
-        for j in range(r + 1, cols):
-            while m[i][j] != 0:
-                if abs(m[i][j]) < abs(m[i][r]):
-                    col_swap(r, j)
-                f = m[i][j] // m[i][r]
-                col_addmul(j, r, -f)
-        r += 1
-        if r == cols:
-            break
-    kernel = []
-    for j in range(cols):
-        if all(m[i][j] == 0 for i in range(rows)):
-            kernel.append([u[i][j] for i in range(cols)])
-    return kernel
+    stacked = [[r[j] for r in mat] + [int(i == j) for i in range(cols)]
+               for j in range(cols)]
+    return [h[rows:] for h in hnf_row(stacked) if not any(h[:rows])]

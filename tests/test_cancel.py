@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,6 +32,7 @@ from skewcalc.errors import (
 )
 from skewcalc.families import laurent, minus_one_plane, quantum_torus, weyl1
 from skewcalc.invariants import center_bounded, gk_estimate, growth_dims
+from skewcalc.linalg import SpanBasis, solve
 from skewcalc.poly import roots
 from skewcalc.divisor import divisor_closure
 from skewcalc.presentation import Morphism, identity_morphism
@@ -40,6 +42,7 @@ from test_linalg import ref_solve, sparse, to_dense
 
 Q = FieldDescriptor(RATIONAL)
 F2 = FieldDescriptor(PRIME, 2)
+F3 = FieldDescriptor(PRIME, 3)
 C3 = FieldDescriptor(CYCLOTOMIC, 3)
 
 
@@ -500,8 +503,138 @@ def test_units_generated():
     assert units_generated(univariate_quotient(Q, _q(Q, -1, 0, 1)))["status"] == "TRUE"
     # F2[x]/(x^2 + x): only unit is 1
     out = units_generated(univariate_quotient(F2, _q(F2, 0, 1, 1)))
-    assert out["status"] == "FALSE"
+    assert out == {"status": "FALSE", "witness": 2, "mode": "residue_fields"}
     assert units_generated(laurent(2, Q))["status"] == "TRUE"
+    # GF(2)^3 x GF(4) x GF(2)[t]/(t^2): four residue fields GF(2)
+    gf2 = univariate_quotient(F2, _q(F2, 0, 1))
+    gf4 = univariate_quotient(F2, _q(F2, 1, 1, 1))
+    a = direct_product(direct_product(gf2, gf2), gf2)
+    a = direct_product(direct_product(a, gf4), univariate_quotient(F2, _q(F2, 0, 0, 1)))
+    assert units_generated(a) == {"status": "FALSE", "witness": 4, "mode": "residue_fields"}
+    assert units_generated(gf2) == {"status": "TRUE", "witness": 1, "mode": "residue_fields"}
+    assert units_generated(gf4) == {"status": "TRUE", "witness": 0, "mode": "residue_fields"}
+
+
+def ref_units_generated(a) -> dict:
+    """The earlier `units_generated` on a FiniteDimAlgebra, kept as the
+    reference: it enumerates GF(p)^dim when p^dim <= 4096, and otherwise
+    shifts each basis vector off its spectrum, giving up with UNKNOWN when
+    no shift in 1..dim+1 is a unit."""
+    field = a.field
+    if field.kind == PRIME and field.param ** a.dim <= 4096:
+        return ref_units_generated_exhaustive(a)
+    # infinite (or large) field: shift each basis element off its spectrum
+    witnesses = []
+    for j in range(a.dim):
+        g = a._e(j)
+        lam = None
+        for k in range(1, a.dim + 2):
+            cand = field.from_int(k)
+            shifted = cancel._lincomb([(field.one(), g), (cand, a.unit)])
+            if ref_invertible(a, shifted):
+                lam = cand
+                break
+        if lam is None:
+            return {"status": "UNKNOWN", "witness": None, "mode": "shift"}
+        witnesses.append(
+            {"basis": a.basis_names[j], "lambda": str(lam)}
+        )
+    return {"status": "TRUE", "witness": witnesses, "mode": "shift"}
+
+
+def ref_invertible(a: FiniteDimAlgebra, u) -> bool:
+    columns = [a.mul(u, a._e(j)) for j in range(a.dim)]
+    return solve(columns, a.unit, a.field) is not None
+
+
+def ref_units_generated_exhaustive(a: FiniteDimAlgebra) -> dict:
+    field = a.field
+    vectors = (
+        {i: field.from_int(r) for i, r in enumerate(coords) if r}
+        for coords in itertools.product(range(field.param), repeat=a.dim)
+    )
+    units = [u for u in vectors if u and ref_invertible(a, u)]
+    span = SpanBasis(field, lambda i: i)
+    for u in [a.unit] + units:
+        span.add(u)
+    while True:
+        grew = False
+        for u in span.basis_rows():
+            for v in units:
+                if span.add(a.mul(u, v)):
+                    grew = True
+        if not grew:
+            break
+    full = len(span) == a.dim
+    return {
+        "status": "TRUE" if full else "FALSE",
+        "witness": {"units": len(units), "closure_dim": len(span)},
+        "mode": "exhaustive",
+    }
+
+
+def _monic(field, degree):
+    """Every monic polynomial of the given degree over GF(p)."""
+    return [_q(field, *low, 1) for low in itertools.product(range(field.param), repeat=degree)]
+
+
+def _units_grid():
+    """Algebras over GF(2) and GF(3) small enough to enumerate: every
+    k[x]/(f) up to degree 7 over GF(2) and 4 over GF(3), a fixed sample of
+    degree 8 and 5, products of two and of three of them, and
+    k[x, y]/(f(x), g(y)) for f, g of degree 2, also with xy = 0 where
+    f(0) = g(0) = 0."""
+    rng = random.Random(23)
+    for field, top in ((F2, 8), (F3, 5)):
+        small = [f for d in range(1, 3) for f in _monic(field, d)]
+        for d in range(1, top):
+            for f in _monic(field, d):
+                yield univariate_quotient(field, f)
+        for f in rng.sample(_monic(field, top), 24):
+            yield univariate_quotient(field, f)
+        quotients = [univariate_quotient(field, f) for f in small]
+        for b, c in itertools.combinations_with_replacement(quotients, 2):
+            yield direct_product(b, c)
+        for b, c, d in itertools.combinations_with_replacement(quotients[:6], 3):
+            yield direct_product(direct_product(b, c), d)
+        for f, g in itertools.product(_monic(field, 2), repeat=2):
+            yield commutative_quotient(field, ["x", "y"], [], {0: f, 1: g})
+            # else x or y is a unit, and xy = 0 kills the other
+            if f[0].is_zero() and g[0].is_zero():
+                yield commutative_quotient(field, ["x", "y"], [(1, 1)], {0: f, 1: g})
+
+
+def test_units_generated_matches_the_exhaustive_reference():
+    statuses = []
+    for a in _units_grid():
+        out = units_generated(a)
+        assert out["status"] == ref_units_generated_exhaustive(a)["status"]
+        assert out["mode"] == "residue_fields"
+        statuses.append(out["status"])
+    assert statuses.count("FALSE") > 50 and statuses.count("TRUE") > 500
+
+
+@pytest.mark.parametrize("p, factors", [
+    (5, [[0, -1, 0, 0, 0, 1], [2, 0, 1]]),  # x(x-1)(x-2)(x-3)(x-4)(x^2+2)
+    (3, [[0, -1, 0, 1], [1, 2, 0, 0, 0, 1]]),  # x(x-1)(x-2)(x^5+2x+1)
+])
+def test_units_generated_decides_where_the_spectrum_shift_gave_up(p, factors):
+    # p^dim > 4096 and the shifts 1..dim+1 wrap mod p, so each meets the
+    # spectrum {0, ..., p-1}: the earlier search gave up with UNKNOWN
+    field = FieldDescriptor(PRIME, p)
+    f = poly.mul(_q(field, *factors[0]), _q(field, *factors[1]), field)
+    a = univariate_quotient(field, f)
+    assert ref_units_generated(a)["status"] == "UNKNOWN"
+    assert units_generated(a) == {"status": "TRUE", "witness": 0, "mode": "residue_fields"}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from([Q, FieldDescriptor(PRIME, 101)]),
+       coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=7))
+def test_units_generated_agrees_with_the_shift_reference(field, coeffs):
+    a = univariate_quotient(field, _q(field, *coeffs, 1))
+    assert ref_units_generated(a)["status"] == "TRUE"
+    assert units_generated(a)["status"] == "TRUE"
 
 
 def test_verify_generating_set_fixtures():
@@ -652,6 +785,28 @@ def test_certify_minus_one_r10_refuted_sigma():
     assert verdicts["STRONGLY_CANCELLATIVE"].status == "ASSERTED"
     # DAG closure: delta -> cancellative
     assert verdicts["CANCELLATIVE"].rule.startswith("DAG(")
+
+
+@pytest.mark.parametrize("field, coeffs, units, rule", [
+    (Q, [-1, 0, 1], "TRUE", "R2"),  # Q x Q
+    (F2, [0, 1, 1], "FALSE", "R3"),  # GF(2) x GF(2): 1 is the only unit
+    (F2, [1, 1, 1], "TRUE", "R2"),  # GF(4)
+])
+def test_certify_r2_to_r4_from_a_center_algebra(field, coeffs, units, rule):
+    z = univariate_quotient(field, _q(field, *coeffs))
+    ug = units_generated(z)
+    assert ug["status"] == units
+    p = weyl1(Q)
+    verdicts = {v.property: v for v in certify(p, {"center_algebra": z})}
+    for prop in ("STRONGLY_CANCELLATIVE", "STRONGLY_MORITA_CANCELLATIVE"):
+        assert (verdicts[prop].status, verdicts[prop].rule) == ("PROVED", rule)
+    if rule == "R2":
+        assert verdicts["STRONGLY_CANCELLATIVE"].evidence == {
+            "units_generated": ug["witness"], "mode": "residue_fields"}
+    else:
+        with pytest.raises(MissingEvidenceError):
+            certify(p, {"center_algebra": z, "require_rules": ["R2"]})
+    certify(p, {"center_algebra": z, "require_rules": ["R3", "R4"]})
 
 
 def test_certify_missing_evidence():

@@ -2,7 +2,8 @@
 replaced, kept here verbatim as the reference, the scaled sparse sum
 `add_scaled` against dense sums and the loops it replaced, and the
 structure-constant products of finite-dimensional algebras against dense
-products."""
+products, and the lattice kernel read from a Hermite normal form against
+the column operations it replaced."""
 
 import random
 from fractions import Fraction
@@ -16,7 +17,17 @@ from skewcalc.cancel import (
     quotient_by_ideal,
     univariate_quotient,
 )
-from skewcalc.linalg import SpanBasis, add_scaled, nullspace, rref, solve, solve_each
+from skewcalc import invariants
+from skewcalc.linalg import (
+    SpanBasis,
+    add_scaled,
+    hnf_row,
+    integer_kernel,
+    nullspace,
+    rref,
+    solve,
+    solve_each,
+)
 from skewcalc.scalars import CYCLOTOMIC, PRIME, RATFUNC_Q, RATIONAL, FieldDescriptor
 
 FIELDS = (
@@ -467,3 +478,110 @@ def test_projection_mod_the_nilradical_matches_dense_reference(kind, param, data
         w = project(sparse(v))
         assert to_dense(w, q.dim, field) == ref_project(dense_ideal, field, v)
         assert project(lift(w)) == w
+
+
+# ---------------------------------------------------------------------------
+# integer lattices
+
+
+def ref_integer_kernel(mat: list[list[int]]):
+    """The earlier kernel by column operations on mat, mirrored on an
+    identity block, kept as the reference."""
+    if not mat:
+        return []
+    rows, cols = len(mat), len(mat[0])
+    # column operations on mat, mirrored on an identity block
+    m = [list(r) for r in mat]
+    u = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def col_swap(a, b):
+        for row in m:
+            row[a], row[b] = row[b], row[a]
+        for row in u:
+            row[a], row[b] = row[b], row[a]
+
+    def col_addmul(dst, src, f):
+        for row in m:
+            row[dst] += f * row[src]
+        for row in u:
+            row[dst] += f * row[src]
+
+    r = 0
+    for i in range(rows):
+        piv = next((j for j in range(r, cols) if m[i][j] != 0), None)
+        if piv is None:
+            continue
+        col_swap(r, piv)
+        for j in range(r + 1, cols):
+            while m[i][j] != 0:
+                if abs(m[i][j]) < abs(m[i][r]):
+                    col_swap(r, j)
+                f = m[i][j] // m[i][r]
+                col_addmul(j, r, -f)
+        r += 1
+        if r == cols:
+            break
+    kernel = []
+    for j in range(cols):
+        if all(m[i][j] == 0 for i in range(rows)):
+            kernel.append([u[i][j] for i in range(cols)])
+    return kernel
+
+
+def _is_hnf(rows) -> bool:
+    """Row-echelon with no zero row, positive pivots, and the entries
+    above each pivot in [0, pivot)."""
+    last = -1
+    for r, row in enumerate(rows):
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None or c <= last or row[c] <= 0:
+            return False
+        if any(not 0 <= rows[i][c] < row[c] for i in range(r)):
+            return False
+        last = c
+    return True
+
+
+def _integer_matrices(rng, count):
+    for _ in range(count):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        density = rng.random()
+        yield [[rng.randint(-9, 9) if rng.random() < density else 0
+                for _ in range(cols)] for _ in range(rows)]
+
+
+def test_integer_kernel_matches_the_column_operation_reference():
+    for mat in _integer_matrices(random.Random(7), 2000):
+        kernel, ref = integer_kernel(mat), ref_integer_kernel(mat)
+        for x in kernel:
+            assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in mat)
+        assert len(kernel) == len(ref)
+        assert hnf_row(kernel) == hnf_row(ref)
+        assert kernel == hnf_row(kernel)  # already in Hermite normal form
+    assert integer_kernel([]) == ref_integer_kernel([]) == []
+
+
+def test_hnf_row_is_an_echelon_basis_of_the_row_lattice():
+    for mat in _integer_matrices(random.Random(11), 2000):
+        h = hnf_row(mat)
+        assert _is_hnf(h)
+        assert hnf_row(mat + h) == h  # the same lattice: mat's rows add nothing
+        assert hnf_row(h) == h
+    assert hnf_row([]) == []
+    assert not _is_hnf([[0, 2], [1, 0]]) and not _is_hnf([[2, 3], [0, 2]])
+
+
+def test_center_torus_is_unchanged_by_the_kernel(monkeypatch):
+    rng = random.Random(3)
+    tori = []
+    for _ in range(1000):
+        n, l = rng.randint(1, 6), rng.randint(1, 30)
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i][j] = rng.randint(-l, l)
+                a[j][i] = -a[i][j]
+        tori.append((n, l, a))
+    outs = [invariants.center_torus(*t) for t in tori]
+    monkeypatch.setattr(invariants, "integer_kernel", ref_integer_kernel)
+    assert outs == [invariants.center_torus(*t) for t in tori]
