@@ -6,7 +6,11 @@ Four layers:
   form, von Neumann regularity, local decomposition through idempotent
   lifting, whether the units span the algebra by a count of the residue
   fields GF(2), bounded generating-set verification),
-  on the dict vectors {basis index: nonzero Scalar} that `linalg` uses;
+  on the dict vectors {basis index: nonzero Scalar} that `linalg` uses.
+  They are built as quotients k[x_1..x_n]/(monomials, one f_v(x_v) per
+  variable) by one constructor, `commutative_quotient`, which checks by
+  Buchberger's criterion that the relations are a Gröbner basis and
+  refuses an infinite quotient exactly; k[x]/(f) is its one-variable case;
 * exact morphism and isomorphism verification between presentations:
   a map is a homomorphism when it respects every defining relation, and
   two homomorphisms are mutually inverse when each composite fixes every
@@ -18,6 +22,8 @@ Four layers:
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from . import poly
 from .errors import (
@@ -40,10 +46,6 @@ from .scalars import PRIME, RATIONAL, FieldDescriptor
 # Newton steps `_lift_idempotent` takes before it gives up; each step
 # doubles the power of the nilradical that the error lies in
 MAX_LIFT_STEPS = 64
-
-# largest degree of a basis monomial of `commutative_quotient`; a quotient
-# with a standard monomial past it is taken to be infinite dimensional
-MAX_QUOTIENT_DEGREE = 60
 
 # passes of `verify_generating_set`, each multiplying the newest closure
 # elements by every generator, before it gives up; every pass but the last
@@ -219,111 +221,98 @@ class FiniteDimAlgebra:
 
 def univariate_quotient(field, coeffs) -> FiniteDimAlgebra:
     """k[x]/(f) for a monic-izable f given by ascending coefficients."""
-    coeffs = poly.trim(list(coeffs))
-    if len(coeffs) < 2:
-        raise BadParamsError("modulus must have degree >= 1")
-    inv = coeffs[-1].inv()
-    coeffs = [c * inv for c in coeffs]
-    d = len(coeffs) - 1
-    names = ["1"] + [f"x^{k}" if k > 1 else "x" for k in range(1, d)]
-
-    def reduce_power(k):
-        p = [field.zero()] * k + [field.one()]
-        _, r = poly.divmod(p, coeffs, field)
-        return {i: c for i, c in enumerate(r) if not c.is_zero()}
-
-    powers = [reduce_power(k) for k in range(2 * d - 1)]
-    table = [[powers[i + j] for j in range(d)] for i in range(d)]
-    return FiniteDimAlgebra(field, names, table, {0: field.one()})
+    return commutative_quotient(field, ["x"], [], {0: coeffs})
 
 
 def commutative_quotient(field, var_names, monomial_rels, univariate_rels) -> FiniteDimAlgebra:
-    """k[vars] / (monomial relations + one univariate relation per variable).
+    """k[vars] / (monomial relations + at most one univariate relation per
+    variable), on the standard monomials in (degree, exponents) order.
 
-    `monomial_rels`: exponent tuples that are set to zero (with all their
-    multiples). `univariate_rels`: var index -> ascending coefficient list
-    of a monic-izable polynomial satisfied by that variable.
+    `monomial_rels`: exponent tuples x^r that are set to zero.
+    `univariate_rels`: var index v -> ascending coefficient list of a
+    monic-izable f_v(x_v) of degree >= 1.
+
+    The relations must be a Gröbner basis. In every monomial order their
+    leading terms are the x^r and the x_v^deg(f_v), so by Buchberger's
+    criterion (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms,
+    2.6 and 2.9) only the S-polynomials of x^r and f_v with r_v >= 1 need
+    to reduce to 0: the other pairs are two monomials or have coprime
+    leading terms. A pair that does not is refused. The quotient is then
+    finite dimensional exactly when a pure power of every variable is a
+    leading term.
     """
+    one, zero = field.one(), field.zero()
     nv = len(var_names)
     uni = {}
     for v, coeffs in (univariate_rels or {}).items():
+        if v not in range(nv):
+            raise BadParamsError(f"univariate relation {v}: no variable has that index")
         coeffs = poly.trim(list(coeffs))
         if len(coeffs) < 2:
-            raise BadParamsError("univariate relation must have degree >= 1")
+            raise BadParamsError(
+                f"univariate relation of {var_names[v]} must have degree >= 1")
         inv = coeffs[-1].inv()
         uni[v] = [c * inv for c in coeffs]
-    bounds = [len(uni[v]) - 1 if v in uni else None for v in range(nv)]
-    if any(b is None for b in bounds) and not monomial_rels:
-        raise BadParamsError("quotient is not finite dimensional")
+    rels = [tuple(r) for r in monomial_rels]
+    for r in rels:
+        if len(r) != nv or not any(r) or min(r) < 0:
+            raise BadParamsError(
+                f"monomial relation {r}: needs {nv} exponents >= 0, not all 0")
+    leads = rels + [tuple(len(f) - 1 if w == v else 0 for w in range(nv))
+                    for v, f in uni.items()]
 
-    def divisible(m, rel):
-        return all(m[i] >= rel[i] for i in range(nv))
+    def standard(m):
+        return not any(all(a <= b for a, b in zip(lead, m)) for lead in leads)
 
-    def monomials():
-        out = [(0,) * nv]
-        frontier = [(0,) * nv]
-        seen = {(0,) * nv}
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for v in range(nv):
-                    mm = tuple(e + (1 if i == v else 0) for i, e in enumerate(m))
-                    if mm in seen:
-                        continue
-                    if bounds[v] is not None and mm[v] >= bounds[v]:
-                        continue
-                    if any(divisible(mm, r) for r in monomial_rels):
-                        continue
-                    if sum(mm) > MAX_QUOTIENT_DEGREE:
-                        raise ResourceLimitError(
-                            "quotient appears infinite dimensional: a basis monomial "
-                            f"exceeds the degree cap MAX_QUOTIENT_DEGREE = "
-                            f"{MAX_QUOTIENT_DEGREE}",
-                            cap="MAX_QUOTIENT_DEGREE", limit=MAX_QUOTIENT_DEGREE)
-                    seen.add(mm)
-                    out.append(mm)
-                    nxt.append(mm)
-            frontier = nxt
-        out.sort(key=lambda m: (sum(m), m))
-        return out
+    def power(v, e):  # x_v^e mod f_v, as {exponent: coefficient}
+        if v not in uni or e < len(uni[v]) - 1:
+            return {e: one}
+        _, r = poly.divmod([zero] * e + [one], uni[v], field)
+        return {k: c for k, c in enumerate(r) if not c.is_zero()}
 
-    basis = monomials()
+    def normal_form(m):  # x^m, as {standard monomial: coefficient}
+        terms = {(): one}
+        for v, e in enumerate(m):  # () has coefficient one: nothing to multiply
+            terms = {t + (k,): c * ck if t else ck for t, c in terms.items()
+                     for k, ck in power(v, e).items()}
+        return {t: c for t, c in terms.items() if standard(t)}
+
+    for r in rels:
+        for v, f in uni.items():
+            if r[v]:
+                # S(x^r, f_v) = -x^s (f_v - x_v^d), s = r with s_v = max(r_v - d, 0)
+                d = len(f) - 1
+                s = [r[:v] + (max(r[v] - d, 0) + k,) + r[v + 1:] for k in range(d)]
+                if _lincomb(zip(f, map(normal_form, s))):
+                    raise BadParamsError(
+                        "relations are not a Gröbner basis: the S-polynomial of "
+                        f"monomial relation {r} and the univariate relation of "
+                        f"{var_names[v]} does not reduce to 0")
+    for v, name in enumerate(var_names):
+        if not any(lead[v] == sum(lead) for lead in leads if lead[v]):
+            raise BadParamsError(
+                "quotient is not finite dimensional: no relation bounds "
+                f"the powers of {name}")
+
+    # the standard monomials are closed under division, so each is found
+    # once, from the one with its last nonzero exponent lowered
+    basis = [(0,) * nv]
+    for m in basis:
+        last = max((v for v in range(nv) if m[v]), default=0)
+        for v in range(last, nv):
+            mm = m[:v] + (m[v] + 1,) + m[v + 1:]
+            if standard(mm):
+                basis.append(mm)
+    basis.sort(key=lambda m: (sum(m), m))
     index = {b: i for i, b in enumerate(basis)}
+    vectors = {}  # x^m -> its normal form over the basis, one reduction per monomial
 
-    def reduce_term(m, c):
-        """Reduce one monomial*coefficient to a dict vector over the basis."""
-        agenda = [(m, c)]
-        out = {}
-        while agenda:
-            mono, coef = agenda.pop()
-            if coef.is_zero():
-                continue
-            if any(divisible(mono, r) for r in monomial_rels):
-                continue
-            over = next(
-                (v for v in range(nv)
-                 if bounds[v] is not None and mono[v] >= bounds[v]), None
-            )
-            if over is None:
-                out[mono] = out.get(mono, field.zero()) + coef
-                continue
-            v = over
-            rel = uni[v]
-            d = len(rel) - 1
-            # x_v^d = -(rel[0] + ... + rel[d-1] x_v^{d-1})
-            for k in range(d):
-                if rel[k].is_zero():
-                    continue
-                mm = tuple(
-                    e - d + k if i == v else e for i, e in enumerate(mono)
-                )
-                agenda.append((mm, -coef * rel[k]))
-        return {index[mono]: c for mono, c in out.items() if not c.is_zero()}
+    def vector(m):
+        if m not in vectors:
+            vectors[m] = {index[t]: c for t, c in normal_form(m).items()}
+        return vectors[m]
 
-    table = [
-        [reduce_term(tuple(a + b for a, b in zip(bi, bj)), field.one()) for bj in basis]
-        for bi in basis
-    ]
+    table = [[vector(tuple(map(add, bi, bj))) for bj in basis] for bi in basis]
 
     def name_of(m):
         if not any(m):
@@ -333,7 +322,7 @@ def commutative_quotient(field, var_names, monomial_rels, univariate_rels) -> Fi
             for v, e in enumerate(m) if e
         )
 
-    return FiniteDimAlgebra(field, [name_of(m) for m in basis], table, {0: field.one()})
+    return FiniteDimAlgebra(field, [name_of(m) for m in basis], table, {0: one})
 
 
 def direct_product(a: FiniteDimAlgebra, b: FiniteDimAlgebra) -> FiniteDimAlgebra:
@@ -351,8 +340,8 @@ def direct_product(a: FiniteDimAlgebra, b: FiniteDimAlgebra) -> FiniteDimAlgebra
 
 
 def scalar_field_algebra(field) -> FiniteDimAlgebra:
-    one = field.one()
-    return FiniteDimAlgebra(field, ["1"], [[{0: one}]], {0: one})
+    """The field itself, as k[x]/(x)."""
+    return univariate_quotient(field, [field.zero(), field.one()])
 
 
 # -- nilradical and friends -------------------------------------------------

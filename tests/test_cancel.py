@@ -36,7 +36,14 @@ from skewcalc.linalg import SpanBasis, solve
 from skewcalc.poly import roots
 from skewcalc.divisor import divisor_closure
 from skewcalc.presentation import Morphism, identity_morphism
-from skewcalc.scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor, scalar_parse
+from skewcalc.scalars import (
+    CYCLOTOMIC,
+    PRIME,
+    RATFUNC_Q,
+    RATIONAL,
+    FieldDescriptor,
+    scalar_parse,
+)
 from test_golden_cli import _FIELDS, _MODULI
 from test_linalg import ref_solve, sparse, to_dense
 
@@ -583,7 +590,8 @@ def _units_grid():
     k[x]/(f) up to degree 7 over GF(2) and 4 over GF(3), a fixed sample of
     degree 8 and 5, products of two and of three of them, and
     k[x, y]/(f(x), g(y)) for f, g of degree 2, also with xy = 0 where
-    f(0) = g(0) = 0."""
+    f(0) = g(0) = 0. Elsewhere x or y is a unit, xy = 0 kills the other,
+    and `commutative_quotient` must refuse xy, f, g as no Gröbner basis."""
     rng = random.Random(23)
     for field, top in ((F2, 8), (F3, 5)):
         small = [f for d in range(1, 3) for f in _monic(field, d)]
@@ -599,9 +607,11 @@ def _units_grid():
             yield direct_product(direct_product(b, c), d)
         for f, g in itertools.product(_monic(field, 2), repeat=2):
             yield commutative_quotient(field, ["x", "y"], [], {0: f, 1: g})
-            # else x or y is a unit, and xy = 0 kills the other
             if f[0].is_zero() and g[0].is_zero():
                 yield commutative_quotient(field, ["x", "y"], [(1, 1)], {0: f, 1: g})
+            else:
+                with pytest.raises(BadParamsError, match="not a Gröbner basis"):
+                    commutative_quotient(field, ["x", "y"], [(1, 1)], {0: f, 1: g})
 
 
 def test_units_generated_matches_the_exhaustive_reference():
@@ -656,16 +666,293 @@ def test_generating_set_closure_names_its_pass_cap(monkeypatch):
     assert err.value.details == {"cap": "MAX_GENERATING_SET_PASSES", "limit": 1}
 
 
-def test_commutative_quotient_names_its_degree_cap(monkeypatch):
+def test_commutative_quotient_refuses_an_infinite_quotient():
     # k[x, y]/(xy) is infinite dimensional: every power of x survives
-    with pytest.raises(ResourceLimitError, match="MAX_QUOTIENT_DEGREE = 60") as err:
+    with pytest.raises(BadParamsError, match="bounds the powers of x$"):
         commutative_quotient(Q, ["x", "y"], [(1, 1)], {})
-    assert err.value.details == {"cap": "MAX_QUOTIENT_DEGREE", "limit": 60}
-    # the cap bounds the degree of a basis monomial, not the dimension
-    monkeypatch.setattr(cancel, "MAX_QUOTIENT_DEGREE", 1)
     assert commutative_quotient(Q, ["x", "y"], [(2, 0), (1, 1), (0, 2)], {}).dim == 3
-    with pytest.raises(ResourceLimitError, match="MAX_QUOTIENT_DEGREE = 1"):
-        commutative_quotient(Q, ["x"], [(3,)], {})
+    assert commutative_quotient(Q, ["x"], [(3,)], {}).dim == 3
+
+
+@pytest.mark.parametrize("field, names, rels, uni, pair", [
+    # x is a unit, so y = y(x^2 + 1) - x(xy) = 0: GF(2)[x]/(x^2 + 1)
+    (F2, ["x", "y"], [(1, 1)], {0: (1, 0, 1), 1: (0, 0, 1)}, r"\(1, 1\) .* of x "),
+    # x^3 = -x and x^5 = x: the zero ring
+    (Q, ["x"], [(5,)], {0: (1, 0, 1)}, r"\(5,\) .* of x "),
+    # y is a unit, so x = 0: finite, but no relation bounds x
+    (Q, ["x", "y"], [(1, 1)], {1: (-1, 0, 1)}, r"\(1, 1\) .* of y "),
+], ids=["gf2-x-unit", "q-zero-ring", "q-y-unit"])
+def test_commutative_quotient_refuses_a_non_groebner_basis(field, names, rels, uni, pair):
+    with pytest.raises(BadParamsError, match="not a Gröbner basis: .*" + pair):
+        commutative_quotient(field, names, rels, {v: _q(field, *f) for v, f in uni.items()})
+
+
+@pytest.mark.parametrize("names, rels, uni, text", [
+    (["x", "y"], [(1,)], {}, r"monomial relation \(1,\)"),
+    (["x", "y"], [(2, -1)], {}, r"monomial relation \(2, -1\)"),
+    (["x", "y"], [(0, 0)], {}, r"monomial relation \(0, 0\)"),
+    (["x"], [], {0: (0, 0, 1), 3: (1, 1)}, "univariate relation 3"),
+], ids=["short", "negative", "zero", "no-variable"])
+def test_commutative_quotient_refuses_a_malformed_relation(names, rels, uni, text):
+    with pytest.raises(BadParamsError, match=text):
+        commutative_quotient(Q, names, rels, {v: _q(Q, *f) for v, f in uni.items()})
+
+
+# -- quotient constructors against the reference ----------------------------
+#
+# The constructors as they were before the Gröbner check, kept verbatim:
+# k[x]/(f) built from its own table, and a quotient reduced by an agenda of
+# univariate rewrites, with a degree cap standing in for a finiteness test.
+
+MAX_QUOTIENT_DEGREE = 60
+
+
+def ref_univariate_quotient(field, coeffs) -> FiniteDimAlgebra:
+    """k[x]/(f) for a monic-izable f given by ascending coefficients."""
+    coeffs = poly.trim(list(coeffs))
+    if len(coeffs) < 2:
+        raise BadParamsError("modulus must have degree >= 1")
+    inv = coeffs[-1].inv()
+    coeffs = [c * inv for c in coeffs]
+    d = len(coeffs) - 1
+    names = ["1"] + [f"x^{k}" if k > 1 else "x" for k in range(1, d)]
+
+    def reduce_power(k):
+        p = [field.zero()] * k + [field.one()]
+        _, r = poly.divmod(p, coeffs, field)
+        return {i: c for i, c in enumerate(r) if not c.is_zero()}
+
+    powers = [reduce_power(k) for k in range(2 * d - 1)]
+    table = [[powers[i + j] for j in range(d)] for i in range(d)]
+    return FiniteDimAlgebra(field, names, table, {0: field.one()})
+
+
+def ref_commutative_quotient(field, var_names, monomial_rels, univariate_rels) -> FiniteDimAlgebra:
+    """k[vars] / (monomial relations + one univariate relation per variable).
+
+    `monomial_rels`: exponent tuples that are set to zero (with all their
+    multiples). `univariate_rels`: var index -> ascending coefficient list
+    of a monic-izable polynomial satisfied by that variable.
+    """
+    nv = len(var_names)
+    uni = {}
+    for v, coeffs in (univariate_rels or {}).items():
+        coeffs = poly.trim(list(coeffs))
+        if len(coeffs) < 2:
+            raise BadParamsError("univariate relation must have degree >= 1")
+        inv = coeffs[-1].inv()
+        uni[v] = [c * inv for c in coeffs]
+    bounds = [len(uni[v]) - 1 if v in uni else None for v in range(nv)]
+    if any(b is None for b in bounds) and not monomial_rels:
+        raise BadParamsError("quotient is not finite dimensional")
+
+    def divisible(m, rel):
+        return all(m[i] >= rel[i] for i in range(nv))
+
+    def monomials():
+        out = [(0,) * nv]
+        frontier = [(0,) * nv]
+        seen = {(0,) * nv}
+        while frontier:
+            nxt = []
+            for m in frontier:
+                for v in range(nv):
+                    mm = tuple(e + (1 if i == v else 0) for i, e in enumerate(m))
+                    if mm in seen:
+                        continue
+                    if bounds[v] is not None and mm[v] >= bounds[v]:
+                        continue
+                    if any(divisible(mm, r) for r in monomial_rels):
+                        continue
+                    if sum(mm) > MAX_QUOTIENT_DEGREE:
+                        raise ResourceLimitError(
+                            "quotient appears infinite dimensional: a basis monomial "
+                            f"exceeds the degree cap MAX_QUOTIENT_DEGREE = "
+                            f"{MAX_QUOTIENT_DEGREE}",
+                            cap="MAX_QUOTIENT_DEGREE", limit=MAX_QUOTIENT_DEGREE)
+                    seen.add(mm)
+                    out.append(mm)
+                    nxt.append(mm)
+            frontier = nxt
+        out.sort(key=lambda m: (sum(m), m))
+        return out
+
+    basis = monomials()
+    index = {b: i for i, b in enumerate(basis)}
+
+    def reduce_term(m, c):
+        """Reduce one monomial*coefficient to a dict vector over the basis."""
+        agenda = [(m, c)]
+        out = {}
+        while agenda:
+            mono, coef = agenda.pop()
+            if coef.is_zero():
+                continue
+            if any(divisible(mono, r) for r in monomial_rels):
+                continue
+            over = next(
+                (v for v in range(nv)
+                 if bounds[v] is not None and mono[v] >= bounds[v]), None
+            )
+            if over is None:
+                out[mono] = out.get(mono, field.zero()) + coef
+                continue
+            v = over
+            rel = uni[v]
+            d = len(rel) - 1
+            # x_v^d = -(rel[0] + ... + rel[d-1] x_v^{d-1})
+            for k in range(d):
+                if rel[k].is_zero():
+                    continue
+                mm = tuple(
+                    e - d + k if i == v else e for i, e in enumerate(mono)
+                )
+                agenda.append((mm, -coef * rel[k]))
+        return {index[mono]: c for mono, c in out.items() if not c.is_zero()}
+
+    table = [
+        [reduce_term(tuple(a + b for a, b in zip(bi, bj)), field.one()) for bj in basis]
+        for bi in basis
+    ]
+
+    def name_of(m):
+        if not any(m):
+            return "1"
+        return "*".join(
+            f"{var_names[v]}^{e}" if e > 1 else var_names[v]
+            for v, e in enumerate(m) if e
+        )
+
+    return FiniteDimAlgebra(field, [name_of(m) for m in basis], table, {0: field.one()})
+
+
+_ORACLE_FIELDS = [Q, F2, F3, FieldDescriptor(PRIME, 7), FieldDescriptor(RATFUNC_Q), C3]
+
+
+def _rows(a):
+    return [[list(v.items()) for v in row] for row in a.table]
+
+
+def test_univariate_quotient_matches_the_reference_in_key_order():
+    # the invariants digest prints idempotents in the key order of products
+    rng = random.Random(24)
+    for field in _ORACLE_FIELDS:
+        pool = ["0", "1", "-1", "2", "-3"] + (["q", "q+1", "1/q"] if field.kind in (
+            RATFUNC_Q, CYCLOTOMIC) else [])
+        for _ in range(60):
+            f = [scalar_parse(field, rng.choice(pool)) for _ in range(rng.randint(1, 9))]
+            f.append(scalar_parse(field, rng.choice(pool[1:])))
+            if f[-1].is_zero():
+                continue
+            a, ref = univariate_quotient(field, f), ref_univariate_quotient(field, f)
+            assert a.basis_names == ref.basis_names and a.unit == ref.unit
+            assert _rows(a) == _rows(ref)
+
+
+def _tensor(u, w, n):
+    """u ⊗ w in the tensor product of two algebras, w of dim n."""
+    return {i * n + j: c * d for i, c in u.items() for j, d in w.items()}
+
+
+def brute_force_dim(field, nv, rels, uni):
+    """dim k[x_1..x_n]/(x^r, f_v) with no Gröbner basis assumed: the box
+    algebra ⊗_v k[x_v]/(b_v), b_v = f_v or else the least pure power of x_v
+    among the x^r, modulo the ideal spanned by the x^r e_b. None when some
+    x_v has neither."""
+    one = field.one()
+    box = FiniteDimAlgebra(field, ["1"], [[{0: one}]], {0: one})
+    xs = []  # x_v in the box
+    for v in range(nv):
+        pure = [r[v] for r in rels if r[v] == sum(r)]
+        b = uni.get(v) or (pure and [field.zero()] * min(pure) + [one])
+        if not b:
+            return None
+        fac, n = ref_univariate_quotient(field, b), len(b) - 1
+        x = {1: one} if n > 1 else {0: -b[0] * b[1].inv()}
+        x = {k: c for k, c in x.items() if not c.is_zero()}
+        table = [[_tensor(box.table[i][k], fac.table[j][l], n)
+                  for k in range(box.dim) for l in range(n)]
+                 for i in range(box.dim) for j in range(n)]
+        xs = [_tensor(u, fac.unit, n) for u in xs] + [_tensor(box.unit, x, n)]
+        box = FiniteDimAlgebra(field, [str(i) for i in range(len(table))], table,
+                               _tensor(box.unit, fac.unit, n))
+    ideal = []
+    for r in rels:
+        m = box.unit
+        for v, e in enumerate(r):
+            if e:
+                m = box.mul(m, box.power(xs[v], e))
+        ideal += [box.mul(m, box._e(b)) for b in range(box.dim)]
+    return quotient_by_ideal(box, ideal)[0].dim
+
+
+def _random_quotients():
+    """(field, names, monomial relations, univariate relations) with 1-3
+    variables and degrees <= 3; a univariate relation is x^d, a multiple of
+    a power of x or random, so that many inputs are Gröbner bases."""
+    rng = random.Random(24)
+    for _ in range(400):
+        field = rng.choice([Q, F2, F3])
+        nv = rng.randint(1, 3)
+        uni = {}
+        for v in range(nv):
+            if rng.random() < 0.8:
+                d = rng.randint(1, 3)
+                low = rng.choice([d, rng.randint(0, d), 0])  # f is divisible by x^low
+                uni[v] = _q(field, *[0] * low, *(rng.randint(-2, 2) for _ in range(low, d)), 1)
+        rels = [tuple(rng.randint(0, 3) for _ in range(nv))
+                for _ in range(rng.randint(0, 3))]
+        rels = [r for r in rels if any(r)]
+        yield field, [f"x{v}" for v in range(nv)], rels, uni
+
+
+def _standard_count(nv, rels, uni):
+    box = itertools.product(*(range(len(uni[v]) - 1) for v in range(nv)))
+    return sum(not any(all(a >= b for a, b in zip(m, r)) for r in rels) for m in box)
+
+
+def test_commutative_quotient_matches_the_reference_and_brute_force():
+    built = refused = 0
+    for field, names, rels, uni in _random_quotients():
+        try:
+            a = commutative_quotient(field, names, rels, uni)
+        except BadParamsError as err:
+            if "not finite dimensional" in str(err):
+                assert brute_force_dim(field, len(names), rels, uni) is None
+                with pytest.raises((BadParamsError, ResourceLimitError)):
+                    ref_commutative_quotient(field, names, rels, uni)
+            refused += 1
+            continue
+        ref = ref_commutative_quotient(field, names, rels, uni)
+        assert a.basis_names == ref.basis_names and a.table == ref.table
+        assert a.dim == brute_force_dim(field, len(names), rels, uni)
+        built += 1
+    assert built > 200 and refused > 100
+
+
+def test_every_non_groebner_refusal_was_a_wrong_reference_answer():
+    # with every variable bounded by its univariate relation, the reference
+    # builds on the standard monomials of the given leading terms; the true
+    # quotient has fewer exactly when the relations are no Gröbner basis
+    refusals = answers = 0
+    for field, names, rels, uni in _random_quotients():
+        if len(uni) < len(names):
+            continue
+        try:
+            commutative_quotient(field, names, rels, uni)
+            continue
+        except BadParamsError as err:
+            assert "not a Gröbner basis" in str(err)
+        count = _standard_count(len(names), rels, uni)
+        assert brute_force_dim(field, len(names), rels, uni) < count
+        refusals += 1
+        try:
+            ref = ref_commutative_quotient(field, names, rels, uni)
+        except BadParamsError:  # the wrong table broke a law
+            continue
+        assert ref.dim == count
+        answers += 1
+    assert refusals > 50 and answers > 40
 
 
 # -- morphisms ---------------------------------------------------------------

@@ -258,6 +258,15 @@ def test_decompose_over_a_large_prime_field_is_prompt():
     assert json.loads(out.stdout)["result"]["factor_count"] == 4
 
 
+def test_a_modulus_of_high_degree_is_uncapped_and_a_constant_one_refused():
+    # k[x]/(f) has no degree cap: x^199 + 1 over GF(7) is built in full
+    poly = ",".join(["1"] + ["0"] * 198 + ["1"])
+    out = _run("nilradical", "--field", "gf(7)", "--poly", poly)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["result"]["dim"] == 199
+    assert _run("decompose", "--poly", "5").returncode == 3
+
+
 def _limit_memory():
     # 1 GiB of address space: a run that grows without bound fails fast
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
