@@ -3,9 +3,11 @@
 Four layers:
 
 * finite-dimensional commutative algebras (nilradical via the trace
-  form, von Neumann regularity, local decomposition through idempotent
-  lifting, whether the units span the algebra by a count of the residue
-  fields GF(2), bounded generating-set verification),
+  form, von Neumann regularity, local decomposition, of k[x]/(f) by the
+  Chinese remainder theorem from the factorization of f and otherwise
+  through idempotent lifting, whether the units span the algebra by a
+  count of the residue fields GF(2), bounded generating-set
+  verification),
   on the dict vectors {basis index: nonzero Scalar} that `linalg` uses.
   They are built as quotients k[x_1..x_n]/(monomials, one f_v(x_v) per
   variable) by one constructor, `commutative_quotient`, which checks by
@@ -81,7 +83,12 @@ class FiniteDimAlgebra:
     generating set G of basis vectors, then the unit. Light's test makes
     n (n - 1) / 2 checks for each member of G that is not a unit, in
     place of the n^3 of the plain test: for k[x]/(f), G = {1, x} and 28
-    checks at dim 8 where there were 512."""
+    checks at dim 8 where there were 512.
+
+    `modulus` is the monic f when the algebra is k[x]/(f) on the basis
+    1, x, ..., as `commutative_quotient` records it, and None otherwise."""
+
+    modulus = None
 
     def __init__(self, field, basis_names, table, unit):
         self.field = field
@@ -322,7 +329,10 @@ def commutative_quotient(field, var_names, monomial_rels, univariate_rels) -> Fi
             for v, e in enumerate(m) if e
         )
 
-    return FiniteDimAlgebra(field, [name_of(m) for m in basis], table, {0: one})
+    a = FiniteDimAlgebra(field, [name_of(m) for m in basis], table, {0: one})
+    if nv == 1 and not rels:
+        a.modulus = uni[0]
+    return a
 
 
 def direct_product(a: FiniteDimAlgebra, b: FiniteDimAlgebra) -> FiniteDimAlgebra:
@@ -504,8 +514,68 @@ def _certify_local(f: FiniteDimAlgebra):
     return None
 
 
+def _crt_decomposition(a: FiniteDimAlgebra):
+    """The decomposition of a = k[x]/(f) read off f = prod h^m, the h
+    irreducible (`poly.factorization`), or None when a factor is left
+    undecided. By the Chinese remainder theorem a is the product of the
+    k[x]/(P), P = h^m; the idempotent of P is s (f / P) mod f, with
+    s (f / P) = 1 mod P by Bezout. Each k[x]/(h^m) is local, with maximal
+    ideal (h) and residue field k[x]/(h), and the nilradical of a is
+    (rad f) / (f), exact from the factorization. The idempotents are
+    checked as polynomials mod f."""
+    field, f = a.field, a.modulus
+    parts = poly.factorization(f, field)
+    if parts is None:
+        return None
+    one = field.one()
+
+    def mod_f(g):
+        return poly.divmod(g, f, field)[1]
+
+    powers, idems, product = [], [], [one]
+    for h, m in parts:
+        power = [one]
+        for _ in range(m):
+            power = poly.mul(power, h, field)
+        cofactor = poly.divmod(f, power, field)[0]
+        s = poly.xgcd(cofactor, power, field)[1]
+        powers.append(power)
+        idems.append(mod_f(poly.mul(s, cofactor, field)))
+        product = poly.mul(product, power, field)
+    if product != f:
+        raise ValidationError("the factors do not multiply to the modulus")
+    for i, e in enumerate(idems):
+        if mod_f(poly.mul(e, e, field)) != e:
+            raise ValidationError("an idempotent is not idempotent")
+        if any(mod_f(poly.mul(e, d, field)) for d in idems[i + 1:]):
+            raise ValidationError("idempotents not orthogonal")
+    vectors = [{k: c for k, c in enumerate(e) if not c.is_zero()} for e in idems]
+    if _lincomb((one, e) for e in vectors) != a.unit:
+        raise ValidationError("idempotents do not sum to 1")
+    factors = [{"algebra": a if len(parts) == 1 else univariate_quotient(field, power),
+                "idempotent": e, "local_certified": True}
+               for power, e in zip(powers, vectors)]
+    return {"status": "DECOMPOSED", "factors": factors, "idempotents": vectors,
+            "nilradical_certified": True}
+
+
 def local_decomposition(a: FiniteDimAlgebra) -> dict:
-    """Orthogonal primitive idempotents, lifted through the nilradical."""
+    """Orthogonal primitive idempotents and their local factors.
+
+    On k[x]/(f) (`a.modulus` set) the factors come from the factorization
+    of f by the Chinese remainder theorem (`_crt_decomposition`): the
+    linear factors in the order `poly.roots` gives the roots of f, then
+    the others by multiplicity; each factor's algebra is k[x]/(h^m) on
+    the basis 1, x, ..., or `a` itself when f has one irreducible factor.
+    Every factor is then certified local. Anywhere else, and when
+    `poly.irreducible` leaves a factor of f undecided, idempotents are
+    split on roots of minimal polynomials in a / N(a), lifted through
+    the nilradical by Newton steps, and each factor is the algebra e*a,
+    certified local where `_certify_local` decides it."""
+    if a.modulus is not None:
+        dec = _crt_decomposition(a)
+        if dec is not None:
+            return dec
     nil = nilradical(a)
     q, project, lift = quotient_by_ideal(a, nil["basis"])
     # a worklist in creation order: an idempotent that does not split is

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd, isqrt, lcm
 
 from .errors import BadParamsError
-from .scalars import PRIME, RATIONAL, FieldDescriptor, Scalar
+from .scalars import PRIME, RATIONAL, FieldDescriptor, Scalar, is_prime
 
 
 def trim(p: list) -> list:
@@ -96,11 +96,75 @@ def evaluate(p: list, x: Scalar, field: FieldDescriptor) -> Scalar:
     return out
 
 
+def derivative(p: list, field: FieldDescriptor) -> list:
+    return trim([c * field.from_int(k) for k, c in enumerate(p)][1:])
+
+
+def squarefree(f: list, field: FieldDescriptor) -> list:
+    """Pairs (g, m), m ascending, with f = lc(f) * prod g^m and the g
+    monic, squarefree, pairwise coprime and of degree >= 1; f is nonzero.
+
+    One gcd chain for every characteristic, Musser's (1971) with the
+    p-th root step of the finite-field algorithm (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 14): with c = gcd(f, f') and
+    w = f / c, the step for m takes y = gcd(w, c), finds the factor of
+    multiplicity m as w / y and goes on with w = y, c = c / y. In
+    characteristic 0 that ends with c = 1. Over GF(p) the factors whose
+    multiplicity p divides never reach w, and what is left of c is a
+    p-th power u(x)^p = u(x^p), whose p-th root u recurses with the
+    multiplicities times p; with f' = 0 that is all of f.
+    """
+    inv = f[-1].inv()
+    f = [c * inv for c in f]
+    c = xgcd(f, derivative(f, field), field)[0]
+    w = divmod(f, c, field)[0]
+    out, m = [], 1
+    while len(w) > 1:
+        y = xgcd(w, c, field)[0]
+        g = divmod(w, y, field)[0]
+        if len(g) > 1:
+            out.append((g, m))
+        w, c = y, divmod(c, y, field)[0]
+        m += 1
+    if len(c) > 1:  # characteristic p; in GF(p), a^p = a
+        p = field.characteristic()
+        out += [(g, k * p) for g, k in squarefree(c[::p], field)]
+        out.sort(key=lambda part: part[1])
+    return out
+
+
+def factorization(f: list, field: FieldDescriptor):
+    """Pairs (h, m) with f = lc(f) * prod h^m, the h monic, irreducible
+    and distinct; None when `irreducible` leaves a factor undecided.
+
+    Each g of `squarefree` is split by `roots` into linear factors and a
+    remainder without roots, which must be irreducible. The linear
+    factors come first, in the order `roots` gives the roots of f, then
+    the remainders by ascending m."""
+    one = field.one()
+    rest = {m: g for g, m in squarefree(f, field)}
+    radical = [one]  # the roots of f, at a lower degree than f
+    for g in rest.values():
+        radical = mul(radical, g, field)
+    out = []
+    for r in roots(radical, field):
+        m = next(m for m, g in rest.items() if evaluate(g, r, field).is_zero())
+        rest[m] = divmod(rest[m], [-r, one], field)[0]
+        out.append(([-r, one], m))
+    for m, h in sorted(rest.items()):
+        if len(h) > 1:
+            if irreducible(h, field) is not True:
+                return None
+            out.append((h, m))
+    return out
+
+
 def roots(f: list, field: FieldDescriptor) -> list:
     """Distinct roots of a nonzero polynomial in the coefficient field.
 
-    GF(p): all of them, ascending. Q: all of them, by the rational-root
-    test, in the order the test meets them. Q(q) and cyclotomic fields:
+    GF(p): all of them, ascending. Q: all of them, in the order the
+    rational-root test meets them, found mod a prime and lifted; see
+    `_rational_roots`. Q(q) and cyclotomic fields:
     only the integers -3..3 are tried, so other roots are missed.
     """
     f = trim(list(f))
@@ -144,33 +208,59 @@ def _prime_roots(f, field):
 
 
 def _rational_roots(f, field):
-    den = lcm(*(c.value[1] for c in f))
-    ints = [n * (den // d) for n, d in (c.value for c in f)]
+    """The rational roots of f: 0 first, then by (|numerator|,
+    denominator), the positive one of a pair first, the order of the
+    rational-root test. The roots are those of the squarefree part g of
+    f with its denominators cleared. They are found mod a prime p that
+    divides neither lc(g) nor the discriminant of g, then Hensel-lifted
+    mod p^(2^k) past 2 lc(g) B, B = 1 + max|g_i / lc(g)| the Cauchy bound:
+    a root n/d of g has d dividing lc(g), so lc(g) n / d is an integer of
+    absolute value at most lc(g) B, and it is read off the lifted root
+    in the symmetric range. Each candidate is checked exactly."""
     out = []
-    if ints[0] == 0:
+    if f[0].is_zero():
         out.append(field.zero())
-        while ints[0] == 0:
-            ints.pop(0)
-    for pp in _divisors(abs(ints[0])):
-        for qq in _divisors(abs(ints[-1])):
-            for sign in (1, -1):
-                g = gcd(pp, qq)
-                cand = Scalar(field, (sign * pp // g, qq // g))
-                if cand not in out and evaluate(f, cand, field).is_zero():
-                    out.append(cand)
-    return out
+        while f[0].is_zero():
+            f = f[1:]
+    if len(f) == 1:
+        return out
+    g = divmod(f, xgcd(f, derivative(f, field), field)[0], field)[0]
+    den = lcm(*(c.value[1] for c in g))
+    ints = [n * (den // d) for n, d in (c.value for c in g)]
+    lc = ints[-1]
+    p = 1
+    while True:
+        p += 1
+        if lc % p and is_prime(p):
+            gp = FieldDescriptor(PRIME, p)
+            image = [gp.from_int(c) for c in ints]
+            if len(xgcd(image, derivative(image, gp), gp)[0]) == 1:
+                break
+    slopes = [k * c for k, c in enumerate(ints)][1:]
 
+    def value(coeffs, x, m):  # coeffs(x) mod m, by Horner's rule
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % m
+        return acc
 
-def _divisors(n: int) -> list:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    lifted, m = [r.value for r in _prime_roots(image, gp)], p
+    bound = 2 * (abs(lc) + max(map(abs, ints[:-1])))
+    while m <= bound:  # Newton's step doubles the p-adic precision
+        m *= m
+        lifted = [(r - value(ints, r, m) * pow(value(slopes, r, m), -1, m)) % m
+                  for r in lifted]
+    found = []
+    for r in lifted:
+        n = lc * r % m
+        if 2 * n > m:
+            n -= m
+        common = gcd(n, lc) if lc > 0 else -gcd(n, lc)
+        n, d = n // common, lc // common
+        cand = Scalar(field, (n, d))
+        if evaluate(f, cand, field).is_zero():
+            found.append((abs(n), d, n < 0, cand))
+    return out + [cand for *_, cand in sorted(found)]
 
 
 def _is_square(r: Scalar) -> bool:

@@ -307,6 +307,12 @@ def test_local_decomposition_field_is_single_factor():
     assert cancel._subalgebra_on_idempotent(a, a.unit) == (a, [a._e(0), a._e(1)])
 
 
+def _probing(a):
+    """`a` on the same basis and table, without the recorded modulus, so
+    that `local_decomposition` probes it as it would any other algebra."""
+    return FiniteDimAlgebra(a.field, a.basis_names, a.table, a.unit)
+
+
 @pytest.mark.parametrize("field,coeffs,count", [
     (Q, (-1, 0, 0, 0, 1), 3),  # (x - 1)(x + 1)(x^2 + 1)
     (Q, (0, 0, -1, 0, 1), 3),  # x^2 (x - 1)(x + 1)
@@ -320,7 +326,7 @@ def test_local_decomposition_tries_each_idempotent_once(monkeypatch, field, coef
     split = cancel._split_idempotent
     monkeypatch.setattr(cancel, "_split_idempotent",
                         lambda q, e: calls.append(e) or split(q, e))
-    dec = local_decomposition(univariate_quotient(field, _q(field, *coeffs)))
+    dec = local_decomposition(_probing(univariate_quotient(field, _q(field, *coeffs))))
     assert len(dec["factors"]) == count
     assert len(calls) <= 2 * count - 1
 
@@ -423,6 +429,75 @@ def test_field_stops_give_the_reference_verdicts(a):
         assert cancel._certify_local(fac) is reference_certify_local(fac)
 
 
+def _idempotent_set(dec):
+    return {frozenset(e.items()) for e in dec["idempotents"]}
+
+
+def _crt_against_probing(a):
+    """Compare `local_decomposition` of k[x]/(f) with probing, and return
+    "probed" when a factor of f is undecided (both are then the probing
+    path), "agree" or "differ". Where probing decomposes, the CRT path
+    must give the same factors and idempotents; where it does not, the
+    CRT result must be decomposed and certified. Either way the
+    idempotents are checked through the structure constants of `a`, not
+    as polynomials, and each factor's dimension is that of e*a."""
+    crt, probed = local_decomposition(a), local_decomposition(_probing(a))
+    if poly.factorization(a.modulus, a.field) is None:
+        assert crt["status"] == probed["status"]
+        assert crt["idempotents"] == probed["idempotents"]
+        assert ([f["local_certified"] for f in crt["factors"]]
+                == [f["local_certified"] for f in probed["factors"]])
+        return "probed"
+    assert crt["status"] == "DECOMPOSED" and crt["nilradical_certified"] is True
+    assert all(f["local_certified"] is True for f in crt["factors"])
+    if probed["status"] == "DECOMPOSED":
+        assert len(crt["factors"]) == len(probed["factors"])
+        assert (sorted(f["algebra"].dim for f in crt["factors"])
+                == sorted(f["algebra"].dim for f in probed["factors"]))
+        assert _idempotent_set(crt) == _idempotent_set(probed)
+    else:
+        assert all(cancel._certify_local(f["algebra"]) is True for f in crt["factors"])
+    idems = crt["idempotents"]
+    assert cancel._lincomb((a.field.one(), e) for e in idems) == a.unit
+    for i, (e, f) in enumerate(zip(idems, crt["factors"])):
+        assert f["idempotent"] is e and a.mul(e, e) == e
+        assert all(not a.mul(e, d) for d in idems[i + 1:])
+        span = SpanBasis(a.field, lambda k: k)
+        assert sum(span.add(a.mul(e, a._e(j))) for j in range(a.dim)) == f["algebra"].dim
+    return "agree" if probed["status"] == "DECOMPOSED" else "differ"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(a=_factored_quotients())
+def test_crt_decomposition_agrees_with_probing(a):
+    _crt_against_probing(a)
+
+
+@pytest.mark.parametrize("tag", sorted(_MODULI))
+def test_crt_decomposition_agrees_with_probing_on_the_golden_moduli(tag):
+    field = cli._parse_field(_FIELDS[tag])
+    for text in _MODULI[tag]:
+        a = univariate_quotient(field, [scalar_parse(field, t) for t in text.split(",")])
+        assert _crt_against_probing(a) != "differ", text
+
+
+@pytest.mark.parametrize("p,coeffs,parts", [
+    (2, (1, 0, 0, 0, 1), [((1, 1), 4)]),  # x^4 + 1 = (x + 1)^4
+    # (x + 1)^2 (x^2 + x + 1)^2 = (x^3 + 1)^2 = x^6 + 1
+    (2, (1, 0, 0, 0, 0, 0, 1), [((1, 1), 2), ((1, 1, 1), 2)]),
+    (2, (1, 0, 1, 0, 1, 0, 1), [((1, 1), 6)]),  # (x + 1)^6
+    (3, (2, 0, 0, 1), [((2, 1), 3)]),  # (x - 1)^3 = x^3 - 1
+    # (x^3 + 2x + 1)^3 = x^9 + 2x^3 + 1
+    (3, (1, 0, 0, 2, 0, 0, 0, 0, 0, 1), [((1, 2, 0, 1), 3)]),
+])
+def test_crt_decomposition_in_characteristic_p_with_zero_derivative(p, coeffs, parts):
+    field = FieldDescriptor(PRIME, p)
+    f = _q(field, *coeffs)
+    assert not poly.derivative(f, field)
+    assert poly.factorization(f, field) == [(_q(field, *h), m) for h, m in parts]
+    assert _crt_against_probing(univariate_quotient(field, f)) == "agree"
+
+
 def test_field_stops_skip_the_rest_of_the_basis(monkeypatch):
     calls = []
     min_poly = FiniteDimAlgebra.min_poly
@@ -443,7 +518,9 @@ def test_field_stops_skip_the_rest_of_the_basis(monkeypatch):
 
 
 def test_idempotent_lifting_names_its_step_cap(monkeypatch):
-    a = univariate_quotient(Q, _q(Q, 0, 0, -1, 1))  # k[x]/(x^2 (x - 1))
+    # k[x]/(x^2) x k is no k[x]/(f): its idempotents are lifted by Newton steps
+    a = direct_product(univariate_quotient(Q, _q(Q, 0, 0, 1)), scalar_field_algebra(Q))
+    assert a.modulus is None
     assert len(local_decomposition(a)["factors"]) == 2
     monkeypatch.setattr(cancel, "MAX_LIFT_STEPS", 0)
     with pytest.raises(ResourceLimitError, match="MAX_LIFT_STEPS = 0") as err:

@@ -5,6 +5,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,6 +257,20 @@ def test_decompose_over_a_large_prime_field_is_prompt():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["result"]["factor_count"] == 4
+
+
+def test_decompose_with_a_huge_constant_term_is_prompt():
+    # the rational-root test would trial-divide 10^30 + 57 up to 10^15
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "skewcalc.cli", "decompose",
+         "--field", "rational", "--poly", "1000000000000000000000000000057,0,1"],
+        capture_output=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert time.perf_counter() - start < 1.0
+    result = json.loads(out.stdout)["result"]
+    assert result["status"] == "DECOMPOSED" and result["factor_count"] == 1
 
 
 def test_a_modulus_of_high_degree_is_uncapped_and_a_constant_one_refused():

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -102,6 +104,43 @@ def _gf_roots(f, p):
                     todo += [h, _gf_divmod(g, h, p)[0]]
                     break
     return sorted(roots)
+
+
+# -- reference: the rational-root test by trial division ----------------------
+
+
+def reference_rational_roots(f, field):
+    """The rational roots of f by the rational-root test, which
+    `_rational_roots` replaced: every p/q with p dividing the constant
+    term and q the leading coefficient, once cleared of denominators, is
+    tried, p and q found by trial division up to their square roots."""
+    den = lcm(*(c.value[1] for c in f))
+    ints = [n * (den // d) for n, d in (c.value for c in f)]
+    out = []
+    if ints[0] == 0:
+        out.append(field.zero())
+        while ints[0] == 0:
+            ints.pop(0)
+    for pp in _divisors(abs(ints[0])):
+        for qq in _divisors(abs(ints[-1])):
+            for sign in (1, -1):
+                g = gcd(pp, qq)
+                cand = field.from_fraction(Fraction(sign * pp // g, qq // g))
+                if cand not in out and poly.evaluate(f, cand, field).is_zero():
+                    out.append(cand)
+    return out
+
+
+def _divisors(n: int) -> list:
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
 
 
 # -- strategies --------------------------------------------------------------
@@ -277,3 +316,129 @@ def test_irreducible_answers_over_q():
     assert poly.irreducible(ints(-2, 0, 0, 1), Q) is True  # x^3 - 2
     assert poly.irreducible(ints(1, 0, 0, 0, 1), Q) is None  # x^4 + 1: undecided
     assert poly.irreducible(ints(-1, 0, 0, 0, 1), Q) is False  # root 1
+
+
+# -- rational roots against the rational-root test ---------------------------
+
+
+def _random_rational_product(rng):
+    """A product of up to four linear factors a x - b, some repeated, and
+    of a random factor of degree <= 3, over Q with coefficients and
+    denominators small enough for the trial division of the reference."""
+    f = [Q.from_fraction(Fraction(rng.randint(1, 5), rng.randint(1, 3)))]
+    for _ in range(rng.randint(0, 4)):
+        a, b = rng.randint(1, 4), rng.randint(-6, 6)
+        for _ in range(rng.choice((1, 1, 2))):
+            f = poly.mul(f, [Q.from_int(-b), Q.from_int(a)], Q)
+    other = [Q.from_fraction(Fraction(rng.randint(-5, 5), rng.randint(1, 2)))
+             for _ in range(rng.randint(1, 4))]
+    return poly.mul(f, poly.trim(other) or [Q.one()], Q)
+
+
+def test_rational_roots_equal_the_rational_root_test_in_order():
+    rng = random.Random(25)
+    for _ in range(400):
+        f = _random_rational_product(rng)
+        if len(f) > 1:
+            assert poly.roots(f, Q) == reference_rational_roots(f, Q), f
+
+
+def test_rational_roots_of_huge_coefficients():
+    big = 10 ** 30 + 57
+    # x^2 + big: the rational-root test would try about 10^15 divisors
+    assert poly.roots([Q.from_int(big), Q.zero(), Q.one()], Q) == []
+    # (3x + 7)(x - 10^20)^2 x: 0 first, then by |numerator|
+    f = [Q.zero(), Q.one()]
+    for factor in ([7, 3], [-10 ** 20, 1], [-10 ** 20, 1]):
+        f = poly.mul(f, [Q.from_int(c) for c in factor], Q)
+    assert poly.roots(f, Q) == [Q.zero(), Q.from_fraction(Fraction(-7, 3)),
+                                Q.from_int(10 ** 20)]
+
+
+# -- squarefree decomposition and factorization ------------------------------
+
+
+def _field_poly(field, *coeffs):
+    return [field.from_int(c) for c in coeffs]
+
+
+def _check_squarefree(f, field, parts):
+    """`squarefree`'s contract: lc(f) prod g^m = f with the g monic,
+    squarefree, pairwise coprime and of degree >= 1, m strictly rising."""
+    product = [f[-1]]
+    for g, m in parts:
+        assert len(g) > 1 and g[-1].is_one()
+        assert len(poly.xgcd(g, poly.derivative(g, field), field)[0]) == 1
+        for _ in range(m):
+            product = poly.mul(product, g, field)
+    assert product == f
+    assert [m for _, m in parts] == sorted({m for _, m in parts})
+    for i, (g, _) in enumerate(parts):
+        for h, _ in parts[i + 1:]:
+            assert len(poly.xgcd(g, h, field)[0]) == 1
+
+
+def _multiplicity(f, r, field):
+    m = 0
+    while poly.evaluate(f, r, field).is_zero():
+        f, m = poly.divmod(f, [-r, field.one()], field)[0], m + 1
+    return m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_squarefree_parts_and_root_multiplicities(data):
+    field = data.draw(st.sampled_from([Q, FieldDescriptor(PRIME, 2),
+                                       FieldDescriptor(PRIME, 3), F7]))
+    f = data.draw(_nonzero_polys(field, 3))
+    assume(len(f) > 1 or field.kind == PRIME)
+    for _ in range(data.draw(st.integers(0, 3))):
+        g = data.draw(_nonzero_polys(field, 3))
+        for _ in range(data.draw(st.integers(1, 7))):
+            f = poly.mul(f, g, field)
+    assume(len(f) > 1)
+    parts = poly.squarefree(f, field)
+    _check_squarefree(f, field, parts)
+    if field.kind == PRIME:  # every root's multiplicity, by repeated division
+        for k in range(field.param):
+            r = field.from_int(k)
+            want = [m for g, m in parts if poly.evaluate(g, r, field).is_zero()]
+            assert want == ([_multiplicity(f, r, field)] if want else [])
+            assert want or not poly.evaluate(f, r, field).is_zero()
+
+
+def test_squarefree_takes_the_p_th_root_where_the_derivative_vanishes():
+    f2, f3 = FieldDescriptor(PRIME, 2), FieldDescriptor(PRIME, 3)
+    # over GF(2), x^3 (x + 1)^5 (x^2 + x + 1)^4: 4 is even, 3 and 5 are not
+    f = [f2.one()]
+    for g, m in (((0, 1), 3), ((1, 1), 5), ((1, 1, 1), 4)):
+        for _ in range(m):
+            f = poly.mul(f, _field_poly(f2, *g), f2)
+    assert poly.squarefree(f, f2) == [(_field_poly(f2, 0, 1), 3),
+                                      (_field_poly(f2, 1, 1, 1), 4),
+                                      (_field_poly(f2, 1, 1), 5)]
+    # 2 (x - 1)^3 over GF(3) = 2x^3 - 2, whose derivative is 0
+    f = _field_poly(f3, -2, 0, 0, 2)
+    assert not poly.derivative(f, f3)
+    assert poly.squarefree(f, f3) == [(_field_poly(f3, -1, 1), 3)]
+
+
+def test_factorization_orders_linear_factors_by_root_then_the_rest_by_multiplicity():
+    # (x - 2)^2 (x + 1) (x^2 + 1) (x^2 - 2)^3 over Q: the rational-root
+    # test meets -1 before 2
+    parts = [((-2, 1), 2), ((1, 1), 1), ((1, 0, 1), 1), ((-2, 0, 1), 3)]
+    f = [Q.one()]
+    for g, m in parts:
+        for _ in range(m):
+            f = poly.mul(f, _field_poly(Q, *g), Q)
+    assert poly.factorization(f, Q) == [
+        (_field_poly(Q, 1, 1), 1), (_field_poly(Q, -2, 1), 2),
+        (_field_poly(Q, 1, 0, 1), 1), (_field_poly(Q, -2, 0, 1), 3)]
+    # (x^2 - 2)(x^2 - 3): a quartic without roots, which `irreducible`
+    # leaves undecided
+    f = poly.mul(_field_poly(Q, -2, 0, 1), _field_poly(Q, -3, 0, 1), Q)
+    assert poly.factorization(f, Q) is None
+    # over Q(q), x^2 + 1 has no root among the probed integers
+    qq = FieldDescriptor(RATFUNC_Q)
+    assert poly.factorization(_field_poly(qq, 1, 0, 1), qq) is None
+    assert poly.factorization(_field_poly(qq, 0, 3), qq) == [(_field_poly(qq, 0, 1), 1)]
