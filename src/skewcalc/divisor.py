@@ -224,9 +224,12 @@ def _span_subwords(p: Presentation, span: SpanBasis, max_a: int, max_b: int,
     the candidates m_j, the standard monomials of F_cap. The first pass
     to meet the pair builds every column and keeps the live ones; later
     passes reuse them, since the products do not change between passes,
-    only the span does. Each pass reduces only the live columns against
-    the span and takes their null space; a pair with no live column makes
-    no null-space call.
+    only the span does. The entry depends on the rules, the field and
+    `degree_cap` only, so `divisor_closure` passes the table it keeps on
+    the presentation for this cap, and any other caller may pass its own
+    dict. Each pass reduces only the live columns against the span and
+    takes their null space; a pair with no live column makes no
+    null-space call.
 
     The hits are those that all the columns give. The span lies in
     F_cap, so reducing a column never touches a monomial of degree
@@ -267,7 +270,13 @@ def _span_subwords(p: Presentation, span: SpanBasis, max_a: int, max_b: int,
 
 
 def divisor_closure(p: Presentation, F: list, caps: dict) -> ClosureReport:
-    """Iterate subword extraction + bounded subalgebra closure."""
+    """Iterate subword extraction + bounded subalgebra closure.
+
+    The live columns of each pair (see `_span_subwords`) are kept on the
+    presentation, one table per `degree_cap`, shared with its `with_flags`
+    copies and held for its lifetime: a later closure at the same cap,
+    from any F and with any cofactor caps, builds no column a closure
+    before it has built."""
     p.require_validated()
     if not p.has_flag("DOMAIN"):
         raise NotADomainError("divisor closure requires a DOMAIN-flagged algebra")
@@ -279,7 +288,8 @@ def divisor_closure(p: Presentation, F: list, caps: dict) -> ClosureReport:
     max_b = caps.get("max_deg_b", 2)
     report = ClosureReport(list(F), degree_cap, dict(caps))
     gen_terms = _generator_terms(p)
-    columns = {}  # (a, b) -> its live columns, for every round
+    # (a, b) -> its live columns, for every round and every later call
+    columns = p._closure_columns.setdefault(degree_cap, {})
     S = [f for f in F if f.degree() <= degree_cap]  # the rest make no product
     span = subalgebra_closure_bounded(p, S, degree_cap)
     while len(report.rounds) < max_rounds:

@@ -8,13 +8,12 @@ from __future__ import annotations
 import math
 
 from .errors import BadParamsError, InsufficientDataError, ResourceLimitError
-from .linalg import SpanBasis, hnf_row, integer_kernel, nullspace
+from .linalg import SpanBasis, add_scaled, hnf_row, integer_kernel, nullspace
 from .presentation import (
     Element,
     Morphism,
     Presentation,
     _delta_of,
-    commutator,
     grlex_key,
     mono_degree,
 )
@@ -53,16 +52,19 @@ def center_bounded(p: Presentation, d: int) -> CenterBasis:
     if size > MAX_DIM:
         raise _dim_cap_error(f"the degree-{d} filtration ({size} monomials)")
     basis_monos = p.filtration_basis(d)
-    gens = [p.generator(g.name) for g in p.gens]
-    # one column per basis monomial: its commutators with the generators,
+    n = len(p.gens)
+    gens = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    minus_one = -p.field.one()
+    # one column per basis monomial: its commutators m.g - g.m with the
+    # generator monomials g, summed from the cached monomial products,
     # rows keyed (generator index, monomial)
     columns = []
     for m in basis_monos:
-        e = Element(p, {m: p.field.one()})
         columns.append({
             (gi, mono): c
             for gi, g in enumerate(gens)
-            for mono, c in commutator(e, g).terms.items()
+            for mono, c in add_scaled(dict(p._mono_mul(m, g)), p._mono_mul(g, m),
+                                      minus_one).items()
         })
     out = [
         Element(p, {basis_monos[j]: c for j, c in v.items()})

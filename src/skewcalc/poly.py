@@ -9,7 +9,7 @@ cyclotomic scalar values live in `scalars`, over Z.
 
 from __future__ import annotations
 
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import BadParamsError
 from .scalars import PRIME, RATIONAL, FieldDescriptor, Scalar, is_prime
@@ -153,7 +153,7 @@ def factorization(f: list, field: FieldDescriptor):
         out.append(([-r, one], m))
     for m, h in sorted(rest.items()):
         if len(h) > 1:
-            if irreducible(h, field) is not True:
+            if not _rootless_irreducible(h, field):
                 return None
             out.append((h, m))
     return out
@@ -263,12 +263,6 @@ def _rational_roots(f, field):
     return out + [cand for *_, cand in sorted(found)]
 
 
-def _is_square(r: Scalar) -> bool:
-    """Whether a rational is the square of a rational."""
-    n, d = r.value
-    return n >= 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
-
-
 def irreducible(f: list, field: FieldDescriptor):
     """True, False or None (undecided) for a polynomial without trailing
     zeros. Decided at degree <= 1, whenever `roots` finds a root, and at
@@ -278,12 +272,16 @@ def irreducible(f: list, field: FieldDescriptor):
         return deg == 1
     if roots(f, field):
         return False
-    if deg in (2, 3):
-        if field.kind == PRIME:
-            return True  # every root is found over GF(p)
-        if field.kind == RATIONAL:
-            if deg == 3:
-                return True  # cubic with no rational root
-            c, b, a = f
-            return not _is_square(b * b - field.from_int(4) * a * c)
+    return _rootless_irreducible(f, field)
+
+
+def _rootless_irreducible(f: list, field: FieldDescriptor):
+    """True or None (undecided) for f of degree >= 1 in which `roots`
+    found no root. A linear f is irreducible in every field (over Q(q)
+    and the cyclotomic fields `roots` misses a root such as 5 or q). A
+    factorization of a quadratic or a cubic has a linear factor, and over
+    GF(p) and Q `roots` finds every root, so f is irreducible there at
+    degrees 2 and 3; otherwise None."""
+    if len(f) == 2 or (len(f) <= 4 and field.kind in (PRIME, RATIONAL)):
+        return True
     return None

@@ -270,6 +270,10 @@ class Presentation:
         self.notes = tuple(notes)
         self._mul_cache = {}
         self._basis_cache = {}  # degree -> filtration_basis(degree)
+        # degree cap -> {(a, b): live columns}, the table of
+        # `divisor.divisor_closure`, which depends on the rules, the field
+        # and the cap only
+        self._closure_columns = {}
         self._rewriting = None
         self._report = None
 
@@ -299,6 +303,7 @@ class Presentation:
         p._report = self._report
         p._rewriting = self._rewriting
         p._basis_cache = self._basis_cache
+        p._closure_columns = self._closure_columns
         return p
 
     # -- element constructors ----------------------------------------------

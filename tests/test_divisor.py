@@ -351,6 +351,37 @@ def test_each_pair_builds_its_columns_once(monkeypatch):
     assert calls["nullspace"] == 2 * (36 - 9)
 
 
+def test_closures_share_the_column_table_of_their_presentation(monkeypatch):
+    b1q = _pair_presentations()[3]
+    caps = {"degree_cap": 3, "max_rounds": 3, "max_deg_a": 1, "max_deg_b": 1}
+    first = _closure_facts(divisor_closure(b1q, [b1q.one()], caps))
+    calls = []
+    inner = divisor._sandwich
+    monkeypatch.setattr(divisor, "_sandwich", lambda *args: calls.append(args) or inner(*args))
+    # the same cap, on the presentation and on a `with_flags` copy: no column
+    # is built again, and the report does not change
+    assert _closure_facts(divisor_closure(b1q, [b1q.one()], caps)) == first
+    copy = b1q.with_flags({"NOETHERIAN": True})
+    assert _closure_facts(divisor_closure(copy, [copy.one()], caps)) == first
+    assert calls == []
+    # another cap builds its own table, and reports as on a fresh presentation
+    caps2 = dict(caps, degree_cap=2)
+    shared = _closure_facts(divisor_closure(b1q, [b1q.one()], caps2))
+    assert calls and all(mono_degree(m) <= 2 for _, _, m, _ in calls)
+    assert sorted(b1q._closure_columns) == [2, 3]
+    fresh = _pair_presentations()[3]
+    assert shared == _closure_facts(divisor_closure(fresh, [fresh.one()], caps2))
+
+
+def test_shared_column_tables_give_the_fresh_closures():
+    runs = _closure_inputs()
+    order = list(range(len(runs)))
+    random.Random(26).shuffle(order)
+    shared = {i: _closure_facts(divisor_closure(*runs[i])) for i in order}
+    fresh = {i: _closure_facts(divisor_closure(*_closure_inputs()[i])) for i in order}
+    assert shared == fresh
+
+
 @st.composite
 def _column_problems(draw):
     """Sparse columns over GF(p) on rows 0..n-1, the rows below `low`

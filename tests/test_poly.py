@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -318,6 +318,21 @@ def test_irreducible_answers_over_q():
     assert poly.irreducible(ints(-1, 0, 0, 0, 1), Q) is False  # root 1
 
 
+def test_irreducible_quadratics_over_q_are_those_with_no_square_discriminant():
+    # brute force over every a x^2 + b x + c with |a|, |b|, |c| <= 6, a != 0:
+    # irreducible over Q exactly when b^2 - 4ac is not the square of an integer
+    r = range(-6, 7)
+    for a in r:
+        for b in r:
+            for c in r:
+                if a == 0:
+                    continue
+                disc = b * b - 4 * a * c
+                square = disc >= 0 and isqrt(disc) ** 2 == disc
+                f = [Q.from_int(c), Q.from_int(b), Q.from_int(a)]
+                assert poly.irreducible(f, Q) is (not square), (a, b, c)
+
+
 # -- rational roots against the rational-root test ---------------------------
 
 
@@ -442,3 +457,9 @@ def test_factorization_orders_linear_factors_by_root_then_the_rest_by_multiplici
     qq = FieldDescriptor(RATFUNC_Q)
     assert poly.factorization(_field_poly(qq, 1, 0, 1), qq) is None
     assert poly.factorization(_field_poly(qq, 0, 3), qq) == [(_field_poly(qq, 0, 1), 1)]
+    # a linear remainder that `roots` does not probe is still a factor:
+    # x - 5, and x - 5 after the probed root 1 of (x - 1)(x - 5)
+    assert poly.factorization(_field_poly(qq, -5, 1), qq) == [(_field_poly(qq, -5, 1), 1)]
+    f = poly.mul(_field_poly(qq, -1, 1), _field_poly(qq, -5, 1), qq)
+    assert poly.factorization(f, qq) == [
+        (_field_poly(qq, -1, 1), 1), (_field_poly(qq, -5, 1), 1)]
