@@ -5,15 +5,24 @@ All computations are certified lower approximations: every element of a
 certified span is genuinely reachable by the closure rules, and FULL
 means the span provably contains a generating set. INCONCLUSIVE carries
 no negative claim.
+
+A closure from single terms on a presentation whose rules have no tails
+and no elimination pairs (`_monomial`: tori, skew polynomial rings, the
+minus-one plane, polynomial and Laurent rings) runs on a set of exponent
+vectors, since there a monomial times a monomial is the exponent sum
+times a nonzero scalar. It forms no product, column or null space until
+it builds its result. Every other closure runs on `SpanBasis` spans.
 """
 
 from __future__ import annotations
 
-from .errors import NotADomainError, ResourceLimitError
+from operator import add, sub
+
+from .errors import BadParamsError, NotADomainError, ResourceLimitError
 from .linalg import SpanBasis, add_scaled, nullspace, solve
 from .presentation import Element, Presentation, grlex_key, mono_degree
 
-# passes of a bounded closure (`_close`), each multiplying the newest span
+# passes of a bounded closure (`_passes`), each multiplying the newest span
 # elements by the elements of S, before it gives up
 MAX_CLOSURE_PASSES = 64
 
@@ -70,7 +79,7 @@ def subword_search(p: Presentation, f: Element, caps: dict) -> list:
     if not p.has_flag("DOMAIN"):
         raise NotADomainError("subword search requires a DOMAIN-flagged algebra")
     if f.is_zero():
-        raise NotADomainError("subword search requires nonzero f")
+        raise BadParamsError("subword search requires nonzero f")
     max_a = caps.get("max_deg_a", 2)
     max_b = caps.get("max_deg_b", 2)
     deg_f = f.degree()
@@ -105,17 +114,18 @@ def subalgebra_closure_bounded(p: Presentation, S: list, degree_cap: int) -> Spa
 
     If S' holds single terms only and monomials of p multiply to single
     terms (`_monomial`), C is spanned by the monomials that S' reaches
-    from 1 within the cap, whatever the order. So if S' holds a multiple
-    of each generator and inverse, C = F_cap, returned with no product
-    formed: a standard monomial of degree d <= cap is its prefix of
-    degree d - 1 times one of them.
+    from 1 within the cap, and the passes run on their exponent vectors
+    (`_exponent_closure`).
     """
     p.require_validated()
     gens = [s for s in S if not s.is_zero() and s.degree() <= degree_cap]
-    span = SpanBasis(p.field, grlex_key)
-    for s in [p.one()] + gens:
-        span.add(s.terms)
-    return _close(p, span, _span_elements(p, span), gens, gens, degree_cap)
+    if _monomial(p, gens):
+        vecs = _exponents(gens)
+        span = SpanBasis(p.field, grlex_key)
+        span.pivots = {m: {} for m in _exponent_closure(p, _from_one(p, vecs), vecs, vecs,
+                                                         degree_cap)}
+        return span
+    return _span_closure(p, gens, degree_cap)
 
 
 def _monomial(p: Presentation, S: list) -> bool:
@@ -125,17 +135,35 @@ def _monomial(p: Presentation, S: list) -> bool:
             and all(len(s.terms) == 1 for s in S))
 
 
-def _close(p: Presentation, span: SpanBasis, frontier: list, right: list,
-           S: list, degree_cap: int) -> SpanBasis:
-    """Pass by pass, add to `span` the products of degree <= cap of the
-    frontier by `right`, then of each pass's new elements by S. A
-    `_monomial` S with every generator and inverse makes `span` F_cap at
-    once (see `subalgebra_closure_bounded`)."""
-    if _monomial(p, S) and ({next(iter(t)) for t in _generator_terms(p)}
-                            <= {next(iter(s.terms)) for s in S}):
-        span.pivots = {m: {} for m in p.filtration_basis(degree_cap)}
-        return span
+def _passes(step, frontier: list, right: list, S: list) -> None:
+    """Run the passes of a bounded closure: `step(frontier, right)` adds
+    the products of degree <= cap of the frontier by `right` and returns
+    those that grew the closure; each later pass multiplies them by S,
+    until a pass adds none."""
     for _ in range(MAX_CLOSURE_PASSES):
+        frontier = step(frontier, right)
+        if not frontier:
+            return
+        right = S
+    raise ResourceLimitError(
+        f"subalgebra closure did not stabilize within "
+        f"MAX_CLOSURE_PASSES = {MAX_CLOSURE_PASSES} passes",
+        cap="MAX_CLOSURE_PASSES", limit=MAX_CLOSURE_PASSES)
+
+
+def _span_closure(p: Presentation, S: list, degree_cap: int) -> SpanBasis:
+    """The closure of span({1} + S), S nonzero and of degree <= cap."""
+    span = SpanBasis(p.field, grlex_key)
+    for s in [p.one()] + S:
+        span.add(s.terms)
+    return _close(span, _span_elements(p, span), S, S, degree_cap)
+
+
+def _close(span: SpanBasis, frontier: list, right: list, S: list,
+           degree_cap: int) -> SpanBasis:
+    """Pass by pass, add to `span` the products of degree <= cap of the
+    frontier by `right`, then of each pass's new elements by S."""
+    def step(frontier, right):
         grew = []
         for e in frontier:
             for s in right:
@@ -144,13 +172,50 @@ def _close(p: Presentation, span: SpanBasis, frontier: list, right: list,
                     continue
                 if span.add(prod.terms):
                     grew.append(prod)
-        if not grew:
-            return span
-        frontier, right = grew, S
-    raise ResourceLimitError(
-        f"subalgebra closure did not stabilize within "
-        f"MAX_CLOSURE_PASSES = {MAX_CLOSURE_PASSES} passes",
-        cap="MAX_CLOSURE_PASSES", limit=MAX_CLOSURE_PASSES)
+        return grew
+    _passes(step, frontier, right, S)
+    return span
+
+
+def _exponents(S: list) -> list:
+    """The exponent vector of each single-term element of S."""
+    return [next(iter(s.terms)) for s in S]
+
+
+def _generator_exponents(p: Presentation) -> set:
+    """The standard monomials of degree 1: every generator and inverse."""
+    return set(p.filtration_basis(1)[1:])
+
+
+def _from_one(p: Presentation, S: list) -> set:
+    """The exponent vectors of 1 and of S, where a closure starts."""
+    return {(0,) * len(p.gens)} | set(S)
+
+
+def _exponent_closure(p: Presentation, mons: set, right: list, S: list,
+                      degree_cap: int) -> set:
+    """`_close` on exponent vectors, for the vectors S of a `_monomial` S:
+    a product of monomials is their exponent sum times a nonzero scalar.
+    Every vector of `mons` meets `right`, then each pass's new vectors
+    meet S; the sums of degree <= cap join `mons`, which is returned.
+
+    If S holds every generator and inverse, the result is F_cap, with no
+    pass: a standard monomial of degree d <= cap is its prefix of degree
+    d - 1 times one of them."""
+    if _generator_exponents(p) <= set(S):
+        return set(p.filtration_basis(degree_cap))
+
+    def step(frontier, right):
+        grew = []
+        for e in frontier:
+            for s in right:
+                m = tuple(map(add, e, s))
+                if m not in mons and mono_degree(m) <= degree_cap:
+                    mons.add(m)
+                    grew.append(m)
+        return grew
+    _passes(step, list(mons), right, S)
+    return mons
 
 
 def _span_elements(p: Presentation, span: SpanBasis) -> list:
@@ -218,7 +283,9 @@ def _span_subwords(p: Presentation, span: SpanBasis, max_a: int, max_b: int,
     already in the span (or reducible against earlier finds) are skipped.
     Every hit certifies f := a.g.b as an explicit span element. The pairs
     come lazily from `_subword_pairs`, so none is built after the span is
-    found full.
+    found full. This is the general path: `divisor_closure` calls it for
+    multi-term S or rules with tails, and a `_monomial` closure takes
+    `_exponent_subwords`, which builds no column.
 
     `columns` maps a pair (a, b) to its live columns (j, a.m_j.b) over
     the candidates m_j, the standard monomials of F_cap. The first pass
@@ -269,29 +336,92 @@ def _span_subwords(p: Presentation, span: SpanBasis, max_a: int, max_b: int,
     return hits
 
 
+def _exponent_subwords(p: Presentation, mons: set, max_a: int, max_b: int,
+                       degree_cap: int, full: set) -> list:
+    """`_span_subwords` on the exponent vectors `mons` of a `_monomial`
+    closure. The column a.m.b of a candidate m is a nonzero multiple of
+    the monomial a+m+b, and no two candidates share it; so the null
+    vectors of the pair (a, b) are the candidates m with a+m+b in `mons`,
+    one each, in grlex order. Each f = a.m.b comes from the cached
+    monomial products and is checked to lie in `mons`."""
+    working = set(mons)
+    inside = {m: j for j, m in enumerate(p.filtration_basis(degree_cap))}
+    found = []
+    for m_a, m_b in _subword_pairs(p, max_a, max_b):
+        ab = tuple(map(add, m_a, m_b))
+        new = sorted(({tuple(map(sub, t, ab)) for t in mons} - working) & inside.keys(),
+                     key=inside.get)
+        working.update(new)
+        found += [(m_a, m, m_b) for m in new]
+        if new and full <= working:
+            break
+    one = p.field.one()
+    hits = []
+    for m_a, m, m_b in found:
+        (am, c), = p._mono_mul(m_a, m).items()
+        (f, d), = p._mono_mul(am, m_b).items()
+        if f in mons:
+            hits.append(SubwordHit(Element(p, {f: c * d}), m_a, Element(p, {m: one}), m_b))
+    return hits
+
+
+def _exponent_rounds(p: Presentation, report: ClosureReport, S: list,
+                     max_a: int, max_b: int, max_rounds: int) -> None:
+    """The rounds of `divisor_closure` for the exponent vectors S of a
+    `_monomial` F: each round's subwords are single monomials, so the
+    closure so far is closed under the old S and only meets the new."""
+    cap = report.degree_cap
+    full = _generator_exponents(p)
+    mons = _exponent_closure(p, _from_one(p, S), S, S, cap)
+    while len(report.rounds) < max_rounds and not full <= mons:
+        hits = _exponent_subwords(p, mons, max_a, max_b, cap, full)
+        new = _exponents([h.g for h in hits])
+        if new:
+            S = S + new
+            mons = _exponent_closure(p, mons, new, S, cap)
+        report.rounds.append({"new_subwords": hits, "span_dim": len(mons)})
+        if not new:
+            break
+    if full <= mons:
+        report.status = "FULL"
+    one = p.field.one()
+    report.certified_basis = [Element(p, {m: one})
+                              for m in reversed(p.filtration_basis(cap)) if m in mons]
+
+
 def divisor_closure(p: Presentation, F: list, caps: dict) -> ClosureReport:
     """Iterate subword extraction + bounded subalgebra closure.
 
-    The live columns of each pair (see `_span_subwords`) are kept on the
-    presentation, one table per `degree_cap`, shared with its `with_flags`
-    copies and held for its lifetime: a later closure at the same cap,
-    from any F and with any cofactor caps, builds no column a closure
-    before it has built."""
+    Each round extracts the subwords g of the span (f = a.g.b in the span
+    for monomials a, b within the cofactor caps), adds them to S and
+    closes again, until the span is FULL, a round finds no subword or
+    `max_rounds` rounds have run.
+
+    A `_monomial` S (the elements of F of degree <= cap) takes the rounds
+    on exponent vectors (`_exponent_rounds`). Otherwise each round
+    restarts the closure from {1} + S, and the live columns of each pair
+    (see `_span_subwords`) are kept on the presentation, one table per
+    `degree_cap`, shared with its `with_flags` copies and held for its
+    lifetime: a later closure at the same cap, from any F and with any
+    cofactor caps, builds no column a closure before it has built."""
     p.require_validated()
     if not p.has_flag("DOMAIN"):
         raise NotADomainError("divisor closure requires a DOMAIN-flagged algebra")
     if not F or any(f.is_zero() for f in F):
-        raise NotADomainError("F must be a nonempty list of nonzero elements")
+        raise BadParamsError("F must be a nonempty list of nonzero elements")
     degree_cap = caps.get("degree_cap", 4)
     max_rounds = caps.get("max_rounds", 4)
     max_a = caps.get("max_deg_a", 2)
     max_b = caps.get("max_deg_b", 2)
     report = ClosureReport(list(F), degree_cap, dict(caps))
+    S = [f for f in F if f.degree() <= degree_cap]  # the rest make no product
+    if _monomial(p, S):
+        _exponent_rounds(p, report, _exponents(S), max_a, max_b, max_rounds)
+        return report
     gen_terms = _generator_terms(p)
     # (a, b) -> its live columns, for every round and every later call
     columns = p._closure_columns.setdefault(degree_cap, {})
-    S = [f for f in F if f.degree() <= degree_cap]  # the rest make no product
-    span = subalgebra_closure_bounded(p, S, degree_cap)
+    span = _span_closure(p, S, degree_cap)
     while len(report.rounds) < max_rounds:
         if _is_full(span, gen_terms):
             report.status = "FULL"
@@ -300,13 +430,8 @@ def divisor_closure(p: Presentation, F: list, caps: dict) -> ClosureReport:
         if not new_hits:
             report.rounds.append({"new_subwords": [], "span_dim": len(span)})
             break
-        new = [h.g for h in new_hits]
-        S = S + new
-        if _monomial(p, S):
-            # the old span is closed under the old S: its rows meet the new S
-            _close(p, span, _span_elements(p, span), new, S, degree_cap)
-        else:
-            span = subalgebra_closure_bounded(p, S, degree_cap)
+        S = S + [h.g for h in new_hits]
+        span = _span_closure(p, S, degree_cap)
         report.rounds.append({"new_subwords": new_hits, "span_dim": len(span)})
     if _is_full(span, gen_terms):
         report.status = "FULL"

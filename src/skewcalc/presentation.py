@@ -270,9 +270,9 @@ class Presentation:
         self.notes = tuple(notes)
         self._mul_cache = {}
         self._basis_cache = {}  # degree -> filtration_basis(degree)
-        # degree cap -> {(a, b): live columns}, the table of
-        # `divisor.divisor_closure`, which depends on the rules, the field
-        # and the cap only
+        # degree cap -> {(a, b): live columns}, the table of the span-based
+        # `divisor.divisor_closure` (multi-term S or rules with tails),
+        # which depends on the rules, the field and the cap only
         self._closure_columns = {}
         self._rewriting = None
         self._report = None

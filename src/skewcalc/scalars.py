@@ -343,8 +343,12 @@ def _cyc_inv(a, l, red, pows):
 _RZERO = ((), (1,))
 
 
-def _rf_make(num, den):
-    """Canonical value of num/den (integer coefficient sequences)."""
+def _rf_make(num, den, factors=()):
+    """Canonical value of num/den (integer coefficient sequences). If
+    num/den is the product of the canonical values `factors`, one of them
+    c*q^i/(d*q^j) (a constant, q or 1/q), the other's coprime numerator
+    and denominator gain no common factor but a power of q and the
+    content, so no gcd is taken."""
     if not den:
         raise DivisionByZeroError("zero denominator")
     if not num:
@@ -354,7 +358,8 @@ def _rf_make(num, den):
         while not num[v] and not den[v]:
             v += 1
         num, den = num[v:], den[v:]
-    if not (_is_monomial(den) or _is_monomial(num)):
+    if not (_is_monomial(den) or _is_monomial(num)
+            or any(_is_monomial(n) and _is_monomial(d) for n, d in factors)):
         g = _pgcd(num, den)
         if len(g) > 1:
             num, den = _pexquo(num, g), _pexquo(den, g)
@@ -375,7 +380,7 @@ def _rf_add(a, b):
 
 def _rf_mul(a, b):
     (n1, d1), (n2, d2) = a, b
-    return _rf_make(_pmul(n1, n2), _pmul(d1, d2))
+    return _rf_make(_pmul(n1, n2), _pmul(d1, d2), (a, b))
 
 
 # ---------------------------------------------------------------------------

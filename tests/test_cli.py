@@ -149,6 +149,14 @@ def test_exit_code_contract(tmp_path):
     assert _run("check", str(FIXTURES / "poly2.alg")).returncode == 0
 
 
+def test_a_zero_closure_input_is_bad_params():
+    # the torus is a domain: a zero element of F is bad input, exit 3
+    for cmd in ("divisor", "controlling"):
+        out = _run(cmd, str(FIXTURES / "t2q3.alg"), "--from", "0")
+        assert out.returncode == 3
+        assert b"[BAD_PARAMS]" in out.stderr and b"NOT_A_DOMAIN" not in out.stderr
+
+
 def test_text_format():
     out = _run("check", str(FIXTURES / "a1q.alg"), "--format", "text")
     assert out.returncode == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewcalc import divisor
-from skewcalc.errors import NotADomainError, ResourceLimitError
+from skewcalc.errors import BadParamsError, NotADomainError, ResourceLimitError
 from skewcalc.families import (
     FamilySpec,
     build,
@@ -99,6 +99,15 @@ def test_subword_search_requires_domain():
     p.flags.pop("DOMAIN", None)
     with pytest.raises(NotADomainError):
         subword_search(p, p.one(), {})
+
+
+def test_zero_or_empty_input_is_bad_params():
+    p = quantum_torus(2, {(1, 2): C3.q()}, C3)
+    with pytest.raises(BadParamsError, match="nonzero f"):
+        subword_search(p, p.zero(), {})
+    for F in ([], [p.zero()], [p.one(), p.zero()]):
+        with pytest.raises(BadParamsError, match="nonempty list of nonzero"):
+            divisor_closure(p, F, {})
 
 
 def test_subalgebra_closure_powers_of_x():
@@ -218,7 +227,7 @@ def _closure_facts(report):
     return (
         report.status,
         [r["span_dim"] for r in report.rounds],
-        [[(h.a, str(h.g), h.b) for h in r["new_subwords"]] for r in report.rounds],
+        [[(h.a, str(h.g), h.b, str(h.f)) for h in r["new_subwords"]] for r in report.rounds],
         [str(e) for e in report.certified_basis],
     )
 
@@ -327,28 +336,48 @@ def test_live_columns_give_the_reference_closures(monkeypatch, inputs):
     assert any(len(facts[2]) > 1 and facts[2][1] for facts in live)
 
 
-def test_each_pair_builds_its_columns_once(monkeypatch):
-    # x1^2 in k[x1, x2] at cap 3: two passes over all 36 pairs, 10 candidates
-    p = poly(2, Q)
-    F = [p.from_terms({(2, 0): Q.from_int(-3)})]
-    caps = {"degree_cap": 3, "max_rounds": 2}
-    calls = {"_sandwich": 0, "nullspace": 0}
+def _counting_columns(monkeypatch):
+    """Count the calls of `_sandwich`, `nullspace` and `SpanBasis.reduce`."""
+    calls = {"_sandwich": 0, "nullspace": 0, "reduce": 0}
 
-    def counted(name):
-        inner = getattr(divisor, name)
-
+    def counted(name, inner):
         def wrapper(*args):
             calls[name] += 1
             return inner(*args)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(divisor, name, counted(name))
-    report = divisor_closure(p, F, caps)
+    for name in ("_sandwich", "nullspace"):
+        monkeypatch.setattr(divisor, name, counted(name, getattr(divisor, name)))
+    monkeypatch.setattr(SpanBasis, "reduce", counted("reduce", SpanBasis.reduce))
+    return calls
+
+
+def test_each_pair_builds_its_columns_once(monkeypatch):
+    # x1^2 - 3*x1 in k[x1, x2] at cap 3 (two terms, so the closure runs on
+    # spans): two passes over all 36 pairs, 10 candidates
+    calls = _counting_columns(monkeypatch)
+    p = poly(2, Q)
+    F = [parse_element(p, "x1^2 - 3*x1")]
+    report = divisor_closure(p, F, {"degree_cap": 3, "max_rounds": 2})
     assert [r["span_dim"] for r in report.rounds] == [4, 4]
     assert calls["_sandwich"] == 36 * 10
     # 9 of the 36 pairs have no live column and make no null-space call
     assert calls["nullspace"] == 2 * (36 - 9)
+
+
+def test_single_term_closures_build_no_column(monkeypatch):
+    # -3*x1^2 in k[x1, x2] at cap 3, and a torus monomial at cap 2: the
+    # closures run on exponent vectors, with the subwords and spans of the
+    # span-based closure
+    calls = _counting_columns(monkeypatch)
+    t2, kxy = _pair_presentations()[:2]
+    runs = [(kxy, [kxy.from_terms({(2, 0): Q.from_int(-3)})], 3, [4, 4]),
+            (t2, [t2.from_terms({(1, -1): C3.from_int(2)})], 2, [13])]
+    for p, F, cap, dims in runs:
+        report = divisor_closure(p, F, {"degree_cap": cap, "max_rounds": 2})
+        assert [r["span_dim"] for r in report.rounds] == dims
+        assert cap not in p._closure_columns
+    assert calls == {"_sandwich": 0, "nullspace": 0, "reduce": 0}
 
 
 def test_closures_share_the_column_table_of_their_presentation(monkeypatch):
@@ -507,69 +536,72 @@ def test_generators_close_to_the_whole_filtration_piece(name):
             reference_subalgebra_closure_bounded(p, S, cap).basis_rows()
 
 
-def _recording_closes(monkeypatch):
-    """Wrap `divisor._close` and count products; returns a list that gets,
-    for each `_close` call, its `right` argument as text and the number of
-    products the call formed."""
+def _recording_passes(monkeypatch):
+    """Wrap `divisor._passes` and count products; returns a list that gets,
+    for each closure that makes passes, its first `right` (elements as
+    text, exponent vectors as they are) and the number of `Element`
+    products its passes formed."""
     calls, products = [], [0]
-    close, mul = divisor._close, Element.__mul__
+    passes, mul = divisor._passes, Element.__mul__
 
     def counted_mul(a, b):
         products[0] += 1
         return mul(a, b)
 
-    def wrapper(p, span, frontier, right, S, degree_cap):
+    def wrapper(step, frontier, right, S):
         before = products[0]
-        out = close(p, span, frontier, right, S, degree_cap)
-        calls.append(([str(s) for s in right], products[0] - before))
-        return out
+        passes(step, frontier, right, S)
+        calls.append(([s if isinstance(s, tuple) else str(s) for s in right],
+                      products[0] - before))
     monkeypatch.setattr(Element, "__mul__", counted_mul)
-    monkeypatch.setattr(divisor, "_close", wrapper)
+    monkeypatch.setattr(divisor, "_passes", wrapper)
     return calls
 
 
 def test_the_filtration_shortcut_and_its_boundary_cases(monkeypatch):
-    calls = _recording_closes(monkeypatch)
+    calls = _recording_passes(monkeypatch)
 
     def closes(p, S, cap):
-        """The closure's size and the number of products it formed."""
+        """The closure's size, whether it made passes, and the number of
+        products it formed."""
         del calls[:]
         span = subalgebra_closure_bounded(p, S, cap)
         assert span.basis_rows() == \
             reference_subalgebra_closure_bounded(p, S, cap).basis_rows()
-        return len(span), sum(n for _, n in calls)
+        return len(span), len(calls), sum(n for _, n in calls)
 
     t2 = _presentation("fixture:t2q3")
     gens = _generators_and_inverses(t2)
     x1, x1_inv, x2, x2_inv = gens
     three = t2.field.from_int(3)
-    # no product: 3*x1 counts as x1, and x1*x2 only adds a monomial
-    assert closes(t2, [x1 * three, x1_inv, x2, x2_inv], 2) == (13, 0)
-    assert closes(t2, gens + [x1 * x2], 3) == (25, 0)
-    # the loop: an inverse missing, cap 0 (the scalar 3 is multiplied),
-    # a term that is not single, or a rule with a tail (y*x = x*y + 1)
+    # no pass: 3*x1 counts as x1, and x1*x2 only adds a monomial
+    assert closes(t2, [x1 * three, x1_inv, x2, x2_inv], 2) == (13, 0, 0)
+    assert closes(t2, gens + [x1 * x2], 3) == (25, 0, 0)
+    # passes on exponent vectors, with no product: an inverse missing, or
+    # cap 0 (the scalar 3 is multiplied)
+    assert closes(t2, [x1, x1_inv, x2], 2) == (9, 1, 0)
+    assert closes(t2, gens + [t2.one() * three], 0) == (1, 1, 0)
+    # passes on spans, with products: a term that is not single, or a
+    # rule with a tail (y*x = x*y + 1)
     w = _presentation("fixture:weyl1")
-    for p, S, cap, size in ((t2, [x1, x1_inv, x2], 2, 9),
-                            (t2, gens + [t2.one() * three], 0, 1),
-                            (t2, gens + [x1 + x2], 2, 13),
+    for p, S, cap, size in ((t2, gens + [x1 + x2], 2, 13),
                             (w, _generators_and_inverses(w), 2, 6)):
-        n, formed = closes(p, S, cap)
-        assert n == size and formed > 0
+        n, made, formed = closes(p, S, cap)
+        assert n == size and made == 1 and formed > 0
 
 
 def test_rounds_extend_single_terms_and_restart_otherwise(monkeypatch):
-    calls = _recording_closes(monkeypatch)
+    calls = _recording_passes(monkeypatch)
     t2, kxy, a1q, _, _ = _pair_presentations()
     caps3 = {"degree_cap": 3, "max_rounds": 2}
     caps2 = {"degree_cap": 2, "max_rounds": 2}
     z = parse_element(a1q, "x*y - y*x")
     runs = [
-        # x1^2 gives x1: the old rows meet x1 alone
+        # x1^2 gives x1: the old exponent vectors meet x1 alone
         (kxy, [kxy.from_terms({(2, 0): Q.from_int(-3)})], caps3,
-         [["-3*x1^2"], ["x1"]]),
-        # x1^-1*x2 gives the generators and inverses: F_2, no product
-        (t2, [t2.from_terms({(-1, 1): C3.from_int(3)})], caps2,
-         [["3*x1^-1*x2"], ["x2", "x1", "x1^-1", "x2^-1"]]),
+         [[(2, 0)], [(1, 0)]]),
+        # x1^-1*x2 gives the generators and inverses: F_2, with no pass
+        (t2, [t2.from_terms({(-1, 1): C3.from_int(3)})], caps2, [[(-1, 1)]]),
         # z is not a single term: the round restarts from {1} + S
         (a1q, [z], caps3, [[str(z)], [str(z), "x", "y"]]),
     ]
@@ -578,8 +610,8 @@ def test_rounds_extend_single_terms_and_restart_otherwise(monkeypatch):
         report = divisor_closure(p, F, caps)
         assert _closure_facts(report) == _closure_facts(reference_divisor_closure(p, F, caps))
         assert [right for right, _ in calls] == rights
-        if p is t2:
-            assert calls[-1][1] == 0
+        # products are formed on spans only
+        assert all((n > 0) == (p is a1q) for _, n in calls)
 
 
 _DOMAINS = {}
@@ -631,3 +663,41 @@ def test_benchmark_closures_match_the_restarting_reference(monkeypatch, seed):
     monkeypatch.setattr(divisor, "divisor_closure", reference_divisor_closure)
     assert [_closure_facts(j.prepare()()) for j in jobs] == \
         [_closure_facts(r) for r in reports]
+
+
+# -- single-term closures on exponent vectors ---------------------------------
+
+# the presentations of tests/test_rewriting.py whose rules have no tails and
+# no elimination pairs: tori with inverses, skew rings, the minus-one plane,
+# poly and Laurent
+TAIL_FREE = ["fixture:laurent2", "fixture:minusone", "fixture:poly2", "fixture:t2q3",
+             "laurent2", "minus_one", "poly3", "skew3", "torus3"]
+
+
+def test_the_tail_free_presentations():
+    assert [n for n in sorted(FAMILIES)
+            if divisor._monomial(_presentation(n), [])] == TAIL_FREE
+
+
+@st.composite
+def _single_term_problems(draw):
+    """A tail-free presentation, one to three single-term elements of
+    degree <= 3, and caps 2-4."""
+    p = _domain(draw(st.sampled_from(TAIL_FREE)))
+    coef = st.integers(-3, 3).filter(bool).map(p.field.from_int)
+    F = [p.from_terms({m: draw(coef)}) for m in draw(st.lists(
+        st.sampled_from(p.filtration_basis(3)), min_size=1, max_size=3))]
+    caps = {"degree_cap": draw(st.integers(2, 4)), "max_rounds": draw(st.integers(1, 3)),
+            "max_deg_a": draw(st.integers(1, 2)), "max_deg_b": draw(st.integers(1, 2))}
+    return p, F, caps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(problem=_single_term_problems())
+def test_single_term_closures_match_the_references(problem):
+    p, F, caps = problem
+    assert _closure_facts(divisor_closure(p, F, caps)) == \
+        _closure_facts(reference_divisor_closure(p, F, caps))
+    cap = caps["degree_cap"]
+    assert subalgebra_closure_bounded(p, F, cap).basis_rows() == \
+        reference_subalgebra_closure_bounded(p, F, cap).basis_rows()

@@ -75,6 +75,16 @@ CASES = [
                             "--format", "text"]),
     ("divisor_b1q3", ["divisor", "@b1q3.alg", "--from", "z*x", "--degree-cap", "3",
                       "--max-rounds", "3", "--max-deg-a", "1", "--max-deg-b", "1"]),
+    # past the benchmark's caps (2-3): single-term closures at caps 6 and 8
+    ("divisor_poly2_cap8", ["divisor", "@poly2.alg", "--from", "x^2*y",
+                            "--degree-cap", "8", "--max-rounds", "3"]),
+    ("divisor_poly2_cap8_text", ["divisor", "@poly2.alg", "--from", "x^2*y",
+                                 "--degree-cap", "8", "--max-rounds", "3",
+                                 "--format", "text"]),
+    ("controlling_t2q3_cap6", ["controlling", "@t2q3.alg", "--from", "x1^2*x2",
+                               "--degree-cap", "6"]),
+    ("controlling_t2q3_cap6_text", ["controlling", "@t2q3.alg", "--from", "x1^2*x2",
+                                    "--degree-cap", "6", "--format", "text"]),
     ("controlling_poly2", ["controlling", "@poly2.alg", "--from", "x", "--from", "y",
                            "--degree-cap", "2"]),
     ("controlling_minusone_text", ["controlling", "@minusone.alg", "--from", "x^2",

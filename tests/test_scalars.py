@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewcalc import scalars
 from skewcalc.errors import (
     BadParamsError,
     DivisionByZeroError,
@@ -479,6 +480,31 @@ def test_kernel_matches_fraction_reference(kind, param, data):
             assert (x == y) == (str(x) == str(y))
             if x == y:
                 assert hash(x) == hash(y)
+
+
+@ORACLE_SETTINGS
+@given(data=st.data())
+def test_ratfunc_products_by_monomial_ratios_match_fraction_reference(data):
+    # a constant or c*q^i/(d*q^j) times any value takes no gcd: the product
+    # is still canonical, as the reference and the full reduction show
+    field, ref = FieldDescriptor(RATFUNC_Q), RefField(RATFUNC_Q)
+    nonzero = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+    ratio = ("/", ("*", data.draw(nonzero), ("^", "q", data.draw(st.integers(0, 3)))),
+             ("*", data.draw(nonzero), ("^", "q", data.draw(st.integers(0, 3)))))
+    other = data.draw(_trees(True))
+    for tree in (("*", ratio, other), ("*", other, ratio), ("/", other, ratio)):
+        got, want = _evaluate(field, tree), _evaluate(ref, tree)
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert str(got) == str(want)
+        again = scalar_parse(field, str(got))
+        assert again == got and hash(again) == hash(got)
+    x, m = _evaluate(field, other), _evaluate(field, ratio)
+    if not isinstance(x, type):
+        (n1, d1), (n2, d2) = x.value, m.value
+        assert (x * m).value == (m * x).value == \
+            scalars._rf_make(scalars._pmul(n1, n2), scalars._pmul(d1, d2))
 
 
 @pytest.mark.parametrize("kind,param", KERNEL_FIELDS)
