@@ -129,10 +129,10 @@ def subalgebra_closure_bounded(p: Presentation, S: list, degree_cap: int) -> Spa
 
 
 def _monomial(p: Presentation, S: list) -> bool:
-    """Whether S holds single terms and p's rules have no tails and no
-    elimination pairs, so that monomials multiply to single terms."""
-    return (not p.elim and not any(r.tail for r in p.rules.values())
-            and all(len(s.terms) == 1 for s in S))
+    """Whether S holds single terms and p is q-commuting (its rules have
+    no tails and it has no elimination pairs: `swap_scalars`), so that
+    monomials multiply to single terms."""
+    return p.swap_scalars() is not None and all(len(s.terms) == 1 for s in S)
 
 
 def _passes(step, frontier: list, right: list, S: list) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
+from operator import add
 
 from .errors import (
     AlgebraMismatchError,
@@ -377,10 +378,11 @@ class Presentation:
     # unlike short tuples are not kept on a free list once released.
 
     def _build_rewriting(self):
-        """Letter decoding, letter codes, the word type, and the pair
-        table: table[a][b] is None when the letter pair a*b is reduced,
-        else a tuple of (factor, replacement word) with factor None
-        standing for 1."""
+        """Letter decoding, letter codes, the word type, the pair table,
+        the elimination successors and the swap scalars. table[a][b] is
+        None when the letter pair a*b is reduced, else a tuple of (factor,
+        replacement word) with factor None standing for 1. The swap
+        scalars are described at `swap_scalars`."""
         m = len(self.gens)
         word = bytes if 2 * m <= 256 else tuple
         letters = [None] * (2 * m)
@@ -413,7 +415,38 @@ class Presentation:
             pair: tuple((None if ct == one else ct, codes(mono_t)) for mono_t, ct in tail)
             for pair, tail in self.elim.items()
         }
-        return letters, code, word, table, elim
+        swaps = None
+        if not elim and not any(rule.tail for rule in self.rules.values()):
+            swaps = []
+            for (j, i), rule in self.rules.items():
+                if rule.leading == one:
+                    continue
+                inverse = None
+                if self.gens[j].invertible or self.gens[i].invertible:
+                    # c^-1, as the pair table holds it for x_j^-1*x_i or x_j*x_i^-1
+                    s = -1 if self.gens[j].invertible else 1
+                    (inverse, _), = table[code[(j, s)]][code[(i, -s)]]
+                swaps.append((j, i, rule.leading, inverse))
+            swaps = tuple(swaps)
+        return letters, code, word, table, elim, swaps
+
+    def swap_scalars(self):
+        """The swap rules x_j*x_i = c*x_i*x_j with c != 1, as a tuple of
+        (j, i, c, c^-1), when no rule has a tail and there is no
+        elimination pair: a q-commuting presentation, such as a skew
+        polynomial ring, a quantum torus, the minus-one plane or a
+        (Laurent) polynomial ring. There a monomial times a monomial is
+        one monomial, x^a*x^b = prod c^(a_j*b_i) * x^(a+b), and `_mono_mul`
+        takes that closed form. c^-1 is None unless x_i or x_j is
+        invertible, when a negative power can occur. None for every other
+        presentation."""
+        return self._tables()[5]
+
+    def _tables(self):
+        """`_build_rewriting`'s tables, built on first use and kept."""
+        if self._rewriting is None:
+            self._rewriting = self._build_rewriting()
+        return self._rewriting
 
     def word_normal_form(self, word) -> dict:
         """Normalize a product of generator letters (gen position, +-1).
@@ -431,9 +464,7 @@ class Presentation:
         per letter of `word` ResourceLimitError is raised; in between, steps only sort letters
         or cancel inverses, so rules that do not terminate cannot hang.
         """
-        if self._rewriting is None:
-            self._rewriting = self._build_rewriting()
-        letters, code, as_word, table, elim = self._rewriting
+        letters, code, as_word, table, elim, _ = self._tables()
         m = len(self.gens)
         w = as_word(code[letter] for letter in word)
         coef = self.field.one()
@@ -497,10 +528,23 @@ class Presentation:
         return {e: c for e, c in result.items() if not c.is_zero()}
 
     def _mono_mul(self, a: Monomial, b: Monomial) -> dict:
+        """The normal form of x^a*x^b: in closed form on a q-commuting
+        presentation (`swap_scalars`), by `word_normal_form` otherwise."""
         key = (a, b)
         hit = self._mul_cache.get(key)
         if hit is None:
-            hit = self.word_normal_form(self._letters(a) + self._letters(b))
+            swaps = self.swap_scalars()
+            if swaps is None:
+                hit = self.word_normal_form(self._letters(a) + self._letters(b))
+            else:
+                # each x_i of b crosses the x_j of a, j > i, one swap each
+                c = None
+                for j, i, cji, inverse in swaps:
+                    n = a[j] * b[i]
+                    if n:
+                        f = cji ** n if n > 0 else inverse ** -n
+                        c = f if c is None else c * f
+                hit = {tuple(map(add, a, b)): self.field.one() if c is None else c}
             self._mul_cache[key] = hit
         return hit
 
@@ -572,9 +616,7 @@ class Presentation:
             return self._report
         # (b) overlap ambiguities a*b*c, where a*b and b*c are both left
         # sides: swaps, inverse cancellations or elimination pairs
-        if self._rewriting is None:
-            self._rewriting = self._build_rewriting()
-        letters, code, _, table, elim = self._rewriting
+        letters, code, _, table, elim, _ = self._tables()
         reductions = {
             (a, b): succ
             for a, row in enumerate(table)

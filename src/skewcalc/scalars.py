@@ -605,15 +605,18 @@ class Scalar:
         return self * other.inv()
 
     def __pow__(self, n: int):
+        """self^n by left-to-right squaring: one squaring per bit of n
+        after the first and one product per further set bit, so n = 1
+        takes none."""
         if n < 0:
             return self.inv() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return self.field.one()
+        out = self
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     # -- rendering ----------------------------------------------------------

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from skewcalc import cancel, cli, poly
 from skewcalc.cancel import (
@@ -168,6 +168,58 @@ def test_light_test_gives_the_reference_verdict(case):
     field, table, unit = case
     expected = _verdict(reference_check_laws, field, table, unit)
     assert _verdict(FiniteDimAlgebra, field, ["b"] * len(table), table, unit) == expected
+
+
+@st.composite
+def _quotients(draw):
+    """Arguments of `commutative_quotient` over GF(2), GF(3) or Q in one
+    to three variables: a monic univariate relation of degree 1 to 3 on
+    each variable, or a pure power of it among up to two monomial
+    relations, which may also mix the variables."""
+    field = draw(st.sampled_from([F2, F3, Q]))
+    nv = draw(st.integers(1, 3))
+    coef = st.integers(0, 2)
+    uni, rels = {}, []
+    for v in range(nv):
+        if draw(st.booleans()):
+            uni[v] = _q(field, *draw(st.lists(coef, min_size=1, max_size=3)), 1)
+        else:
+            rels.append(tuple(draw(st.integers(1, 3)) if w == v else 0 for w in range(nv)))
+    for _ in range(draw(st.integers(0, 2))):
+        r = tuple(draw(st.lists(st.integers(0, 2), min_size=nv, max_size=nv)))
+        if any(r):
+            rels.append(r)
+    return field, [f"x{v}" for v in range(nv)], rels, uni
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_quotients())
+def test_quotients_satisfy_the_laws_they_are_not_checked_for(case):
+    # `commutative_quotient` proves its relations a Gröbner basis, so its
+    # table satisfies the laws by construction: the check, and the n^3
+    # reference below dim 10, pass on it
+    try:
+        a = commutative_quotient(*case)
+    except BadParamsError:  # not a Gröbner basis
+        reject()
+    a._check_laws()
+    if a.dim < 10:
+        reference_check_laws(a.field, a.table, a.unit)
+
+
+def test_only_tables_given_from_outside_are_checked(monkeypatch):
+    checked = []
+    check = FiniteDimAlgebra._check_laws
+    monkeypatch.setattr(FiniteDimAlgebra, "_check_laws",
+                        lambda a: checked.append(a.dim) or check(a))
+    a = commutative_quotient(Q, ["x", "y"], [(1, 1)], {0: _q(Q, 0, -1, 1), 1: _q(Q, 0, 1, 1)})
+    b = univariate_quotient(Q, _q(Q, -1, 0, 1))
+    assert checked == []
+    p = direct_product(a, b)
+    q, _, _ = quotient_by_ideal(p, [{1: Q.one()}])
+    cancel._subalgebra_on_idempotent(p, {0: Q.one()})  # the factor a
+    FiniteDimAlgebra(Q, b.basis_names, b.table, b.unit)
+    assert checked == [p.dim, q.dim, a.dim, b.dim]
 
 
 def test_light_test_catches_a_failure_off_the_generating_set():

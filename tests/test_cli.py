@@ -10,12 +10,13 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewcalc.cli import parse_algebra_file, print_algebra, run
+from skewcalc.cli import _as_presentation, parse_algebra_file, print_algebra, run
 from skewcalc.errors import BadParamsError, ExprSyntaxError, SkewcalcError
 from skewcalc.families import MAX_FAMILY_N, FamilySpec
 from skewcalc.invariants import MAX_DIM
 from skewcalc.presentation import Presentation
 from skewcalc.scalars import RATIONAL, FieldDescriptor
+from test_rewriting import _diagonal_oracle
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src/skewcalc/fixtures"
 
@@ -92,6 +93,27 @@ def test_mul_inverts_a_product_of_letters_that_do_not_commute():
                "--lhs", "(x1*x2)^-1", "--rhs", "x1*x2")
     assert out.returncode == 0
     assert json.loads(out.stdout)["result"]["product"] == "1"
+
+
+@pytest.mark.parametrize("m,n", [(300, 300), (299, 301)])
+def test_mul_of_high_powers_in_a_skew_polynomial_ring(tmp_path, m, n):
+    # x^a*x^b is one monomial times prod q_ij^(a_j*b_i): the product of
+    # two words of 600 letters takes no rewriting
+    text = "family skew_poly n=3 l=5 a12=1 a13=2 a23=3;"
+    path = tmp_path / "skew.alg"
+    path.write_text(text)
+    out = _run("mul", str(path), "--lhs", f"x3^{m}*x2^{n}", "--rhs", f"x2^{n}*x1^{m}")
+    assert out.returncode == 0
+    p = _as_presentation(parse_algebra_file(text))
+    q = p.field.q()
+    q_matrix = {(1, 2): q, (1, 3): q ** 2, (2, 3): q ** 3}
+    (lhs, c1), = _diagonal_oracle(p, q_matrix, (0, 0, m), (0, n, 0)).items()
+    (rhs, c2), = _diagonal_oracle(p, q_matrix, (0, n, 0), (m, 0, 0)).items()
+    (mono, c), = _diagonal_oracle(p, q_matrix, lhs, rhs).items()
+    result = json.loads(out.stdout)["result"]
+    assert result == {"lhs": str(p.from_terms({lhs: c1})),
+                      "rhs": str(p.from_terms({rhs: c2})),
+                      "product": str(p.from_terms({mono: c1 * c2 * c}))}
 
 
 def test_parse_error_has_position():

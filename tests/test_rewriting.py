@@ -52,7 +52,7 @@ from skewcalc.presentation import (
     ore_extend,
 )
 from skewcalc.linalg import solve
-from skewcalc.scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor
+from skewcalc.scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor, Scalar
 
 Q = FieldDescriptor(RATIONAL)
 GF = FieldDescriptor(PRIME, 32003)
@@ -407,6 +407,7 @@ def test_skew_monomial_products(a, b):
     p = _presentation("skew3")
     word = p._letters(a) + p._letters(b)
     assert p.word_normal_form(word) == _diagonal_oracle(p, SKEW_Q, a, b)
+    assert p._mono_mul(a, b) == _diagonal_oracle(p, SKEW_Q, a, b)
 
 
 @SETTINGS
@@ -415,6 +416,97 @@ def test_torus_monomial_products(a, b):
     p = _presentation("torus3")
     word = p._letters(a) + p._letters(b)
     assert p.word_normal_form(word) == _diagonal_oracle(p, TORUS_Q, a, b)
+    assert p._mono_mul(a, b) == _diagonal_oracle(p, TORUS_Q, a, b)
+
+
+# ---------------------------------------------------------------------------
+# monomial products in closed form on q-commuting presentations
+
+# the presentations above whose rules have no tails and no elimination pairs
+Q_COMMUTING = ["fixture:laurent2", "fixture:minusone", "fixture:poly2", "fixture:t2q3",
+               "laurent2", "minus_one", "poly3", "skew3", "torus3"]
+
+
+def test_the_q_commuting_presentations():
+    assert [n for n in sorted(FAMILIES)
+            if _presentation(n).swap_scalars() is not None] == Q_COMMUTING
+    # the swap scalars hold each c != 1 once, and c^-1 where a letter is invertible
+    for name in Q_COMMUTING:
+        p = _presentation(name)
+        swaps = {(j, i): (c, inverse) for j, i, c, inverse in p.swap_scalars()}
+        assert swaps.keys() == {k for k, rule in p.rules.items() if not rule.leading.is_one()}
+        for (j, i), (c, inverse) in swaps.items():
+            if p.gens[j].invertible or p.gens[i].invertible:
+                assert (c * inverse).is_one()
+            else:
+                assert inverse is None
+
+
+def _signed_monomials(p, bound=5):
+    return st.tuples(*[st.integers(-bound if g.invertible else 0, bound) for g in p.gens])
+
+
+@pytest.mark.parametrize("name", Q_COMMUTING)
+@SETTINGS
+@given(data=st.data())
+def test_closed_form_products_match_the_rewriting(name, data):
+    p = _presentation(name)
+    a, b = data.draw(_signed_monomials(p)), data.draw(_signed_monomials(p))
+    assert p._mono_mul(a, b) == p.word_normal_form(p._letters(a) + p._letters(b))
+
+
+def _fresh(name):
+    p = FAMILIES[name]()
+    p.require_validated()
+    return p
+
+
+def _rewriting_calls(monkeypatch, p):
+    """The `word_normal_form` calls of x*x, x the sum of k*m over the
+    monomials m of degree <= 2, on a cold product cache; x*x is checked
+    against the rewriting of each pair of terms."""
+    calls = []
+    rewrite = Presentation.word_normal_form
+    monkeypatch.setattr(Presentation, "word_normal_form",
+                        lambda self, word: calls.append(word) or rewrite(self, word))
+    x = p.from_terms({m: p.field.from_int(k + 1)
+                      for k, m in enumerate(p.filtration_basis(2))})
+    product = x * x
+    expected = p.zero()
+    for ma, ca in x.terms.items():
+        for mb, cb in x.terms.items():
+            nf = rewrite(p, p._letters(ma) + p._letters(mb))
+            expected = expected + Element(p, nf).scale(ca * cb)
+    assert product == expected
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", Q_COMMUTING)
+def test_q_commuting_products_do_no_rewriting(monkeypatch, name):
+    assert _rewriting_calls(monkeypatch, _fresh(name)) == 0
+
+
+@pytest.mark.parametrize("name", ["weyl1_q", "qweyl1", "fixture:b1q3", "localized_qweyl"])
+def test_products_with_tails_or_elimination_pairs_still_rewrite(monkeypatch, name):
+    p = _fresh(name)
+    assert p.swap_scalars() is None
+    assert _rewriting_calls(monkeypatch, p) > 0
+
+
+def test_skew_products_over_cyclotomic_take_no_inverse(monkeypatch):
+    # no generator of a skew polynomial ring is invertible, so no c^-1 is
+    # needed, and the conjugate-product inverse of cyclotomic fields runs
+    # neither while the ring is built nor while it multiplies
+    inverses = []
+    inv = Scalar.inv
+    monkeypatch.setattr(Scalar, "inv", lambda c: inverses.append(c) or inv(c))
+    C5 = FieldDescriptor(CYCLOTOMIC, 5)
+    q = C5.q()
+    p = skew_poly(3, {(1, 2): q, (1, 3): q ** 2, (2, 3): q ** 3}, C5)
+    x1, x2, x3 = (p.generator(f"x{k}") for k in (1, 2, 3))
+    x = (x3 * x2 + x1 * x3) ** 7 * (x2 * x1 - x3) ** 5
+    assert inverses == [] and p.swap_scalars() is not None
+    assert len(x.terms) > 1
 
 
 # ---------------------------------------------------------------------------

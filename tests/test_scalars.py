@@ -516,6 +516,28 @@ def test_equal_values_built_differently_hash_equal(kind, param):
     assert z == y and hash(z) == hash(y) and str(z) == str(y)
 
 
+@pytest.mark.parametrize("kind,param", [(RATIONAL, None), (PRIME, 7), (RATFUNC_Q, None),
+                                        (CYCLOTOMIC, 5)])
+def test_powers_match_repeated_products_with_no_product_wasted(kind, param, monkeypatch):
+    f = FieldDescriptor(kind, param)
+    x = f.from_fraction(Fraction(-2, 3)) + (f.q() if kind in (RATFUNC_Q, CYCLOTOMIC) else f.zero())
+    expected, step = {0: f.one()}, {1: x, -1: x.inv()}
+    for n in range(1, 41):
+        expected[n] = expected[n - 1] * step[1]
+        expected[-n] = expected[-n + 1] * step[-1]
+    products = []
+    mul = scalars.Scalar.__mul__
+    monkeypatch.setattr(scalars.Scalar, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    for n in range(-6, 41):
+        products.clear()
+        got = x ** n
+        assert got == expected[n] and str(got) == str(expected[n])
+        # one squaring per bit after the first, one product per further set bit
+        k = abs(n)
+        assert len(products) == (k.bit_length() + bin(k).count("1") - 2 if k else 0)
+
+
 def test_constants_are_shared_per_field():
     for kind, param in KERNEL_FIELDS:
         f = FieldDescriptor(kind, param)
