@@ -8,7 +8,9 @@ Four layers:
   through idempotent lifting, whether the units span the algebra by a
   count of the residue fields GF(2), bounded generating-set
   verification),
-  on the dict vectors {basis index: nonzero Scalar} that `linalg` uses.
+  on the dict vectors {basis index: nonzero value} of raw field values
+  that `linalg` uses, boxed in Scalars where a public function returns
+  them.
   They are built as quotients k[x_1..x_n]/(monomials, one f_v(x_v) per
   variable) by one constructor, `commutative_quotient`, which checks by
   Buchberger's criterion that the relations are a Gröbner basis and
@@ -25,6 +27,7 @@ Four layers:
 
 from __future__ import annotations
 
+from functools import cached_property, reduce
 from operator import add
 
 from . import poly
@@ -43,7 +46,7 @@ from .presentation import (
     commutator,
     ore_extend,
 )
-from .scalars import PRIME, RATIONAL, FieldDescriptor
+from .scalars import PRIME, RATIONAL, FieldDescriptor, Scalar, box, unbox
 
 # Newton steps `_lift_idempotent` takes before it gives up; each step
 # doubles the power of the nilradical that the error lies in
@@ -57,23 +60,26 @@ MAX_GENERATING_SET_PASSES = 64
 # ---------------------------------------------------------------------------
 # finite-dimensional commutative algebras
 #
-# A vector is a dict {basis index: nonzero Scalar}, the format `linalg`
+# A vector is a dict {basis index: nonzero raw value}, the format `linalg`
 # uses for columns and solutions, so vectors go to `solve`, `nullspace`
-# and `SpanBasis` as they are. The zero vector is the empty dict.
+# and `SpanBasis` as they are. The zero vector is the empty dict. The
+# public functions box the vectors they return in Scalars.
 
 
-def _lincomb(terms) -> dict:
+def _lincomb(terms, field) -> dict:
     """The dict vector sum of c * v over the pairs (c, v) of `terms`; the
     entries that cancel are dropped."""
     # not `linalg.add_scaled`: zeros are dropped only at the end, so a key
     # that cancels and comes back keeps its first place. The idempotents
     # print in this order, and the benchmark's invariants digest shows it
+    ops = field.ops
+    add, mul, is_zero = ops.add, ops.mul, ops.is_zero
     out = {}
     for c, v in terms:
         for k, x in v.items():
             y = out.get(k)
-            out[k] = c * x if y is None else y + c * x
-    return {k: x for k, x in out.items() if not x.is_zero()}
+            out[k] = mul(c, x) if y is None else add(y, mul(c, x))
+    return {k: x for k, x in out.items() if not is_zero(x)}
 
 
 class FiniteDimAlgebra:
@@ -83,74 +89,100 @@ class FiniteDimAlgebra:
     generating set G of basis vectors, then the unit. Light's test makes
     n (n - 1) / 2 checks for each member of G that is not a unit, in
     place of the n^3 of the plain test: for k[x]/(f), G = {1, x} and 28
-    checks at dim 8 where there were 512. `_lawful` builds an algebra
-    without the check, for a table whose laws are proved by construction.
+    checks at dim 8 where there were 512. `_from_values` builds an
+    algebra from raw values, with or without the check.
 
-    `modulus` is the monic f when the algebra is k[x]/(f) on the basis
-    1, x, ..., as `commutative_quotient` records it, and None otherwise."""
+    The constructor takes the table and the unit with Scalar entries,
+    and `table` and `unit` give them so, boxed on first use. The methods
+    compute on raw values: `mul`, `power`, `is_nilpotent`, `min_poly`,
+    `trace_form` and `_e` take and give vectors {basis index: nonzero
+    raw value}.
+
+    `modulus` is the monic f, as a list of raw values, when the algebra
+    is k[x]/(f) on the basis 1, x, ..., as `commutative_quotient` records
+    it, and None otherwise."""
 
     modulus = None
 
     def __init__(self, field, basis_names, table, unit):
-        self._store(field, basis_names, table, unit)
+        self._store(field, basis_names, table, unit, values=False)
         self._check_laws()
 
     @classmethod
-    def _lawful(cls, field, basis_names, table, unit) -> "FiniteDimAlgebra":
-        """The algebra of a table whose laws are already proved, with no
-        `_check_laws`: `commutative_quotient` reduces by relations it has
-        shown a Gröbner basis, so its table is the multiplication of
-        k[vars]/I on a basis of standard monomials, commutative and
-        associative with unit 1 by construction."""
+    def _from_values(cls, field, basis_names, table, unit, check: bool) -> "FiniteDimAlgebra":
+        """The algebra of a table and a unit of raw values, with
+        `_check_laws` when `check`. `commutative_quotient` builds without
+        the check: it reduces by relations it has shown a Gröbner basis,
+        so its table is the multiplication of k[vars]/I on a basis of
+        standard monomials, commutative and associative with unit 1 by
+        construction."""
         a = cls.__new__(cls)
-        a._store(field, basis_names, table, unit)
+        a._store(field, basis_names, table, unit, values=True)
+        if check:
+            a._check_laws()
         return a
 
-    def _store(self, field, basis_names, table, unit):
+    def _store(self, field, basis_names, table, unit, values: bool):
         self.field = field
         self.basis_names = tuple(basis_names)
         n = self.dim
         if len(table) != n or any(len(row) != n for row in table):
             raise BadParamsError("structure-constant table has wrong shape")
-        # table[i][j] = product e_i*e_j as a dict vector, the only store
-        self.table = [[self._vector(v) for v in row] for row in table]
-        self.unit = self._vector(unit)
+        # _table[i][j] = product e_i*e_j as a dict vector of raw values, the
+        # store the products read; `table` boxes it for outside readers
+        self._table = [[self._vector(v, values) for v in row] for row in table]
+        self._unit = self._vector(unit, values)
 
     @property
     def dim(self):
         return len(self.basis_names)
 
-    def _vector(self, v) -> dict:
-        """A dict vector given from outside, with its zero entries dropped
-        so that equal algebras compare equal."""
+    @cached_property
+    def table(self) -> list:
+        """table[i][j] = e_i*e_j, a dict vector of Scalars."""
+        return [[box(self.field, v) for v in row] for row in self._table]
+
+    @cached_property
+    def unit(self) -> dict:
+        """The unit, a dict vector of Scalars."""
+        return box(self.field, self._unit)
+
+    def _vector(self, v, values: bool) -> dict:
+        """A dict vector given from outside, of raw values (`values`) or
+        of Scalars, as raw values with its zero entries dropped so that
+        equal algebras compare equal."""
         if not isinstance(v, dict) or any(k not in range(self.dim) for k in v):
             raise BadParamsError(
                 f"a vector must be a dict with keys in range({self.dim})"
             )
-        return {k: x for k, x in v.items() if not x.is_zero()}
+        if values:
+            is_zero = self.field.ops.is_zero
+            return {k: x for k, x in v.items() if not is_zero(x)}
+        return {k: x.value for k, x in v.items() if not x.is_zero()}
 
     def _check_laws(self):
         n = self.dim
+        table = self._table
         for i in range(n):
             for j in range(n):
-                if self.table[i][j] != self.table[j][i]:
+                if table[i][j] != table[j][i]:
                     raise BadParamsError("algebra is not commutative")
         # Light's test: the a with (x*a)*y = x*(a*y) for all x, y form a
         # subalgebra, so checking the a of a generating set decides
         # associativity. By commutativity the check for (x, y) is the one
         # for (y, x) and holds for x = y, so the pairs i < k suffice
         for g in self._generators():
-            if all(self.table[g][k] == self._e(k) for k in range(n)):
+            if all(table[g][k] == self._e(k) for k in range(n)):
                 continue  # e_g is a unit: (x*e_g)*y = x*y = x*(e_g*y)
             for i in range(n):
-                left = self.table[i][g]
+                left = table[i][g]
                 for k in range(i + 1, n):
                     lhs = self.mul(left, self._e(k))
-                    rhs = self.mul(self._e(i), self.table[g][k])
+                    rhs = self.mul(self._e(i), table[g][k])
                     if lhs != rhs:
                         raise BadParamsError("algebra is not associative")
         for i in range(n):
-            if self.mul(self.unit, self._e(i)) != self._e(i):
+            if self.mul(self._unit, self._e(i)) != self._e(i):
                 raise BadParamsError("unit is not a unit")
 
     def _generators(self) -> list:
@@ -183,25 +215,28 @@ class FiniteDimAlgebra:
         return gens
 
     def _e(self, i):
-        return {i: self.field.one()}
+        return {i: self.field.ops.one}
 
     def mul(self, u, v):
-        table = self.table
+        table = self._table
+        mul = self.field.ops.mul
         return _lincomb(
-            [(ci * cj, table[i][j]) for i, ci in u.items() for j, cj in v.items()]
-        )
+            [(mul(ci, cj), table[i][j]) for i, ci in u.items() for j, cj in v.items()],
+            self.field)
 
     def trace_form(self):
         """Gram matrix tr(e_i e_j) of the trace form as dict rows, from the
         basis traces t_k = sum_l c_kl^l: tr(e_i e_j) = sum_k c_ij^k t_k."""
-        zero = self.field.zero()
-        t = [sum((e.get(l, zero) for l, e in enumerate(row)), zero) for row in self.table]
+        ops = self.field.ops
+        add, mul, zero = ops.add, ops.mul, ops.zero
+        t = [reduce(add, (e.get(l, zero) for l, e in enumerate(row)), zero)
+             for row in self._table]
 
         def trace(v):  # the trace of multiplication by v
-            return sum((c * t[k] for k, c in v.items()), zero)
+            return reduce(add, (mul(c, t[k]) for k, c in v.items()), zero)
 
-        grams = ([(j, trace(e)) for j, e in enumerate(row)] for row in self.table)
-        return [{j: x for j, x in g if not x.is_zero()} for g in grams]
+        grams = ([(j, trace(e)) for j, e in enumerate(row)] for row in self._table)
+        return [{j: x for j, x in g if not ops.is_zero(x)} for g in grams]
 
     def power(self, u, n: int):
         """u^n for n >= 1, by repeated squaring."""
@@ -222,9 +257,10 @@ class FiniteDimAlgebra:
 
     def min_poly(self, u, v=None) -> list:
         """The monic p of least degree with p(u)*v = 0, as an ascending
-        coefficient list; v is nonzero and defaults to the unit, which
+        list of raw values; v is nonzero and defaults to the unit, which
         gives the minimal polynomial of u."""
-        current = self.unit if v is None else v
+        ops = self.field.ops
+        current = self._unit if v is None else v
         powers = [current]
         span = SpanBasis(self.field, lambda i: i)
         span.add(current)
@@ -232,8 +268,8 @@ class FiniteDimAlgebra:
             current = self.mul(current, u)
             if span.contains(current):
                 sol = solve(powers, current, self.field)
-                coeffs = [sol.get(j, self.field.zero()) for j in range(len(powers))]
-                return poly.trim([-c for c in coeffs] + [self.field.one()])
+                coeffs = [sol.get(j, ops.zero) for j in range(len(powers))]
+                return poly.trim([ops.neg(c) for c in coeffs] + [ops.one], self.field)
             span.add(current)
             powers.append(current)
 
@@ -242,7 +278,8 @@ class FiniteDimAlgebra:
 
 
 def univariate_quotient(field, coeffs) -> FiniteDimAlgebra:
-    """k[x]/(f) for a monic-izable f given by ascending coefficients."""
+    """k[x]/(f) for a monic-izable f given by ascending Scalar
+    coefficients."""
     return commutative_quotient(field, ["x"], [], {0: coeffs})
 
 
@@ -251,8 +288,8 @@ def commutative_quotient(field, var_names, monomial_rels, univariate_rels) -> Fi
     variable), on the standard monomials in (degree, exponents) order.
 
     `monomial_rels`: exponent tuples x^r that are set to zero.
-    `univariate_rels`: var index v -> ascending coefficient list of a
-    monic-izable f_v(x_v) of degree >= 1.
+    `univariate_rels`: var index v -> ascending Scalar coefficient list of
+    a monic-izable f_v(x_v) of degree >= 1.
 
     The relations must be a Gröbner basis. In every monomial order their
     leading terms are the x^r and the x_v^deg(f_v), so by Buchberger's
@@ -263,18 +300,19 @@ def commutative_quotient(field, var_names, monomial_rels, univariate_rels) -> Fi
     finite dimensional exactly when a pure power of every variable is a
     leading term.
     """
-    one, zero = field.one(), field.zero()
+    ops = field.ops
+    one, zero = ops.one, ops.zero
     nv = len(var_names)
     uni = {}
     for v, coeffs in (univariate_rels or {}).items():
         if v not in range(nv):
             raise BadParamsError(f"univariate relation {v}: no variable has that index")
-        coeffs = poly.trim(list(coeffs))
+        coeffs = poly.trim([c.value for c in coeffs], field)
         if len(coeffs) < 2:
             raise BadParamsError(
                 f"univariate relation of {var_names[v]} must have degree >= 1")
-        inv = coeffs[-1].inv()
-        uni[v] = [c * inv for c in coeffs]
+        inv = ops.inv(coeffs[-1])
+        uni[v] = [ops.mul(c, inv) for c in coeffs]
     rels = [tuple(r) for r in monomial_rels]
     for r in rels:
         if len(r) != nv or not any(r) or min(r) < 0:
@@ -290,12 +328,12 @@ def commutative_quotient(field, var_names, monomial_rels, univariate_rels) -> Fi
         if v not in uni or e < len(uni[v]) - 1:
             return {e: one}
         _, r = poly.divmod([zero] * e + [one], uni[v], field)
-        return {k: c for k, c in enumerate(r) if not c.is_zero()}
+        return {k: c for k, c in enumerate(r) if not ops.is_zero(c)}
 
     def normal_form(m):  # x^m, as {standard monomial: coefficient}
         terms = {(): one}
         for v, e in enumerate(m):  # () has coefficient one: nothing to multiply
-            terms = {t + (k,): c * ck if t else ck for t, c in terms.items()
+            terms = {t + (k,): ops.mul(c, ck) if t else ck for t, c in terms.items()
                      for k, ck in power(v, e).items()}
         return {t: c for t, c in terms.items() if standard(t)}
 
@@ -305,7 +343,7 @@ def commutative_quotient(field, var_names, monomial_rels, univariate_rels) -> Fi
                 # S(x^r, f_v) = -x^s (f_v - x_v^d), s = r with s_v = max(r_v - d, 0)
                 d = len(f) - 1
                 s = [r[:v] + (max(r[v] - d, 0) + k,) + r[v + 1:] for k in range(d)]
-                if _lincomb(zip(f, map(normal_form, s))):
+                if _lincomb(zip(f, map(normal_form, s)), field):
                     raise BadParamsError(
                         "relations are not a Gröbner basis: the S-polynomial of "
                         f"monomial relation {r} and the univariate relation of "
@@ -344,7 +382,8 @@ def commutative_quotient(field, var_names, monomial_rels, univariate_rels) -> Fi
             for v, e in enumerate(m) if e
         )
 
-    a = FiniteDimAlgebra._lawful(field, [name_of(m) for m in basis], table, {0: one})
+    a = FiniteDimAlgebra._from_values(field, [name_of(m) for m in basis], table, {0: one},
+                                      check=False)
     if nv == 1 and not rels:
         a.modulus = uni[0]
     return a
@@ -359,9 +398,10 @@ def direct_product(a: FiniteDimAlgebra, b: FiniteDimAlgebra) -> FiniteDimAlgebra
     def shift(v):  # b's vector in the second block
         return {n + k: c for k, c in v.items()}
 
-    table = [row + [{}] * b.dim for row in a.table]
-    table += [[{}] * n + [shift(v) for v in row] for row in b.table]
-    return FiniteDimAlgebra(a.field, names, table, a.unit | shift(b.unit))
+    table = [row + [{}] * b.dim for row in a._table]
+    table += [[{}] * n + [shift(v) for v in row] for row in b._table]
+    return FiniteDimAlgebra._from_values(a.field, names, table, a._unit | shift(b._unit),
+                                         check=True)
 
 
 def scalar_field_algebra(field) -> FiniteDimAlgebra:
@@ -373,7 +413,14 @@ def scalar_field_algebra(field) -> FiniteDimAlgebra:
 
 
 def nilradical(a: FiniteDimAlgebra) -> dict:
-    """The nilradical, exact in every characteristic. It lies in the
+    """The nilradical, exact in every characteristic; its basis vectors
+    have Scalar entries. See `_nilradical`."""
+    return {"basis": [box(a.field, v) for v in _nilradical(a)], "certified": True,
+            "note": None}
+
+
+def _nilradical(a: FiniteDimAlgebra) -> list:
+    """A basis of the nilradical, vectors of raw values. It lies in the
     radical R of the trace form, which in characteristic 0 equals it. In
     characteristic p, x -> x^n with n = p^k >= dim is GF(p)-linear on R,
     and its kernel is exactly the nilpotent elements of R. Every basis
@@ -386,7 +433,7 @@ def nilradical(a: FiniteDimAlgebra) -> dict:
             n *= p
         images = [a.power(v, n) for v in vectors]
         vectors = [
-            _lincomb((c, vectors[k]) for k, c in cs.items())
+            _lincomb(((c, vectors[k]) for k, c in cs.items()), a.field)
             for cs in nullspace(images, a.field)
         ]
     for v in vectors:
@@ -394,16 +441,24 @@ def nilradical(a: FiniteDimAlgebra) -> dict:
             raise ValidationError(
                 "nilradical basis vector is not nilpotent", code="NILRADICAL_NOT_NILPOTENT"
             )
-    return {"basis": vectors, "certified": True, "note": None}
+    return vectors
 
 
 def is_vnr(a: FiniteDimAlgebra) -> bool:
     """Reduced == von Neumann regular in Krull dimension zero."""
-    return not nilradical(a)["basis"]
+    return not _nilradical(a)
 
 
 def quotient_by_ideal(a: FiniteDimAlgebra, ideal_vectors: list):
-    """Quotient algebra, with the projection and one linear section."""
+    """Quotient algebra, with the projection and one linear section, on
+    vectors of Scalars."""
+    q, project, lift = _quotient(a, [unbox(v) for v in ideal_vectors])
+    return (q, lambda v: box(a.field, project(unbox(v))),
+            lambda w: box(a.field, lift(unbox(w))))
+
+
+def _quotient(a: FiniteDimAlgebra, ideal_vectors: list):
+    """`quotient_by_ideal` on vectors of raw values."""
     if not ideal_vectors:
         return a, dict, dict  # both maps are the identity (on copies)
     span = SpanBasis(a.field, lambda i: -i)  # pivot: first coordinate
@@ -419,8 +474,8 @@ def quotient_by_ideal(a: FiniteDimAlgebra, ideal_vectors: list):
         return {free[k]: c for k, c in w.items()}
 
     names = [a.basis_names[i] for i in free]
-    table = [[project(a.table[i][j]) for j in free] for i in free]
-    q = FiniteDimAlgebra(a.field, names, table, project(a.unit))
+    table = [[project(a._table[i][j]) for j in free] for i in free]
+    q = FiniteDimAlgebra._from_values(a.field, names, table, project(a._unit), check=True)
     return q, project, lift
 
 
@@ -428,7 +483,8 @@ def _split_idempotent(q: FiniteDimAlgebra, e):
     """Try to split idempotent e in q using the minimal polynomial of
     some e*b; returns (e1, e2) or None."""
     field = q.field
-    one = field.one()
+    ops = field.ops
+    one = ops.one
     if not e:
         return None
     dim = None  # dim(e*q), counted at the first minimal polynomial with no root
@@ -440,11 +496,11 @@ def _split_idempotent(q: FiniteDimAlgebra, e):
             continue
         found = poly.roots(minp, field)
         for lam in found:
-            f = [-lam, one]
+            f = [ops.neg(lam), one]
             g, rem = poly.divmod(minp, f, field)
             if rem:
                 continue
-            if poly.evaluate(g, lam, field).is_zero():
+            if ops.is_zero(poly.evaluate(g, lam, field)):
                 continue  # repeated root; not usable for a clean split
             gcd, s, t = poly.xgcd(f, g, field)
             if len(gcd) != 1:
@@ -452,8 +508,8 @@ def _split_idempotent(q: FiniteDimAlgebra, e):
             # e1 = (t*g)(u)*e, by Horner in q
             e1 = {}
             for c in reversed(poly.mul(t, g, field)):
-                e1 = _lincomb([(one, q.mul(e1, u)), (c, e)])
-            e2 = _lincomb([(one, e), (-one, e1)])
+                e1 = _lincomb([(one, q.mul(e1, u)), (c, e)], field)
+            e2 = _lincomb([(one, e), (ops.neg(one), e1)], field)
             if (
                 q.mul(e1, e1) == e1
                 and q.mul(e2, e2) == e2
@@ -473,13 +529,14 @@ def _split_idempotent(q: FiniteDimAlgebra, e):
 
 def _lift_idempotent(a: FiniteDimAlgebra, e0):
     """Newton lifting e <- 3e^2 - 2e^3 through the nilradical."""
-    three, minus_two = a.field.from_int(3), a.field.from_int(-2)
+    ops = a.field.ops
+    three, minus_two = ops.from_int(3), ops.from_int(-2)
     e = e0
     for _ in range(MAX_LIFT_STEPS):
         e2 = a.mul(e, e)
         if e2 == e:
             return e
-        e = _lincomb([(three, e2), (minus_two, a.mul(e2, e))])
+        e = _lincomb([(three, e2), (minus_two, a.mul(e2, e))], a.field)
     raise ResourceLimitError(
         f"idempotent lifting did not converge within "
         f"MAX_LIFT_STEPS = {MAX_LIFT_STEPS} steps",
@@ -490,7 +547,7 @@ def _subalgebra_on_idempotent(a: FiniteDimAlgebra, e):
     """The unital algebra e*a with unit e, on the basis `chosen` of the
     independent e*e_j; returns it with `chosen`. For e = 1 that is `a`
     itself on its own basis."""
-    if e == a.unit:
+    if e == a._unit:
         return a, [a._e(j) for j in range(a.dim)]
     span = SpanBasis(a.field, lambda i: i)
     chosen = []
@@ -510,13 +567,12 @@ def _subalgebra_on_idempotent(a: FiniteDimAlgebra, e):
     for (i, j), x in zip(pairs, coords):
         table[i][j] = table[j][i] = x
     names = [f"b{k}" for k in range(n)]
-    return FiniteDimAlgebra(a.field, names, table, coords[-1]), chosen
+    return FiniteDimAlgebra._from_values(a.field, names, table, coords[-1], check=True), chosen
 
 
 def _certify_local(f: FiniteDimAlgebra):
     """True if f is certifiably local (f / N(f) is a field)."""
-    nil = nilradical(f)
-    q, _, _ = quotient_by_ideal(f, nil["basis"])
+    q, _, _ = _quotient(f, _nilradical(f))
     if q.dim == 1:
         return True
     for j in range(q.dim):
@@ -542,7 +598,8 @@ def _crt_decomposition(a: FiniteDimAlgebra):
     parts = poly.factorization(f, field)
     if parts is None:
         return None
-    one = field.one()
+    ops = field.ops
+    one = ops.one
 
     def mod_f(g):
         return poly.divmod(g, f, field)[1]
@@ -564,10 +621,12 @@ def _crt_decomposition(a: FiniteDimAlgebra):
             raise ValidationError("an idempotent is not idempotent")
         if any(mod_f(poly.mul(e, d, field)) for d in idems[i + 1:]):
             raise ValidationError("idempotents not orthogonal")
-    vectors = [{k: c for k, c in enumerate(e) if not c.is_zero()} for e in idems]
-    if _lincomb((one, e) for e in vectors) != a.unit:
+    vectors = [{k: c for k, c in enumerate(e) if not ops.is_zero(c)} for e in idems]
+    if _lincomb(((one, e) for e in vectors), field) != a._unit:
         raise ValidationError("idempotents do not sum to 1")
-    factors = [{"algebra": a if len(parts) == 1 else univariate_quotient(field, power),
+    vectors = [box(field, e) for e in vectors]
+    factors = [{"algebra": a if len(parts) == 1 else univariate_quotient(
+                    field, [Scalar(field, c) for c in power]),
                 "idempotent": e, "local_certified": True}
                for power, e in zip(powers, vectors)]
     return {"status": "DECOMPOSED", "factors": factors, "idempotents": vectors,
@@ -575,7 +634,8 @@ def _crt_decomposition(a: FiniteDimAlgebra):
 
 
 def local_decomposition(a: FiniteDimAlgebra) -> dict:
-    """Orthogonal primitive idempotents and their local factors.
+    """Orthogonal primitive idempotents and their local factors; the
+    idempotents are vectors of Scalars.
 
     On k[x]/(f) (`a.modulus` set) the factors come from the factorization
     of f by the Chinese remainder theorem (`_crt_decomposition`): the
@@ -591,11 +651,10 @@ def local_decomposition(a: FiniteDimAlgebra) -> dict:
         dec = _crt_decomposition(a)
         if dec is not None:
             return dec
-    nil = nilradical(a)
-    q, project, lift = quotient_by_ideal(a, nil["basis"])
+    q, project, lift = _quotient(a, _nilradical(a))
     # a worklist in creation order: an idempotent that does not split is
     # final, as `_split_idempotent` is deterministic in (q, e)
-    idems_q, pending = [], [q.unit]
+    idems_q, pending = [], [q._unit]
     while pending:
         e = pending.pop(0)
         split = _split_idempotent(q, e)
@@ -604,7 +663,7 @@ def local_decomposition(a: FiniteDimAlgebra) -> dict:
         else:
             pending.extend(split)
     idems = [_lift_idempotent(a, lift(e)) for e in idems_q]
-    if _lincomb((a.field.one(), e) for e in idems) != a.unit:
+    if _lincomb(((a.field.ops.one, e) for e in idems), a.field) != a._unit:
         raise ValidationError("idempotents do not sum to 1")  # pragma: no cover
     for i, e in enumerate(idems):
         for jj, f in enumerate(idems):
@@ -617,12 +676,13 @@ def local_decomposition(a: FiniteDimAlgebra) -> dict:
         local = _certify_local(fac)
         if local is not True:
             all_local = False
-        factors.append({"algebra": fac, "idempotent": e, "local_certified": local})
+        factors.append({"algebra": fac, "idempotent": box(a.field, e),
+                        "local_certified": local})
     return {
         "status": "DECOMPOSED" if all_local else "NOT_DECOMPOSED",
         "factors": factors,
-        "idempotents": idems,
-        "nilradical_certified": nil["certified"],
+        "idempotents": [f["idempotent"] for f in factors],
+        "nilradical_certified": True,
     }
 
 
@@ -650,9 +710,10 @@ def units_generated(a) -> dict:
         return {"status": "UNKNOWN", "witness": None, "mode": "structural"}
     field, r = a.field, 0
     if field.kind == PRIME and field.param == 2:
+        one = field.ops.one
         ideal = SpanBasis(field, lambda i: i)
         for i in range(a.dim):
-            f = _lincomb([(field.one(), a.table[i][i]), (field.one(), a._e(i))])
+            f = _lincomb([(one, a._table[i][i]), (one, a._e(i))], field)
             for j in range(a.dim):
                 ideal.add(a.mul(f, a._e(j)))
         r = a.dim - len(ideal)
@@ -666,12 +727,13 @@ def units_generated(a) -> dict:
 
 def verify_generating_set(b: FiniteDimAlgebra, n: int, f_list: list, degree_cap: int) -> dict:
     """f_list: polynomials over b in t_1..t_n, each a dict mapping a
-    t-exponent tuple to a coefficient, a dict vector of b. GENERATES iff every
-    t_i lies in the bounded closure of b and the f's."""
+    t-exponent tuple to a coefficient, a dict vector of b with Scalar
+    entries. GENERATES iff every t_i lies in the bounded closure of b and
+    the f's."""
     field = b.field
     if len(f_list) != n:
         raise BadParamsError("need exactly n polynomials")
-    one = field.one()
+    one = field.ops.one
 
     def poly_mul(u, v):
         terms = {}  # t-exponent -> the coefficient products landing there
@@ -681,7 +743,7 @@ def verify_generating_set(b: FiniteDimAlgebra, n: int, f_list: list, degree_cap:
                 if sum(e) > degree_cap:
                     return None  # degree overflow: discard whole product
                 terms.setdefault(e, []).append((one, b.mul(c1, c2)))
-        out = {e: _lincomb(t) for e, t in terms.items()}
+        out = {e: _lincomb(t, field) for e, t in terms.items()}
         return {e: c for e, c in out.items() if c}
 
     def coords(poly):
@@ -696,7 +758,7 @@ def verify_generating_set(b: FiniteDimAlgebra, n: int, f_list: list, degree_cap:
     for f in f_list:
         if any(sum(e) > degree_cap for e in f):
             raise BadParamsError("f exceeds the degree cap")
-        gens.append(dict(f))
+        gens.append({e: unbox(vec) for e, vec in f.items()})
     frontier = []
     for g in gens:
         if span.add(coords(g)):
@@ -720,7 +782,7 @@ def verify_generating_set(b: FiniteDimAlgebra, n: int, f_list: list, degree_cap:
             cap="MAX_GENERATING_SET_PASSES", limit=MAX_GENERATING_SET_PASSES)
     for i in range(n):
         e = tuple(1 if k == i else 0 for k in range(n))
-        target = coords({e: b.unit})
+        target = coords({e: b._unit})
         if not span.contains(target):
             return {"status": "INCONCLUSIVE", "missing": f"t{i + 1}"}
     return {"status": "GENERATES", "closure_dim": len(span)}
@@ -891,8 +953,7 @@ def certify(p: Presentation, inputs: dict) -> list:
 
     # R2-R4: finite-dimensional center model
     if center_algebra is not None:
-        nil = nilradical(center_algebra)
-        qz, _, _ = quotient_by_ideal(center_algebra, nil["basis"])
+        qz, _, _ = _quotient(center_algebra, _nilradical(center_algebra))
         ug = units_generated(qz)
         if ug["status"] == "TRUE":
             ev = {"units_generated": ug["witness"], "mode": ug["mode"]}

@@ -21,6 +21,7 @@ from operator import add, sub
 from .errors import BadParamsError, NotADomainError, ResourceLimitError
 from .linalg import SpanBasis, add_scaled, nullspace, solve
 from .presentation import Element, Presentation, grlex_key, mono_degree
+from .scalars import box, unbox
 
 # passes of a bounded closure (`_passes`), each multiplying the newest span
 # elements by the elements of S, before it gives up
@@ -61,10 +62,11 @@ def _inv_degree(p: Presentation, m) -> int:
 
 def _sandwich(p: Presentation, m_a, m, m_b) -> dict:
     """The product m_a.m.m_b of three monomials, as normal-form terms
-    summed by `linalg.add_scaled`, the one scaled sparse sum."""
+    {monomial: raw value} summed by `linalg.add_scaled`, the one scaled
+    sparse sum."""
     prod = {}
     for mid, c1 in p._mono_mul(m_a, m).items():
-        add_scaled(prod, p._mono_mul(mid, m_b), c1)
+        add_scaled(prod, p._mono_mul(mid, m_b), p.field, c1)
     return prod
 
 
@@ -91,10 +93,10 @@ def subword_search(p: Presentation, f: Element, caps: dict) -> list:
             g_bound = deg_f + _inv_degree(p, m_a) + _inv_degree(p, m_b)
             candidates = p.filtration_basis(g_bound)
             cols = [_sandwich(p, m_a, m, m_b) for m in candidates]
-            sol = solve(cols, f.terms, p.field)
+            sol = solve(cols, unbox(f.terms), p.field)
             if sol is None:
                 continue
-            g = Element(p, {candidates[j]: c for j, c in sol.items()})
+            g = Element(p, box(p.field, {candidates[j]: c for j, c in sol.items()}))
             if g.is_zero():
                 continue
             hit = SubwordHit(f, m_a, g, m_b)
@@ -155,7 +157,7 @@ def _span_closure(p: Presentation, S: list, degree_cap: int) -> SpanBasis:
     """The closure of span({1} + S), S nonzero and of degree <= cap."""
     span = SpanBasis(p.field, grlex_key)
     for s in [p.one()] + S:
-        span.add(s.terms)
+        span.add(unbox(s.terms))
     return _close(span, _span_elements(p, span), S, S, degree_cap)
 
 
@@ -170,7 +172,7 @@ def _close(span: SpanBasis, frontier: list, right: list, S: list,
                 prod = e * s
                 if prod.is_zero() or prod.degree() > degree_cap:
                     continue
-                if span.add(prod.terms):
+                if span.add(unbox(prod.terms)):
                     grew.append(prod)
         return grew
     _passes(step, frontier, right, S)
@@ -223,13 +225,13 @@ def _span_elements(p: Presentation, span: SpanBasis) -> list:
 
 
 def _generator_terms(p: Presentation) -> list:
-    """The terms of every generator and of every inverse: a span is full
-    when it holds all of them."""
+    """The raw terms of every generator and of every inverse: a span is
+    full when it holds all of them."""
     out = []
     for g in p.gens:
-        out.append(p.generator(g.name).terms)
+        out.append(unbox(p.generator(g.name).terms))
         if g.invertible:
-            out.append(p.gen_inverse(g.name).terms)
+            out.append(unbox(p.gen_inverse(g.name).terms))
     return out
 
 
@@ -323,12 +325,13 @@ def _span_subwords(p: Presentation, span: SpanBasis, max_a: int, max_b: int,
             continue
         grew = False
         for v in nullspace([span.reduce(raw) for _, raw in live], p.field):
-            g = Element(p, {candidates[live[j][0]]: c for j, c in v.items()})
-            if g.is_zero() or not working.add(g.terms):
+            g = {candidates[live[j][0]]: c for j, c in v.items()}
+            if not g or not working.add(g):
                 continue
             grew = True
+            g = Element(p, box(p.field, g))
             f = Element(p, {m_a: one}) * g * Element(p, {m_b: one})
-            if not span.contains(f.terms):  # pragma: no cover - solve is exact
+            if not span.contains(unbox(f.terms)):  # pragma: no cover - solve is exact
                 continue
             hits.append(SubwordHit(f, m_a, g, m_b))
         if grew and _is_full(working, gen_terms):
@@ -355,13 +358,14 @@ def _exponent_subwords(p: Presentation, mons: set, max_a: int, max_b: int,
         found += [(m_a, m, m_b) for m in new]
         if new and full <= working:
             break
-    one = p.field.one()
+    one, mul = p.field.one(), p.field.ops.mul
     hits = []
     for m_a, m, m_b in found:
         (am, c), = p._mono_mul(m_a, m).items()
         (f, d), = p._mono_mul(am, m_b).items()
         if f in mons:
-            hits.append(SubwordHit(Element(p, {f: c * d}), m_a, Element(p, {m: one}), m_b))
+            hits.append(SubwordHit(Element(p, box(p.field, {f: mul(c, d)})), m_a,
+                                   Element(p, {m: one}), m_b))
     return hits
 
 

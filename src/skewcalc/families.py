@@ -20,7 +20,7 @@ from .presentation import (
     ore_extend,
     tensor_product,
 )
-from .scalars import CYCLOTOMIC, PRIME, RATFUNC_Q, RATIONAL, FieldDescriptor, Scalar
+from .scalars import CYCLOTOMIC, PRIME, RATFUNC_Q, RATIONAL, FieldDescriptor, Scalar, unbox
 
 FAMILY_IDS = (
     "POLY",
@@ -245,10 +245,10 @@ def build_localized_qweyl(q: Scalar) -> Presentation:
     c_zx = _commutation_scalar(z * x, x * z)
     c_zy = _commutation_scalar(z * y, y * z)
     # express x*y as alpha*z + beta by an exact solve in the span {z, 1}
-    sol = solve([z.terms, a.one().terms], (x * y).terms, field)
+    sol = solve([unbox(z.terms), unbox(a.one().terms)], unbox((x * y).terms), field)
     if sol is None:
         raise BadParamsError("x*y is not affine in z")  # unreachable for valid q
-    alpha, beta = (sol.get(j, field.zero()) for j in (0, 1))
+    alpha, beta = (Scalar(field, sol.get(j, field.ops.zero)) for j in (0, 1))
     rule_yx = a.rules[(1, 0)]
     flags, prov = _base_flags(1)
     p = Presentation(

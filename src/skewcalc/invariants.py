@@ -17,6 +17,7 @@ from .presentation import (
     grlex_key,
     mono_degree,
 )
+from .scalars import box, unbox
 
 # largest vector space an invariant works in: the filtration F_N whose
 # dimensions `growth_dims` counts, and the monomials of degree <= d that
@@ -54,21 +55,22 @@ def center_bounded(p: Presentation, d: int) -> CenterBasis:
     basis_monos = p.filtration_basis(d)
     n = len(p.gens)
     gens = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    minus_one = -p.field.one()
+    field = p.field
+    minus_one = field.ops.from_int(-1)
     # one column per basis monomial: its commutators m.g - g.m with the
-    # generator monomials g, summed from the cached monomial products,
-    # rows keyed (generator index, monomial)
+    # generator monomials g, summed on raw values from the cached monomial
+    # products, rows keyed (generator index, monomial)
     columns = []
     for m in basis_monos:
         columns.append({
             (gi, mono): c
             for gi, g in enumerate(gens)
             for mono, c in add_scaled(dict(p._mono_mul(m, g)), p._mono_mul(g, m),
-                                      minus_one).items()
+                                      field, minus_one).items()
         })
     out = [
-        Element(p, {basis_monos[j]: c for j, c in v.items()})
-        for v in nullspace(columns, p.field)
+        Element(p, box(field, {basis_monos[j]: c for j, c in v.items()}))
+        for v in nullspace(columns, field)
     ]
     out.sort(key=lambda e: grlex_key(e.leading_monomial()))
     return CenterBasis(d, out)
@@ -184,7 +186,7 @@ def is_locally_algebraic(p: Presentation, sigma: Morphism, bound: int = 20) -> d
     span = SpanBasis(p.field, grlex_key)
     elements = [p.one()] + [p.generator(g.name) for g in p.gens]
     for e in elements:
-        span.add(e.terms)
+        span.add(unbox(e.terms))
     frontier = list(elements)
     trace = []
     for _ in range(bound):
@@ -199,7 +201,7 @@ def is_locally_algebraic(p: Presentation, sigma: Morphism, bound: int = 20) -> d
         new_frontier = []
         for e in frontier:
             img = sigma.apply(e)
-            if span.add(img.terms):
+            if span.add(unbox(img.terms)):
                 new_frontier.append(img)
         if not new_frontier:
             return {

@@ -3,26 +3,30 @@
 Two flavors live here:
 
 * row reduction / solving / null spaces and span bases over any of the
-  coefficient fields (entries are Scalars, all arithmetic exact), all on
-  one sparse echelon kernel, and
+  coefficient fields (all arithmetic exact), all on one sparse echelon
+  kernel, and
 * integer lattice routines used for quantum torus centers: Hermite
   normal form, and lattice kernels read from the Hermite normal form of
   [M^T | I].
 
-The echelon kernel keeps rows as dicts {key: nonzero Scalar} and a basis
-as a dict pivot -> tail: the pivot's coefficient is 1 and is not stored,
-and no tail holds another pivot (the basis is fully reduced). Reducing a
-row therefore removes each pivot it holds with one `add_scaled`, in any
-order, and only nonzero entries are ever touched. `add_scaled` is the
-one scaled sparse sum: element sums and products run on it too.
+The echelon kernel computes on raw field values, the values Scalars
+wrap, with the operations of `FieldDescriptor.ops`. It keeps rows as
+dicts {key: nonzero value} and a basis as a dict pivot -> tail: the
+pivot's coefficient is 1 and is not stored, and no tail holds another
+pivot (the basis is fully reduced). Reducing a row therefore removes
+each pivot it holds with one `add_scaled`, in any order, and only
+nonzero entries are ever touched. `add_scaled` is the one scaled sparse
+sum: element sums and products run on it too.
 
 `solve`, `solve_each` and `nullspace` speak the kernel's format: a
-matrix is a list of columns, each a dict {row key: Scalar} with any
+matrix is a list of columns, each a dict {row key: value} with any
 hashable row keys, and a vector comes back as a dict {column index:
-nonzero Scalar}. That is also the vector format of
-`cancel.FiniteDimAlgebra`. `rref` keeps dense rows in and out; nothing
-in the package calls it, and it stays for the tests and for the
-benchmark's tracer, which patches it by name.
+nonzero value}. That is also the vector format of
+`cancel.FiniteDimAlgebra`. `SpanBasis` takes and keeps value dicts too,
+and boxes its rows in Scalars only in `basis_rows`. `rref` keeps dense
+rows of Scalars in and out; nothing in the package calls it, and it
+stays for the tests and for the benchmark's tracer, which patches it by
+name.
 """
 
 from __future__ import annotations
@@ -30,70 +34,77 @@ from __future__ import annotations
 from .scalars import FieldDescriptor, Scalar
 
 
-def add_scaled(row: dict, other: dict, c: Scalar | None = None) -> dict:
+def add_scaled(row: dict, other: dict, field: FieldDescriptor, c=None) -> dict:
     """row += c * other in place (row += other, with no product, for c
     None), deleting each entry as it cancels: a key that comes back goes
     to the end of `row`, as a new one does. Returns `row`."""
+    ops = field.ops
+    add, is_zero = ops.add, ops.is_zero
+    mul = None if c is None else ops.mul
     for k, x in other.items():
-        if c is not None:
-            x = c * x
+        if mul is not None:
+            x = mul(c, x)
         y = row.get(k)
         if y is None:
             row[k] = x
         else:
-            y = y + x
-            if y.is_zero():
+            y = add(y, x)
+            if is_zero(y):
                 del row[k]
             else:
                 row[k] = y
     return row
 
 
-def reduce_row(pivots: dict, row: dict) -> dict:
+def reduce_row(pivots: dict, row: dict, field: FieldDescriptor) -> dict:
     """Remove from `row`, in place, every pivot of the echelon basis."""
+    neg = field.ops.neg
     for p in [p for p in row if p in pivots]:
         c = row.pop(p)
         if pivots[p]:  # an empty tail takes no negation
-            add_scaled(row, pivots[p], -c)
+            add_scaled(row, pivots[p], field, neg(c))
     return row
 
 
-def _insert(pivots: dict, row: dict, lead) -> None:
+def _insert(pivots: dict, row: dict, lead, field: FieldDescriptor) -> None:
     """Add a reduced nonzero `row` to the basis with pivot `lead`, scaled
     to 1 there and back-substituted into the other rows. A row holding
     only its pivot has the empty tail: its coefficient is not inverted."""
+    ops = field.ops
     c = row.pop(lead)
     tail = row
     if tail:
-        inv = c.inv()
-        tail = {k: x * inv for k, x in tail.items()}
+        inv, mul = ops.inv(c), ops.mul
+        tail = {k: mul(x, inv) for k, x in tail.items()}
+    neg = ops.neg
     for other in pivots.values():
         if lead in other:
             c = other.pop(lead)
             if tail:
-                add_scaled(other, tail, -c)
+                add_scaled(other, tail, field, neg(c))
     pivots[lead] = tail
 
 
-def _echelon(rows) -> dict:
+def _echelon(rows, field: FieldDescriptor) -> dict:
     """The fully reduced echelon basis of dict rows {column: nonzero
-    Scalar}, as pivot -> tail; the pivot of a row is its least column.
+    value}, as pivot -> tail; the pivot of a row is its least column.
     The rows are reduced in place."""
     pivots = {}
     for row in rows:
-        row = reduce_row(pivots, row)
+        row = reduce_row(pivots, row, field)
         if row:
-            _insert(pivots, row, min(row))
+            _insert(pivots, row, min(row), field)
     return pivots
 
 
-def _transpose(columns: list[dict]) -> list[dict]:
-    """The rows {column index: nonzero Scalar} of a matrix given by dict
-    columns {row key: Scalar}."""
+def _transpose(columns: list[dict], field: FieldDescriptor) -> list[dict]:
+    """The rows {column index: nonzero value} of a matrix given by dict
+    columns {row key: value}."""
+    is_zero = field.ops.is_zero
     rows = {}
     for j, col in enumerate(columns):
         for key, x in col.items():
-            if not x.is_zero():
+            if not is_zero(x):
                 rows.setdefault(key, {})[j] = x
     return list(rows.values())
 
@@ -101,11 +112,12 @@ def _transpose(columns: list[dict]) -> list[dict]:
 def rref(rows: list[list[Scalar]], field: FieldDescriptor):
     """Reduced row echelon form. Returns (rows, pivot column list).
 
-    Dense rows in and out; the elimination runs on the sparse kernel.
-    The RREF is unique, so the order of elimination does not show in the
-    result.
+    Dense rows of Scalars in and out; the elimination runs on the sparse
+    kernel. The RREF is unique, so the order of elimination does not show
+    in the result.
     """
-    pivots = _echelon({c: x for c, x in enumerate(r) if not x.is_zero()} for r in rows)
+    pivots = _echelon(({c: x.value for c, x in enumerate(r) if not x.is_zero()}
+                       for r in rows), field)
     ncols = len(rows[0]) if rows else 0
     order = sorted(pivots)
     out = []
@@ -113,7 +125,7 @@ def rref(rows: list[list[Scalar]], field: FieldDescriptor):
         dense = [field.zero()] * ncols
         dense[p] = field.one()
         for c, x in pivots[p].items():
-            dense[c] = x
+            dense[c] = Scalar(field, x)
         out.append(dense)
     return out, order
 
@@ -121,9 +133,9 @@ def rref(rows: list[list[Scalar]], field: FieldDescriptor):
 def solve(columns: list[dict], rhs: dict, field: FieldDescriptor):
     """Solve sum_j x_j columns[j] = rhs exactly.
 
-    Columns and `rhs` are dicts {row key: Scalar}; a row key is any
+    Columns and `rhs` are dicts {row key: value}; a row key is any
     hashable and zero entries are dropped. Returns the solution as a dict
-    {column index: nonzero Scalar} in ascending index, with the free
+    {column index: nonzero value} in ascending index, with the free
     variables set to zero, or None when there is none: in particular when
     `rhs` has a key that no column has.
     """
@@ -135,7 +147,7 @@ def solve_each(columns: list[dict], rhss: list[dict], field: FieldDescriptor):
     of the columns followed by all of them: the list of the solutions,
     None for each inconsistent one."""
     n = len(columns)
-    pivots = _echelon(_transpose(columns + rhss))
+    pivots = _echelon(_transpose(columns + rhss, field), field)
     order = sorted(pivots)
     out = []
     for r in range(n, n + len(rhss)):
@@ -149,17 +161,18 @@ def solve_each(columns: list[dict], rhss: list[dict], field: FieldDescriptor):
 
 def nullspace(columns: list[dict], field: FieldDescriptor):
     """Basis of the right null space of the matrix with dict columns
-    {row key: Scalar}, as dicts {column index: nonzero Scalar}.
+    {row key: value}, as dicts {column index: nonzero value}.
 
     One vector per free column f, in ascending f: x_f = 1, zero at the
     other free columns. With no nonzero entry every column is free.
     """
-    pivots = _echelon(_transpose(columns))
-    one = field.one()
+    pivots = _echelon(_transpose(columns, field), field)
+    ops = field.ops
+    one, neg = ops.one, ops.neg
     basis = {f: {f: one} for f in range(len(columns)) if f not in pivots}
     for c, tail in pivots.items():
         for f, x in tail.items():  # a tail holds free columns only
-            basis[f][c] = -x
+            basis[f][c] = neg(x)
     return [dict(sorted(v.items())) for v in basis.values()]
 
 
@@ -168,7 +181,8 @@ class SpanBasis:
     echelon form with respect to a fixed monomial order.
 
     `order_key` maps a monomial to a sortable key; the pivot of an element
-    is its largest monomial. Elements are dicts monomial -> Scalar.
+    is its largest monomial. Elements are dicts monomial -> value, and
+    `basis_rows` gives the basis as dicts monomial -> Scalar.
     """
 
     def __init__(self, field: FieldDescriptor, order_key):
@@ -181,24 +195,28 @@ class SpanBasis:
 
     def reduce(self, terms: dict) -> dict:
         """Fully reduce `terms` against the basis; returns the remainder."""
-        return reduce_row(self.pivots, {m: c for m, c in terms.items() if not c.is_zero()})
+        is_zero = self.field.ops.is_zero
+        return reduce_row(self.pivots, {m: c for m, c in terms.items() if not is_zero(c)},
+                          self.field)
 
     def add(self, terms: dict) -> bool:
         """Insert an element; returns True if the span grew."""
         rem = self.reduce(terms)
         if not rem:
             return False
-        _insert(self.pivots, rem, max(rem, key=self.order_key))
+        _insert(self.pivots, rem, max(rem, key=self.order_key), self.field)
         return True
 
     def contains(self, terms: dict) -> bool:
         return not self.reduce(terms)
 
     def basis_rows(self):
-        """Reduced basis rows in descending pivot order (canonical)."""
-        one = self.field.one()
+        """Reduced basis rows in descending pivot order (canonical), as
+        dicts monomial -> Scalar."""
+        f = self.field
+        one = f.one()
         return [
-            {p: one} | self.pivots[p]
+            {p: one} | {m: Scalar(f, c) for m, c in self.pivots[p].items()}
             for p in sorted(self.pivots, key=self.order_key, reverse=True)
         ]
 

@@ -1,10 +1,11 @@
 """Dense univariate polynomials over a coefficient field.
 
-A polynomial is a list of `Scalar`s of one `FieldDescriptor`, in
-ascending degree, with no trailing zeros; the zero polynomial is `[]`.
-Every function takes the field last and returns a new list; only `trim`
-works in place. The integer polynomials that store ratfunc and
-cyclotomic scalar values live in `scalars`, over Z.
+A polynomial is a list of raw values of one `FieldDescriptor`, the
+values Scalars wrap, in ascending degree, with no trailing zeros; the
+zero polynomial is `[]`. The arithmetic is the field's `ops`. Every
+function takes the field last and returns a new list; only `trim` works
+in place. The integer polynomials that store ratfunc and cyclotomic
+scalar values live in `scalars`, over Z.
 """
 
 from __future__ import annotations
@@ -12,72 +13,80 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import BadParamsError
-from .scalars import PRIME, RATIONAL, FieldDescriptor, Scalar, is_prime
+from .scalars import PRIME, RATIONAL, FieldDescriptor, is_prime
 
 
-def trim(p: list) -> list:
+def trim(p: list, field: FieldDescriptor) -> list:
     """Drop trailing zeros in place; returns p."""
-    while p and p[-1].is_zero():
+    is_zero = field.ops.is_zero
+    while p and is_zero(p[-1]):
         p.pop()
     return p
 
 
 def sub(a: list, b: list, field: FieldDescriptor) -> list:
-    out = list(a) + [field.zero()] * (len(b) - len(a))
+    ops = field.ops
+    minus = ops.sub
+    out = list(a) + [ops.zero] * (len(b) - len(a))
     for i, c in enumerate(b):
-        out[i] = out[i] - c
-    return trim(out)
+        out[i] = minus(out[i], c)
+    return trim(out, field)
 
 
 def mul(a: list, b: list, field: FieldDescriptor) -> list:
     if not a or not b:
         return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
+    ops = field.ops
+    add, times = ops.add, ops.mul
+    out = [ops.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return trim(out)
+            out[i + j] = add(out[i + j], times(x, y))
+    return trim(out, field)
 
 
 def divmod(a: list, b: list, field: FieldDescriptor) -> tuple:
     """(quotient, remainder) of a by a nonzero b."""
+    ops = field.ops
+    minus, times, is_zero = ops.sub, ops.mul, ops.is_zero
     a = list(a)
-    out = [field.zero()] * max(0, len(a) - len(b) + 1)
-    inv = b[-1].inv()
+    out = [ops.zero] * max(0, len(a) - len(b) + 1)
+    inv = ops.inv(b[-1])
     while len(a) >= len(b) and a:
-        if a[-1].is_zero():
+        if is_zero(a[-1]):
             a.pop()
             continue
-        c = a[-1] * inv
+        c = times(a[-1], inv)
         k = len(a) - len(b)
         out[k] = c
         for i, bc in enumerate(b):
-            a[k + i] = a[k + i] - c * bc
-        trim(a)
-    return trim(out), a
+            a[k + i] = minus(a[k + i], times(c, bc))
+        trim(a, field)
+    return trim(out, field), a
 
 
 def xgcd(a: list, b: list, field: FieldDescriptor) -> tuple:
     """(g, s, t) with s*a + t*b = g, g the monic gcd (or [] if a = b = 0)."""
+    ops = field.ops
     r0, r1 = list(a), list(b)
-    s0, s1 = [field.one()], []
-    t0, t1 = [], [field.one()]
+    s0, s1 = [ops.one], []
+    t0, t1 = [], [ops.one]
     while r1:
         q, r = divmod(r0, r1, field)
         r0, r1 = r1, r
         s0, s1 = s1, sub(s0, mul(q, s1, field), field)
         t0, t1 = t1, sub(t0, mul(q, t1, field), field)
     if r0:
-        inv = r0[-1].inv()
-        r0 = [c * inv for c in r0]
-        s0 = [c * inv for c in s0]
-        t0 = [c * inv for c in t0]
+        inv, times = ops.inv(r0[-1]), ops.mul
+        r0 = [times(c, inv) for c in r0]
+        s0 = [times(c, inv) for c in s0]
+        t0 = [times(c, inv) for c in t0]
     return r0, s0, t0
 
 
 def powmod(base: list, e: int, f: list, field: FieldDescriptor) -> list:
     """base^e mod f by square-and-multiply; f of degree >= 1."""
-    out = [field.one()]
+    out = [field.ops.one]
     base = divmod(base, f, field)[1]
     while e:
         if e & 1:
@@ -88,16 +97,20 @@ def powmod(base: list, e: int, f: list, field: FieldDescriptor) -> list:
     return out
 
 
-def evaluate(p: list, x: Scalar, field: FieldDescriptor) -> Scalar:
+def evaluate(p: list, x, field: FieldDescriptor):
     """p(x) by Horner's rule."""
-    out = field.zero()
+    ops = field.ops
+    add, times = ops.add, ops.mul
+    out = ops.zero
     for c in reversed(p):
-        out = out * x + c
+        out = add(times(out, x), c)
     return out
 
 
 def derivative(p: list, field: FieldDescriptor) -> list:
-    return trim([c * field.from_int(k) for k, c in enumerate(p)][1:])
+    ops = field.ops
+    times, from_int = ops.mul, ops.from_int
+    return trim([times(c, from_int(k)) for k, c in enumerate(p)][1:], field)
 
 
 def squarefree(f: list, field: FieldDescriptor) -> list:
@@ -114,8 +127,9 @@ def squarefree(f: list, field: FieldDescriptor) -> list:
     p-th power u(x)^p = u(x^p), whose p-th root u recurses with the
     multiplicities times p; with f' = 0 that is all of f.
     """
-    inv = f[-1].inv()
-    f = [c * inv for c in f]
+    ops = field.ops
+    inv, times = ops.inv(f[-1]), ops.mul
+    f = [times(c, inv) for c in f]
     c = xgcd(f, derivative(f, field), field)[0]
     w = divmod(f, c, field)[0]
     out, m = [], 1
@@ -141,16 +155,17 @@ def factorization(f: list, field: FieldDescriptor):
     remainder without roots, which must be irreducible. The linear
     factors come first, in the order `roots` gives the roots of f, then
     the remainders by ascending m."""
-    one = field.one()
+    ops = field.ops
+    one, neg, is_zero = ops.one, ops.neg, ops.is_zero
     rest = {m: g for g, m in squarefree(f, field)}
     radical = [one]  # the roots of f, at a lower degree than f
     for g in rest.values():
         radical = mul(radical, g, field)
     out = []
     for r in roots(radical, field):
-        m = next(m for m, g in rest.items() if evaluate(g, r, field).is_zero())
-        rest[m] = divmod(rest[m], [-r, one], field)[0]
-        out.append(([-r, one], m))
+        m = next(m for m, g in rest.items() if is_zero(evaluate(g, r, field)))
+        rest[m] = divmod(rest[m], [neg(r), one], field)[0]
+        out.append(([neg(r), one], m))
     for m, h in sorted(rest.items()):
         if len(h) > 1:
             if not _rootless_irreducible(h, field):
@@ -167,44 +182,46 @@ def roots(f: list, field: FieldDescriptor) -> list:
     `_rational_roots`. Q(q) and cyclotomic fields:
     only the integers -3..3 are tried, so other roots are missed.
     """
-    f = trim(list(f))
+    f = trim(list(f), field)
     if not f:
         raise BadParamsError("the zero polynomial vanishes everywhere")
     if field.kind == PRIME:
         return _prime_roots(f, field)
     if field.kind == RATIONAL:
         return _rational_roots(f, field)
-    probes = (field.from_int(k) for k in range(-3, 4))
-    return [c for c in probes if evaluate(f, c, field).is_zero()]
+    ops = field.ops
+    probes = (ops.from_int(k) for k in range(-3, 4))
+    return [c for c in probes if ops.is_zero(evaluate(f, c, field))]
 
 
 def _prime_roots(f, field):
     """The roots of f, ascending. The linear factors of f are
     g = gcd(f, x^p - x), split by gcd(g, (x + a)^((p-1)/2) - 1) for
-    a = 0, 1, ... (equal-degree splitting, deterministic)."""
+    a = 0, 1, ... (equal-degree splitting, deterministic). The values of
+    GF(p) are the ints 0..p-1, in the order of the field's elements."""
+    ops = field.ops
     p = field.param
     if p == 2:
-        return [r for r in (field.zero(), field.one())
-                if evaluate(f, r, field).is_zero()]
+        return [r for r in (ops.zero, ops.one) if ops.is_zero(evaluate(f, r, field))]
     if len(f) == 1:
         return []
-    one = field.one()
-    x = [field.zero(), one]
+    one = ops.one
+    x = [ops.zero, one]
     g = xgcd(f, sub(powmod(x, p, f, field), x, field), field)[0]
     out, todo = [], [g]
     while todo:
         g = todo.pop()
         if len(g) == 2:
-            out.append(-g[0])
+            out.append(ops.neg(g[0]))
         elif len(g) > 2:
             for a in range(p):
-                w = sub(powmod([field.from_int(a), one], (p - 1) // 2, g, field),
+                w = sub(powmod([ops.from_int(a), one], (p - 1) // 2, g, field),
                         [one], field)
                 h = xgcd(g, w, field)[0]
                 if 1 < len(h) < len(g):
                     todo += [h, divmod(g, h, field)[0]]
                     break
-    return sorted(out, key=lambda r: r.value)
+    return sorted(out)
 
 
 def _rational_roots(f, field):
@@ -216,24 +233,27 @@ def _rational_roots(f, field):
     mod p^(2^k) past 2 lc(g) B, B = 1 + max|g_i / lc(g)| the Cauchy bound:
     a root n/d of g has d dividing lc(g), so lc(g) n / d is an integer of
     absolute value at most lc(g) B, and it is read off the lifted root
-    in the symmetric range. Each candidate is checked exactly."""
+    in the symmetric range. Each candidate is checked exactly. A rational
+    value is the pair (numerator, denominator) in lowest terms."""
+    ops = field.ops
+    is_zero = ops.is_zero
     out = []
-    if f[0].is_zero():
-        out.append(field.zero())
-        while f[0].is_zero():
+    if is_zero(f[0]):
+        out.append(ops.zero)
+        while is_zero(f[0]):
             f = f[1:]
     if len(f) == 1:
         return out
     g = divmod(f, xgcd(f, derivative(f, field), field)[0], field)[0]
-    den = lcm(*(c.value[1] for c in g))
-    ints = [n * (den // d) for n, d in (c.value for c in g)]
+    den = lcm(*(d for _, d in g))
+    ints = [n * (den // d) for n, d in g]
     lc = ints[-1]
     p = 1
     while True:
         p += 1
         if lc % p and is_prime(p):
             gp = FieldDescriptor(PRIME, p)
-            image = [gp.from_int(c) for c in ints]
+            image = [gp.ops.from_int(c) for c in ints]
             if len(xgcd(image, derivative(image, gp), gp)[0]) == 1:
                 break
     slopes = [k * c for k, c in enumerate(ints)][1:]
@@ -244,7 +264,7 @@ def _rational_roots(f, field):
             acc = (acc * x + c) % m
         return acc
 
-    lifted, m = [r.value for r in _prime_roots(image, gp)], p
+    lifted, m = _prime_roots(image, gp), p
     bound = 2 * (abs(lc) + max(map(abs, ints[:-1])))
     while m <= bound:  # Newton's step doubles the p-adic precision
         m *= m
@@ -257,9 +277,8 @@ def _rational_roots(f, field):
             n -= m
         common = gcd(n, lc) if lc > 0 else -gcd(n, lc)
         n, d = n // common, lc // common
-        cand = Scalar(field, (n, d))
-        if evaluate(f, cand, field).is_zero():
-            found.append((abs(n), d, n < 0, cand))
+        if is_zero(evaluate(f, (n, d), field)):
+            found.append((abs(n), d, n < 0, (n, d)))
     return out + [cand for *_, cand in sorted(found)]
 
 

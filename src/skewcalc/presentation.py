@@ -15,6 +15,9 @@ collapses into the remaining ones (e.g. x*y landing in k[z^{+-1}]).
 Standard monomials are exponent vectors; invertible generators may carry
 negative exponents. Elements are finite Scalar-combinations of standard
 monomials, always kept in normal form.
+
+The rewriting computes on the raw values Scalars wrap; `multiply`,
+`Element.__add__` and `Element.scale` box one Scalar per result term.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import add_scaled, solve
-from .scalars import FieldDescriptor, Scalar, _ScalarParser
+from .scalars import FieldDescriptor, Scalar, _ScalarParser, box, unbox
 
 Monomial = tuple  # exponent vector, one entry per generator
 
@@ -155,7 +158,8 @@ class Element:
 
     def __add__(self, other):
         self._check(other)
-        return Element(self.algebra, add_scaled(dict(self.terms), other.terms))
+        f = self.algebra.field
+        return Element(self.algebra, box(f, add_scaled(unbox(self.terms), unbox(other.terms), f)))
 
     def __neg__(self):
         return Element(self.algebra, {m: -c for m, c in self.terms.items()})
@@ -164,9 +168,14 @@ class Element:
         return self + (-other)
 
     def scale(self, c: Scalar) -> "Element":
+        f = self.algebra.field
+        if c.field is not f and c.field != f:
+            raise FieldMismatchError(f"cannot combine {f} with {c.field}")
         if c.is_zero():
             return Element(self.algebra, {})
-        return Element(self.algebra, {m: c * cm for m, cm in self.terms.items()})
+        mul, cv = f.ops.mul, c.value
+        return Element(self.algebra,
+                       box(f, {m: mul(cv, cm.value) for m, cm in self.terms.items()}))
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
@@ -391,7 +400,8 @@ class Presentation:
             if g.invertible:
                 letters[2 * (m - 1 - pos) + 1] = (pos, -1)
         code = {letter: c for c, letter in enumerate(letters) if letter}
-        one = self.field.one()
+        ops = self.field.ops
+        one = ops.one
 
         def codes(mono):
             return word(code[letter] for letter in self._letters(mono))
@@ -403,36 +413,40 @@ class Presentation:
             if g1 <= g2:
                 return None
             rule = self.rules[(g1, g2)]
-            out = [(rule.leading if s1 == s2 else rule.leading.inv(), word((code[b], code[a])))]
+            c = rule.leading.value
+            if s1 != s2 and c != one:  # 1 is its own inverse
+                c = ops.inv(c)
+            out = [(c, word((code[b], code[a])))]
             if s1 == 1 and s2 == 1:
-                out.extend((ct, codes(mono_t)) for mono_t, ct in rule.tail)
+                out.extend((ct.value, codes(mono_t)) for mono_t, ct in rule.tail)
             return tuple((None if f == one else f, rep) for f, rep in out)
 
         table = [
             [entry(a, b) if a and b else None for b in letters] for a in letters
         ]
         elim = {
-            pair: tuple((None if ct == one else ct, codes(mono_t)) for mono_t, ct in tail)
+            pair: tuple((None if ct.value == one else ct.value, codes(mono_t))
+                        for mono_t, ct in tail)
             for pair, tail in self.elim.items()
         }
         swaps = None
         if not elim and not any(rule.tail for rule in self.rules.values()):
             swaps = []
             for (j, i), rule in self.rules.items():
-                if rule.leading == one:
+                if rule.leading.value == one:
                     continue
                 inverse = None
                 if self.gens[j].invertible or self.gens[i].invertible:
                     # c^-1, as the pair table holds it for x_j^-1*x_i or x_j*x_i^-1
                     s = -1 if self.gens[j].invertible else 1
                     (inverse, _), = table[code[(j, s)]][code[(i, -s)]]
-                swaps.append((j, i, rule.leading, inverse))
+                swaps.append((j, i, rule.leading.value, inverse))
             swaps = tuple(swaps)
         return letters, code, word, table, elim, swaps
 
     def swap_scalars(self):
         """The swap rules x_j*x_i = c*x_i*x_j with c != 1, as a tuple of
-        (j, i, c, c^-1), when no rule has a tail and there is no
+        (j, i, c, c^-1) with raw values c and c^-1, when no rule has a tail and there is no
         elimination pair: a q-commuting presentation, such as a skew
         polynomial ring, a quantum torus, the minus-one plane or a
         (Laurent) polynomial ring. There a monomial times a monomial is
@@ -449,7 +463,8 @@ class Presentation:
         return self._rewriting
 
     def word_normal_form(self, word) -> dict:
-        """Normalize a product of generator letters (gen position, +-1).
+        """Normalize a product of generator letters (gen position, +-1),
+        as a dict {monomial: nonzero raw value}.
 
         Pending words wait in a dict that sums their coefficients; a heap
         hands out the longest word first, then the one whose earliest
@@ -467,7 +482,9 @@ class Presentation:
         letters, code, as_word, table, elim, _ = self._tables()
         m = len(self.gens)
         w = as_word(code[letter] for letter in word)
-        coef = self.field.one()
+        ops = self.field.ops
+        add, mul, is_zero = ops.add, ops.mul, ops.is_zero
+        coef = ops.one
         lo = 0  # no reducible pair starts before lo
         pending = {}
         heap = []
@@ -475,7 +492,7 @@ class Presentation:
         steps = 0
         limit = MAX_REWRITE_STEPS * max(len(w), 1)
         while True:
-            while not coef.is_zero():
+            while not is_zero(coef):
                 succ = None
                 for k in range(lo, len(w) - 1):
                     succ = table[w[k]][w[k + 1]]
@@ -491,7 +508,7 @@ class Presentation:
                     pair = self._elim_pair(e) if elim else None
                     if pair is None:
                         cur = result.get(e)
-                        result[e] = coef if cur is None else cur + coef
+                        result[e] = coef if cur is None else add(cur, coef)
                         break
                     steps += 1
                     if steps > limit:
@@ -505,17 +522,17 @@ class Presentation:
                     (f, rep), = succ
                     w = head + rep + tail
                     if f is not None:
-                        coef = coef * f
+                        coef = mul(coef, f)
                     continue
                 for f, rep in succ:
                     nw = head + rep + tail
-                    c = coef if f is None else coef * f
+                    c = coef if f is None else mul(coef, f)
                     cur = pending.get(nw)
                     if cur is None:
                         pending[nw] = c
                         heappush(heap, (-len(nw), nw))
                     else:
-                        pending[nw] = cur + c
+                        pending[nw] = add(cur, c)
                 break
             if not heap:
                 break
@@ -525,11 +542,12 @@ class Presentation:
             w = heappop(heap)[1]
             coef = pending.pop(w)
             lo = 0
-        return {e: c for e, c in result.items() if not c.is_zero()}
+        return {e: c for e, c in result.items() if not is_zero(c)}
 
     def _mono_mul(self, a: Monomial, b: Monomial) -> dict:
-        """The normal form of x^a*x^b: in closed form on a q-commuting
-        presentation (`swap_scalars`), by `word_normal_form` otherwise."""
+        """The normal form of x^a*x^b, as a dict {monomial: nonzero raw
+        value}: in closed form on a q-commuting presentation
+        (`swap_scalars`), by `word_normal_form` otherwise."""
         key = (a, b)
         hit = self._mul_cache.get(key)
         if hit is None:
@@ -538,24 +556,30 @@ class Presentation:
                 hit = self.word_normal_form(self._letters(a) + self._letters(b))
             else:
                 # each x_i of b crosses the x_j of a, j > i, one swap each
+                ops = self.field.ops
                 c = None
                 for j, i, cji, inverse in swaps:
                     n = a[j] * b[i]
                     if n:
-                        f = cji ** n if n > 0 else inverse ** -n
-                        c = f if c is None else c * f
-                hit = {tuple(map(add, a, b)): self.field.one() if c is None else c}
+                        f = ops.pow(cji, n) if n > 0 else ops.pow(inverse, -n)
+                        c = f if c is None else ops.mul(c, f)
+                hit = {tuple(map(add, a, b)): ops.one if c is None else c}
             self._mul_cache[key] = hit
         return hit
 
     def multiply(self, x: Element, y: Element) -> Element:
-        """x*y, the terms ca*cb*(ma*mb) summed by `linalg.add_scaled`."""
+        """x*y, the terms ca*cb*(ma*mb) summed by `linalg.add_scaled` on
+        raw values, each term of the result boxed once."""
         self.require_validated()
+        field = self.field
+        mul = field.ops.mul
+        right = [(mb, cb.value) for mb, cb in y.terms.items()]
         out = {}
         for ma, ca in x.terms.items():
-            for mb, cb in y.terms.items():
-                add_scaled(out, self._mono_mul(ma, mb), ca * cb)
-        return Element(self, out)
+            ca = ca.value
+            for mb, cb in right:
+                add_scaled(out, self._mono_mul(ma, mb), field, mul(ca, cb))
+        return Element(self, box(self.field, out))
 
     def require_validated(self):
         if self._report is None:
@@ -628,11 +652,10 @@ class Presentation:
 
         def resolve(succ, head, tail):
             # normal form of head*succ*tail, with succ as in the pair table
-            out = self.zero()
+            out = {}
             for f, rep in succ:
                 word = [letters[x] for x in (*head, *rep, *tail)]
-                nf = Element(self, self.word_normal_form(word))
-                out = out + (nf if f is None else nf.scale(f))
+                add_scaled(out, self.word_normal_form(word), self.field, f)
             return out
 
         for (a, b), first in reductions.items():
@@ -649,7 +672,8 @@ class Presentation:
                     failures.append(
                         ("INCONSISTENT_RULES",
                          f"word {names} normalizes to different results: "
-                         f"{n1} vs {n2}")
+                         f"{Element(self, box(self.field, n1))} vs "
+                         f"{Element(self, box(self.field, n2))}")
                     )
         sigma_status = "BOUNDED_CERTIFIED" if self.tower and not failures else None
         self._report = ValidationReport(not failures, failures, sigma_status)
@@ -815,7 +839,7 @@ def _invert_monomial_element(x: Element) -> Element:
     p = x.algebra
     p._check_monomial(tuple(-e for e in m))
     word = [(pos, -sign) for pos, sign in reversed(p._letters(m))]
-    return Element(p, p.word_normal_form(word)).scale(c.inv())
+    return Element(p, box(p.field, p.word_normal_form(word))).scale(c.inv())
 
 
 def _invert_scalar_element(x: Element) -> Element:
@@ -851,8 +875,8 @@ def _delta_of(base: Presentation, delta: dict, x: Element) -> Element:
                 dg = -(ginv * dg * ginv)
             if dg.is_zero():
                 continue
-            prefix = Element(base, base.word_normal_form(letters[:k]))
-            suffix = Element(base, base.word_normal_form(letters[k + 1:]))
+            prefix = Element(base, box(base.field, base.word_normal_form(letters[:k])))
+            suffix = Element(base, box(base.field, base.word_normal_form(letters[k + 1:])))
             out = out + (prefix * dg * suffix).scale(c)
     return out
 
@@ -943,9 +967,9 @@ def ore_extend(
     out.tower = p.tower + (step,)
     out.require_validated()
     basis = p.filtration_basis(SIGMA_PREIMAGE_DEGREE)
-    images = [sigma.apply(Element(p, {mo: p.field.one()})).terms for mo in basis]
+    images = [unbox(sigma.apply(Element(p, {mo: p.field.one()})).terms) for mo in basis]
     for g in p.gens:
-        if solve(images, p.generator(g.name).terms, p.field) is None:
+        if solve(images, unbox(p.generator(g.name).terms), p.field) is None:
             raise ValidationError(f"no bounded preimage for {g.name}", code="BAD_SIGMA")
     return out
 

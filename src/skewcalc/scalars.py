@@ -34,6 +34,7 @@ not import ``fractions``.
 from __future__ import annotations
 
 import sys
+from functools import cached_property
 from math import gcd
 
 from .errors import (
@@ -384,6 +385,76 @@ def _rf_mul(a, b):
 
 
 # ---------------------------------------------------------------------------
+# value operations, one set per field kind
+
+
+class FieldOps:
+    """The arithmetic of one field on the raw values Scalars wrap; `inv`
+    raises DivisionByZeroError on zero. The kernels compute with it and
+    box a value in a Scalar only where it leaves them."""
+
+    __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "inv", "is_zero",
+                 "from_int")
+
+    def __init__(self, zero, one, add, sub, neg, mul, inv, is_zero, from_int):
+        self.zero, self.one = zero, one
+        self.add, self.sub, self.neg, self.mul = add, sub, neg, mul
+        self.inv, self.is_zero, self.from_int = inv, is_zero, from_int
+
+    def pow(self, v, n: int):
+        """v^n by left-to-right squaring: one squaring per bit of n after
+        the first and one product per further set bit, so n = 1 takes
+        none."""
+        if n < 0:
+            v, n = self.inv(v), -n
+        elif n == 0:
+            return self.one
+        mul, out = self.mul, v
+        for bit in bin(n)[3:]:
+            out = mul(out, out)
+            if bit == "1":
+                out = mul(out, v)
+        return out
+
+
+def _pair_ops(zero, one, add, mul, neg, inv, from_int):
+    """The operations of a kind whose values are pairs, the first part
+    empty or 0 exactly at zero: rational, cyclotomic and ratfunc. `inv`
+    inverts a nonzero value."""
+    def checked_inv(a):
+        if not a[0]:
+            raise DivisionByZeroError("division by zero")
+        return inv(a)
+
+    return FieldOps(zero, one, add, lambda a, b: add(a, neg(b)), neg, mul, checked_inv,
+                    lambda a: not a[0], from_int)
+
+
+def _prime_ops(p):
+    def inv(a):
+        if not a:
+            raise DivisionByZeroError("division by zero")
+        return pow(a, -1, p)
+
+    return FieldOps(0, 1, lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
+                    lambda a: -a % p, lambda a, b: a * b % p, inv,
+                    lambda a: not a, lambda n: n % p)
+
+
+def _cyclotomic_ops(field):
+    tables = []  # the reduction table, made at the first product
+
+    def mul(a, b):
+        if not tables:
+            tables.append(field._reduction())
+        return _cyc_mul(a, b, tables[0])
+
+    return _pair_ops(_CZERO, ((1,), 1), _cyc_add, mul, lambda a: (_pneg(a[0]), a[1]),
+                     lambda a: _cyc_inv(a, field.param, field._reduction(), field._powers()),
+                     lambda n: ((n,), 1) if n else _CZERO)
+
+
+# ---------------------------------------------------------------------------
 
 
 class FieldDescriptor:
@@ -432,19 +503,27 @@ class FieldDescriptor:
         if n == 0 or n == 1:  # shared, since scalars are immutable
             c = self._cache.get(n)
             if c is None:
-                c = self._cache[n] = Scalar(self, self._int_value(n))
+                c = self._cache[n] = Scalar(self, self.ops.from_int(n))
             return c
-        return Scalar(self, self._int_value(n))
+        return Scalar(self, self.ops.from_int(n))
 
-    def _int_value(self, n: int):
+    @cached_property
+    def ops(self) -> FieldOps:
+        """The value operations of this field, made on first use; the
+        cyclotomic tables wait for the first product or inverse."""
         k = self.kind
         if k == RATIONAL:
-            return n, 1
+            return _pair_ops((0, 1), (1, 1), _q_add, _q_mul, lambda a: (-a[0], a[1]),
+                             lambda a: (a[1], a[0]) if a[0] > 0 else (-a[1], -a[0]),
+                             lambda n: (n, 1))
         if k == PRIME:
-            return n % self.param
+            return _prime_ops(self.param)
         if k == RATFUNC_Q:
-            return ((n,), (1,)) if n else _RZERO
-        return ((n,), 1) if n else _CZERO
+            return _pair_ops(
+                _RZERO, ((1,), (1,)), _rf_add, _rf_mul, lambda a: (_pneg(a[0]), a[1]),
+                lambda a: (a[1], a[0]) if a[0][-1] > 0 else (_pneg(a[1]), _pneg(a[0])),
+                lambda n: ((n,), (1,)) if n else _RZERO)
+        return _cyclotomic_ops(self)
 
     def from_fraction(self, f) -> "Scalar":
         """The image of a rational `f`, any value with integer `numerator`
@@ -551,73 +630,36 @@ class Scalar:
         f = self.field
         if other.__class__ is not Scalar or other.field is not f:
             self._check(other)
-        k = f.kind
-        if k == RATIONAL:
-            return Scalar(f, _q_add(self.value, other.value))
-        if k == PRIME:
-            return Scalar(f, (self.value + other.value) % f.param)
-        if k == CYCLOTOMIC:
-            return Scalar(f, _cyc_add(self.value, other.value))
-        return Scalar(f, _rf_add(self.value, other.value))
+        return Scalar(f, f.ops.add(self.value, other.value))
 
     def __neg__(self):
         f = self.field
-        k = f.kind
-        if k == PRIME:
-            return Scalar(f, (-self.value) % f.param)
-        a, b = self.value
-        return Scalar(f, (-a, b) if k == RATIONAL else (_pneg(a), b))
+        return Scalar(f, f.ops.neg(self.value))
 
     def __sub__(self, other):
-        return self + (-other)
+        f = self.field
+        if other.__class__ is not Scalar or other.field is not f:
+            self._check(other)
+        return Scalar(f, f.ops.sub(self.value, other.value))
 
     def __mul__(self, other):
         f = self.field
         if other.__class__ is not Scalar or other.field is not f:
             self._check(other)
-        k = f.kind
-        if k == RATIONAL:
-            return Scalar(f, _q_mul(self.value, other.value))
-        if k == PRIME:
-            return Scalar(f, (self.value * other.value) % f.param)
-        if k == CYCLOTOMIC:
-            return Scalar(f, _cyc_mul(self.value, other.value, f._reduction()))
-        return Scalar(f, _rf_mul(self.value, other.value))
+        return Scalar(f, f.ops.mul(self.value, other.value))
 
     def inv(self):
-        if self.is_zero():
-            raise DivisionByZeroError("division by zero")
         f = self.field
-        k = f.kind
-        if k == PRIME:
-            return Scalar(f, pow(self.value, -1, f.param))
-        if k == CYCLOTOMIC:
-            return Scalar(
-                f, _cyc_inv(self.value, f.param, f._reduction(), f._powers())
-            )
-        n, d = self.value
-        if k == RATIONAL:
-            return Scalar(f, (d, n) if n > 0 else (-d, -n))
-        return Scalar(f, (d, n) if n[-1] > 0 else (_pneg(d), _pneg(n)))
+        return Scalar(f, f.ops.inv(self.value))
 
     def __truediv__(self, other):
         self._check(other)
         return self * other.inv()
 
     def __pow__(self, n: int):
-        """self^n by left-to-right squaring: one squaring per bit of n
-        after the first and one product per further set bit, so n = 1
-        takes none."""
-        if n < 0:
-            return self.inv() ** (-n)
-        if n == 0:
-            return self.field.one()
-        out = self
-        for bit in bin(n)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
+        """self^n, by `FieldOps.pow`."""
+        f = self.field
+        return Scalar(f, f.ops.pow(self.value, n))
 
     # -- rendering ----------------------------------------------------------
 
@@ -642,6 +684,17 @@ class Scalar:
             raise _digits_limit_error("a coefficient to print") from None
 
     __repr__ = __str__
+
+
+def unbox(terms: dict) -> dict:
+    """The raw values of a dict of Scalars, under the same keys."""
+    return {k: c.value for k, c in terms.items()}
+
+
+def box(field: FieldDescriptor, values: dict) -> dict:
+    """The Scalars of `field` with the raw values of a dict, under the
+    same keys."""
+    return {k: Scalar(field, v) for k, v in values.items()}
 
 
 def _over(n: int, d: int):

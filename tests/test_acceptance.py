@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 
+from boxing import box
 from skewcalc.cancel import (
     ImplicationDAG,
     _dag_close,
@@ -266,7 +267,7 @@ def test_criterion_07_commutative_checks():
     ok = ok and not is_vnr(univariate_quotient(Q, [Q.zero(), Q.zero(), Q.one()]))
     # generating sets over k[x]/(x^2): t + x*t^2 generates, t^2 does not
     b = univariate_quotient(Q, [Q.zero(), Q.zero(), Q.one()])
-    f = {(1,): b.unit, (2,): b._e(1)}
+    f = {(1,): b.unit, (2,): box(Q, b._e(1))}
     ok = ok and verify_generating_set(b, 1, [f], 4)["status"] == "GENERATES"
     k = scalar_field_algebra(Q)
     ok = ok and verify_generating_set(

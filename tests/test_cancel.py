@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from skewcalc import cancel, cli, poly
+from boxing import Boxed, box, boxed_call, raw
+from skewcalc import cancel, cli
+from skewcalc import poly as raw_poly
 from skewcalc.cancel import (
     FiniteDimAlgebra,
     ImplicationDAG,
@@ -33,7 +35,6 @@ from skewcalc.errors import (
 from skewcalc.families import laurent, minus_one_plane, quantum_torus, weyl1
 from skewcalc.invariants import center_bounded, gk_estimate, growth_dims
 from skewcalc.linalg import SpanBasis, solve
-from skewcalc.poly import roots
 from skewcalc.divisor import divisor_closure
 from skewcalc.presentation import Morphism, identity_morphism
 from skewcalc.scalars import (
@@ -45,7 +46,11 @@ from skewcalc.scalars import (
     scalar_parse,
 )
 from test_golden_cli import _FIELDS, _MODULI
+from scalar_kernels import lincomb
 from test_linalg import ref_solve, sparse, to_dense
+
+poly = Boxed(raw_poly)  # the raw kernels, on Scalars
+roots = poly.roots
 
 Q = FieldDescriptor(RATIONAL)
 F2 = FieldDescriptor(PRIME, 2)
@@ -81,7 +86,7 @@ def test_bad_structure_constant_tables_raise():
 
 def _table_mul(table, u, v):
     """The product of dict vectors u, v under the structure constants."""
-    return cancel._lincomb(
+    return lincomb(
         (ci * cj, table[i][j]) for i, ci in u.items() for j, cj in v.items())
 
 
@@ -217,7 +222,7 @@ def test_only_tables_given_from_outside_are_checked(monkeypatch):
     assert checked == []
     p = direct_product(a, b)
     q, _, _ = quotient_by_ideal(p, [{1: Q.one()}])
-    cancel._subalgebra_on_idempotent(p, {0: Q.one()})  # the factor a
+    cancel._subalgebra_on_idempotent(p, raw({0: Q.one()}))  # the factor a
     FiniteDimAlgebra(Q, b.basis_names, b.table, b.unit)
     assert checked == [p.dim, q.dim, a.dim, b.dim]
 
@@ -313,15 +318,15 @@ def test_nilradical_counts_the_nilpotents_in_small_characteristic(p, coeffs):
     field = FieldDescriptor(PRIME, p)
     a = univariate_quotient(field, _q(field, *coeffs, 1))
     basis = nilradical(a)["basis"]
-    assert all(a.is_nilpotent(v) for v in basis)
+    assert all(Boxed(a).is_nilpotent(v) for v in basis)
     vectors = itertools.product([field.from_int(c) for c in range(p)], repeat=a.dim)
-    assert sum(a.is_nilpotent(sparse(v)) for v in vectors) == p ** len(basis)
+    assert sum(Boxed(a).is_nilpotent(sparse(v)) for v in vectors) == p ** len(basis)
 
 
 def test_nilradical_rejects_a_vector_that_is_not_nilpotent(monkeypatch):
     # a fault in the linear algebra must not pass as a nilradical
     a = univariate_quotient(Q, _q(Q, 0, 0, 1))  # k[x]/(x^2)
-    monkeypatch.setattr(cancel, "nullspace", lambda columns, field: [{0: Q.one()}])
+    monkeypatch.setattr(cancel, "nullspace", lambda columns, field: [raw({0: Q.one()})])
     with pytest.raises(ValidationError, match="not nilpotent") as err:
         nilradical(a)
     assert err.value.code == "NILRADICAL_NOT_NILPOTENT"
@@ -356,7 +361,7 @@ def test_local_decomposition_field_is_single_factor():
     assert len(dec["factors"]) == 1
     # the factor on the unit is the algebra itself, not a rebuilt copy
     assert dec["factors"][0]["algebra"] is a
-    assert cancel._subalgebra_on_idempotent(a, a.unit) == (a, [a._e(0), a._e(1)])
+    assert cancel._subalgebra_on_idempotent(a, raw(a.unit)) == (a, [a._e(0), a._e(1)])
 
 
 def _probing(a):
@@ -400,9 +405,9 @@ def reference_split_idempotent(q, e):
     if not e:
         return None
     for j in range(q.dim):
-        u = q.mul(e, q._e(j))
+        u = Boxed(q).mul(e, Boxed(q)._e(j))
         # minimal polynomial of u acting on e*q
-        minp = q.min_poly(u, e)
+        minp = Boxed(q).min_poly(u, e)
         if len(minp) <= 2:
             continue
         for lam in poly.roots(minp, field):
@@ -418,12 +423,12 @@ def reference_split_idempotent(q, e):
             # e1 = (t*g)(u)*e, by Horner in q
             e1 = {}
             for c in reversed(poly.mul(t, g, field)):
-                e1 = cancel._lincomb([(one, q.mul(e1, u)), (c, e)])
-            e2 = cancel._lincomb([(one, e), (-one, e1)])
+                e1 = lincomb([(one, Boxed(q).mul(e1, u)), (c, e)])
+            e2 = lincomb([(one, e), (-one, e1)])
             if (
-                q.mul(e1, e1) == e1
-                and q.mul(e2, e2) == e2
-                and not q.mul(e1, e2)
+                Boxed(q).mul(e1, e1) == e1
+                and Boxed(q).mul(e2, e2) == e2
+                and not Boxed(q).mul(e1, e2)
                 and e1
                 and e2
             ):
@@ -439,7 +444,7 @@ def reference_certify_local(f):
     if q.dim == 1:
         return True
     for j in range(q.dim):
-        minp = q.min_poly(q._e(j))
+        minp = Boxed(q).min_poly(Boxed(q)._e(j))
         if len(minp) - 1 == q.dim:
             irr = poly.irreducible(minp, q.field)
             if irr is True:
@@ -474,7 +479,7 @@ def test_field_stops_give_the_reference_verdicts(a):
     pending = [q.unit]
     while pending:  # the idempotents local_decomposition tries, in turn
         e = pending.pop(0)
-        split = cancel._split_idempotent(q, e)
+        split = boxed_call(q.field, cancel._split_idempotent, q, e)
         assert split == reference_split_idempotent(q, e)
         pending.extend(split or ())
     for fac in [a] + [f["algebra"] for f in local_decomposition(a)["factors"]]:
@@ -494,7 +499,7 @@ def _crt_against_probing(a):
     idempotents are checked through the structure constants of `a`, not
     as polynomials, and each factor's dimension is that of e*a."""
     crt, probed = local_decomposition(a), local_decomposition(_probing(a))
-    if poly.factorization(a.modulus, a.field) is None:
+    if raw_poly.factorization(a.modulus, a.field) is None:
         assert crt["status"] == probed["status"]
         assert crt["idempotents"] == probed["idempotents"]
         assert ([f["local_certified"] for f in crt["factors"]]
@@ -510,12 +515,12 @@ def _crt_against_probing(a):
     else:
         assert all(cancel._certify_local(f["algebra"]) is True for f in crt["factors"])
     idems = crt["idempotents"]
-    assert cancel._lincomb((a.field.one(), e) for e in idems) == a.unit
+    assert lincomb((a.field.one(), e) for e in idems) == a.unit
     for i, (e, f) in enumerate(zip(idems, crt["factors"])):
-        assert f["idempotent"] is e and a.mul(e, e) == e
-        assert all(not a.mul(e, d) for d in idems[i + 1:])
+        assert f["idempotent"] is e and Boxed(a).mul(e, e) == e
+        assert all(not Boxed(a).mul(e, d) for d in idems[i + 1:])
         span = SpanBasis(a.field, lambda k: k)
-        assert sum(span.add(a.mul(e, a._e(j))) for j in range(a.dim)) == f["algebra"].dim
+        assert sum(span.add(raw(Boxed(a).mul(e, Boxed(a)._e(j)))) for j in range(a.dim)) == f["algebra"].dim
     return "agree" if probed["status"] == "DECOMPOSED" else "differ"
 
 
@@ -565,7 +570,7 @@ def test_field_stops_skip_the_rest_of_the_basis(monkeypatch):
     # not tried
     del calls[:]
     a = univariate_quotient(Q, _q(Q, -2, 0, 0, 1))
-    assert cancel._split_idempotent(a, a.unit) is None
+    assert cancel._split_idempotent(a, raw(a.unit)) is None
     assert len(calls) == 2
 
 
@@ -596,7 +601,8 @@ def test_idempotent_factor_coordinates_match_solve():
         idems = local_decomposition(a)["idempotents"]
         assert len(idems) > 1
         for e in idems:
-            fac, chosen = cancel._subalgebra_on_idempotent(a, e)
+            fac, chosen = cancel._subalgebra_on_idempotent(a, raw(e))
+            chosen = box(field, chosen)
             columns = [to_dense(v, a.dim, field) for v in chosen]
             matrix = [list(row) for row in zip(*columns)]
 
@@ -604,14 +610,14 @@ def test_idempotent_factor_coordinates_match_solve():
                 return ref_solve(matrix, to_dense(w, a.dim, field), field)
 
             def back(x):
-                return cancel._lincomb((c, chosen[k]) for k, c in x.items())
+                return lincomb((c, chosen[k]) for k, c in x.items())
 
             assert to_dense(fac.unit, fac.dim, field) == coords(e)
             assert back(fac.unit) == e
             for u, row in zip(chosen, fac.table):
                 for v, x in zip(chosen, row):
-                    assert to_dense(x, fac.dim, field) == coords(a.mul(u, v))
-                    assert back(x) == a.mul(u, v)
+                    assert to_dense(x, fac.dim, field) == coords(Boxed(a).mul(u, v))
+                    assert back(x) == Boxed(a).mul(u, v)
 
 
 @pytest.mark.parametrize("tag", ["q", "gf7", "cyc3"])
@@ -624,13 +630,14 @@ def test_idempotent_factor_table_matches_solving_every_product(tag):
     for text in _MODULI[tag]:
         a = univariate_quotient(field, [scalar_parse(field, t) for t in text.split(",")])
         for e in local_decomposition(a)["idempotents"]:
-            fac, chosen = cancel._subalgebra_on_idempotent(a, e)
+            fac, chosen = cancel._subalgebra_on_idempotent(a, raw(e))
+            chosen = box(field, chosen)
             matrix = [list(row) for row in zip(*(to_dense(v, a.dim, field) for v in chosen))]
 
             def coords(w):
                 return sparse(ref_solve(matrix, to_dense(w, a.dim, field), field))
 
-            assert fac.table == [[coords(a.mul(u, v)) for v in chosen] for u in chosen]
+            assert fac.table == [[coords(Boxed(a).mul(u, v)) for v in chosen] for u in chosen]
             factors += 1
     assert factors > len(_MODULI[tag])  # some modulus splits
 
@@ -662,11 +669,11 @@ def ref_units_generated(a) -> dict:
     # infinite (or large) field: shift each basis element off its spectrum
     witnesses = []
     for j in range(a.dim):
-        g = a._e(j)
+        g = Boxed(a)._e(j)
         lam = None
         for k in range(1, a.dim + 2):
             cand = field.from_int(k)
-            shifted = cancel._lincomb([(field.one(), g), (cand, a.unit)])
+            shifted = lincomb([(field.one(), g), (cand, a.unit)])
             if ref_invertible(a, shifted):
                 lam = cand
                 break
@@ -679,8 +686,8 @@ def ref_units_generated(a) -> dict:
 
 
 def ref_invertible(a: FiniteDimAlgebra, u) -> bool:
-    columns = [a.mul(u, a._e(j)) for j in range(a.dim)]
-    return solve(columns, a.unit, a.field) is not None
+    columns = [Boxed(a).mul(u, Boxed(a)._e(j)) for j in range(a.dim)]
+    return solve(raw(columns), raw(a.unit), a.field) is not None
 
 
 def ref_units_generated_exhaustive(a: FiniteDimAlgebra) -> dict:
@@ -692,12 +699,12 @@ def ref_units_generated_exhaustive(a: FiniteDimAlgebra) -> dict:
     units = [u for u in vectors if u and ref_invertible(a, u)]
     span = SpanBasis(field, lambda i: i)
     for u in [a.unit] + units:
-        span.add(u)
+        span.add(raw(u))
     while True:
         grew = False
         for u in span.basis_rows():
             for v in units:
-                if span.add(a.mul(u, v)):
+                if span.add(raw(Boxed(a).mul(u, v))):
                     grew = True
         if not grew:
             break
@@ -778,7 +785,7 @@ def test_units_generated_agrees_with_the_shift_reference(field, coeffs):
 
 def test_verify_generating_set_fixtures():
     b = univariate_quotient(Q, _q(Q, 0, 0, 1))  # k[x]/(x^2)
-    x = b._e(1)
+    x = box(Q, b._e(1))
     f = {(1,): b.unit, (2,): x}
     assert verify_generating_set(b, 1, [f], 4)["status"] == "GENERATES"
     k = scalar_field_algebra(Q)
@@ -788,7 +795,7 @@ def test_verify_generating_set_fixtures():
 
 def test_generating_set_closure_names_its_pass_cap(monkeypatch):
     b = univariate_quotient(Q, _q(Q, 0, 0, 1))  # k[x]/(x^2)
-    f = {(1,): b.unit, (2,): b._e(1)}
+    f = {(1,): b.unit, (2,): box(Q, b._e(1))}
     monkeypatch.setattr(cancel, "MAX_GENERATING_SET_PASSES", 1)
     with pytest.raises(ResourceLimitError, match="MAX_GENERATING_SET_PASSES = 1") as err:
         verify_generating_set(b, 1, [f], 4)
@@ -838,7 +845,7 @@ MAX_QUOTIENT_DEGREE = 60
 
 def ref_univariate_quotient(field, coeffs) -> FiniteDimAlgebra:
     """k[x]/(f) for a monic-izable f given by ascending coefficients."""
-    coeffs = poly.trim(list(coeffs))
+    coeffs = poly.trim(list(coeffs), field)
     if len(coeffs) < 2:
         raise BadParamsError("modulus must have degree >= 1")
     inv = coeffs[-1].inv()
@@ -866,7 +873,7 @@ def ref_commutative_quotient(field, var_names, monomial_rels, univariate_rels) -
     nv = len(var_names)
     uni = {}
     for v, coeffs in (univariate_rels or {}).items():
-        coeffs = poly.trim(list(coeffs))
+        coeffs = poly.trim(list(coeffs), field)
         if len(coeffs) < 2:
             raise BadParamsError("univariate relation must have degree >= 1")
         inv = coeffs[-1].inv()
@@ -1010,8 +1017,8 @@ def brute_force_dim(field, nv, rels, uni):
         m = box.unit
         for v, e in enumerate(r):
             if e:
-                m = box.mul(m, box.power(xs[v], e))
-        ideal += [box.mul(m, box._e(b)) for b in range(box.dim)]
+                m = Boxed(box).mul(m, Boxed(box).power(xs[v], e))
+        ideal += [Boxed(box).mul(m, Boxed(box)._e(b)) for b in range(box.dim)]
     return quotient_by_ideal(box, ideal)[0].dim
 
 

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from boxing import raw
 from skewcalc import invariants
 from skewcalc.errors import BadParamsError, InsufficientDataError, ResourceLimitError
 from skewcalc.families import (
@@ -150,7 +151,7 @@ def reference_growth_dims(p, N):
         if g.invertible:
             v_elements.append(p.gen_inverse(g.name))
     span = SpanBasis(p.field, grlex_key)
-    span.add(p.one().terms)
+    span.add(raw(p.one().terms))
     dims = [len(span)]
     frontier = [p.one()]
     for _ in range(N):
@@ -158,7 +159,7 @@ def reference_growth_dims(p, N):
         for f in frontier:
             for v in v_elements:
                 prod = f * v
-                if span.add(prod.terms):
+                if span.add(raw(prod.terms)):
                     new_frontier.append(prod)
         dims.append(len(span))
         frontier = new_frontier

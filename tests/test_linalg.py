@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from boxing import box, raw
 from skewcalc.cancel import (
     direct_product,
     nilradical,
@@ -147,7 +148,7 @@ def ref_mul(a, u, v):
 
 def ref_mult_matrix(a, u):
     """Matrix of multiplication-by-u, columns indexed by basis."""
-    cols = [to_dense(a.mul(u, a._e(j)), a.dim, a.field) for j in range(a.dim)]
+    cols = [to_dense(box(a.field, a.mul(u, a._e(j))), a.dim, a.field) for j in range(a.dim)]
     return [[cols[j][i] for j in range(a.dim)] for i in range(a.dim)]
 
 
@@ -284,7 +285,9 @@ def test_add_scaled_matches_dense_sums_and_the_old_key_order(kind, param, data):
             other[k] = -row[k] if c is None else -row[k] * c.inv()
         scaled = other if c is None else {k: c * x for k, x in other.items()}
         want = [x + y for x, y in zip(to_dense(row, n, field), to_dense(scaled, n, field))]
-        assert add_scaled(row, other, c) is row
+        values = raw(row)
+        assert add_scaled(values, raw(other), field, raw(c)) is values
+        row = box(field, values)
         assert to_dense(row, n, field) == want
         assert not any(x.is_zero() for x in row.values())
         if c is None:
@@ -306,21 +309,21 @@ def test_rref_solve_nullspace_match_dense_reference(kind, param, data):
     matrix = data.draw(_matrices(field))
     cols = columns_of(matrix)
     assert rref(matrix, field) == ref_rref(matrix, field)
-    assert nullspace(cols, field) == [sparse(v) for v in ref_nullspace(matrix, field)]
+    assert box(field, nullspace(raw(cols), field)) == [sparse(v) for v in ref_nullspace(matrix, field)]
     rhs = data.draw(_sparse(field, len(matrix)))
-    assert solve(cols, dict(enumerate(rhs)), field) == sparse(ref_solve(matrix, rhs, field))
+    assert box(field, solve(raw(cols), raw(dict(enumerate(rhs))), field)) == sparse(ref_solve(matrix, rhs, field))
     if matrix and matrix[0]:  # a consistent right-hand side: M times a vector
         x = data.draw(_sparse(field, len(matrix[0])))
         b = [sum((a * y for a, y in zip(row, x)), field.zero()) for row in matrix]
-        got = solve(cols, dict(enumerate(b)), field)
+        got = box(field, solve(raw(cols), raw(dict(enumerate(b))), field))
         assert got is not None and got == sparse(ref_solve(matrix, b, field))
         # one elimination for all right-hand sides, in either order; the
         # sum of `rhs` and b depends on both and is consistent when `rhs` is
         dense = [rhs, b, [x + y for x, y in zip(rhs, b)]]
         rhss = [dict(enumerate(v)) for v in dense]
         expected = [sparse(ref_solve(matrix, v, field)) for v in dense]
-        assert solve_each(cols, rhss, field) == expected
-        assert solve_each(cols, rhss[::-1], field) == expected[::-1]
+        assert box(field, solve_each(raw(cols), raw(rhss), field)) == expected
+        assert box(field, solve_each(raw(cols), raw(rhss[::-1]), field)) == expected[::-1]
 
 
 @pytest.mark.parametrize("kind,param", FIELDS)
@@ -329,13 +332,13 @@ def test_edge_shapes_match_dense_reference(kind, param):
     for matrix, rhs in _shapes(field):
         cols = columns_of(matrix)
         assert rref(matrix, field) == ref_rref(matrix, field)
-        assert nullspace(cols, field) == [sparse(v) for v in ref_nullspace(matrix, field)]
-        assert solve(cols, dict(enumerate(rhs)), field) == sparse(ref_solve(matrix, rhs, field))
+        assert box(field, nullspace(raw(cols), field)) == [sparse(v) for v in ref_nullspace(matrix, field)]
+        assert box(field, solve(raw(cols), raw(dict(enumerate(rhs))), field)) == sparse(ref_solve(matrix, rhs, field))
     one, two = field.one(), field.from_int(2)
-    assert solve([{0: one, 1: one}, {0: one, 1: one}], {0: one, 1: two}, field) is None
-    assert solve([], {0: one}, field) is None
-    assert solve_each([{0: one}], [], field) == []
-    assert len(nullspace([{0: one}, {0: two}, {0: one}], field)) == 2
+    assert box(field, solve(raw([{0: one, 1: one}, {0: one, 1: one}]), raw({0: one, 1: two}), field)) is None
+    assert box(field, solve([], raw({0: one}), field)) is None
+    assert box(field, solve_each(raw([{0: one}]), [], field)) == []
+    assert len(nullspace(raw([{0: one}, {0: two}, {0: one}]), field)) == 2
 
 
 @pytest.mark.parametrize("kind,param", FIELDS)
@@ -352,9 +355,9 @@ def test_solve_and_nullspace_ignore_row_names_and_order(kind, param, data):
     cols = columns_of(matrix)
     renamed = [{name[r]: col[r] for r in order} for col in cols]
     renamed_rhs = {name[r]: rhs[r] for r in order}
-    assert nullspace(renamed, field) == nullspace(cols, field)
-    assert solve(renamed, renamed_rhs, field) == solve(cols, rhs, field)
-    assert solve(renamed, renamed_rhs | {("stray",): field.one()}, field) is None
+    assert box(field, nullspace(raw(renamed), field)) == box(field, nullspace(raw(cols), field))
+    assert box(field, solve(raw(renamed), raw(renamed_rhs), field)) == box(field, solve(raw(cols), raw(rhs), field))
+    assert solve(raw(renamed), raw(renamed_rhs | {("stray",): field.one()}), field) is None
 
 
 @pytest.mark.parametrize("kind,param", FIELDS)
@@ -373,13 +376,13 @@ def test_span_basis_spans_the_rref_row_space(kind, param, data):
     last = SpanBasis(field, lambda c: c)  # pivot: last column
     for span in (first, last):
         for row in matrix:
-            span.add({c: x for c, x in enumerate(row) if not x.is_zero()})
+            span.add(raw({c: x for c, x in enumerate(row) if not x.is_zero()}))
         assert len(span) == len(pivots)
         rows = [dense(r) for r in span.basis_rows()]
         assert len(ref_rref(red + rows, field)[1]) == len(pivots)
         for row in red + matrix:
-            assert span.contains({c: x for c, x in enumerate(row) if not x.is_zero()})
-            assert not span.reduce({c: x for c, x in enumerate(row)})
+            assert span.contains(raw({c: x for c, x in enumerate(row) if not x.is_zero()}))
+            assert not span.reduce(raw({c: x for c, x in enumerate(row)}))
     assert [dense(r) for r in first.basis_rows()] == red
 
 
@@ -400,7 +403,7 @@ def test_span_basis_of_one_term_rows_matches_the_dense_reference():
             matrix.append(row)
         span = SpanBasis(field, lambda c: -c)  # pivot: first column, as in rref
         for row in matrix:
-            span.add({c: x for c, x in enumerate(row) if not x.is_zero()})
+            span.add(raw({c: x for c, x in enumerate(row) if not x.is_zero()}))
         dense = [to_dense(r, ncols, field) for r in span.basis_rows()]
         assert dense == ref_rref(matrix, field)[0]
 
@@ -429,21 +432,21 @@ def test_trace_form_and_products_match_dense_reference(kind, param, data):
     n = a.dim
     gram = [[ref_trace_of_mult(a, a.mul(a._e(i), a._e(j))) for j in range(n)]
             for i in range(n)]
-    assert [to_dense(row, n, field) for row in a.trace_form()] == gram
+    assert [to_dense(row, n, field) for row in box(field, a.trace_form())] == gram
     u = data.draw(st.lists(_values(field), min_size=n, max_size=n))
     v = data.draw(_sparse(field, n))
-    assert to_dense(a.mul(sparse(u), sparse(v)), n, field) == ref_mul(a, u, v)
-    assert to_dense(a.mul(sparse(u), sparse(u)), n, field) == ref_mul(a, u, u)
+    assert to_dense(box(field, a.mul(raw(sparse(u)), raw(sparse(v)))), n, field) == ref_mul(a, u, v)
+    assert to_dense(box(field, a.mul(raw(sparse(u)), raw(sparse(u)))), n, field) == ref_mul(a, u, u)
 
 
 def test_trace_form_of_a_known_quotient():
     q = FieldDescriptor(RATIONAL)
     a = univariate_quotient(q, [q.from_int(c) for c in (-2, 0, 1)])  # x^2 = 2
-    gram = [to_dense(row, 2, q) for row in a.trace_form()]
+    gram = [to_dense(row, 2, q) for row in box(q, a.trace_form())]
     assert gram == [[q.from_int(2), q.zero()], [q.zero(), q.from_int(4)]]
-    assert gram[0][0] == ref_trace_of_mult(a, a.unit)
+    assert gram[0][0] == ref_trace_of_mult(a, raw(a.unit))
     b = univariate_quotient(q, [q.from_fraction(Fraction(1, 2)), q.one()])
-    assert b.trace_form() == [{0: q.one()}]
+    assert box(q, b.trace_form()) == [{0: q.one()}]
 
 
 def _poly_mul(a, b, field):

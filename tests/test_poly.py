@@ -5,9 +5,12 @@ from math import gcd, isqrt, lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from skewcalc import poly
+from boxing import Boxed
+from skewcalc import poly as raw_poly
 from skewcalc.errors import BadParamsError
 from skewcalc.scalars import CYCLOTOMIC, PRIME, RATFUNC_Q, RATIONAL, FieldDescriptor
+
+poly = Boxed(raw_poly)  # the raw kernels, on Scalars
 
 Q = FieldDescriptor(RATIONAL)
 F7 = FieldDescriptor(PRIME, 7)
@@ -158,7 +161,7 @@ def _scalars(field):
 
 
 def _polys(field, min_size=0, max_size=5):
-    return st.lists(_scalars(field), min_size=min_size, max_size=max_size).map(poly.trim)
+    return st.lists(_scalars(field), min_size=min_size, max_size=max_size).map(lambda p: poly.trim(p, field))
 
 
 def _nonzero_polys(field, max_size=5):
@@ -189,7 +192,7 @@ def test_divmod_is_division_with_remainder(case):
     q, r = poly.divmod(a, b, field)
     assert poly.sub(a, poly.mul(q, b, field), field) == r
     assert _deg(r) < _deg(b)
-    assert q == poly.trim(list(q)) and r == poly.trim(list(r))
+    assert q == poly.trim(list(q), field) and r == poly.trim(list(r), field)
 
 
 @_settings
@@ -347,7 +350,7 @@ def _random_rational_product(rng):
             f = poly.mul(f, [Q.from_int(-b), Q.from_int(a)], Q)
     other = [Q.from_fraction(Fraction(rng.randint(-5, 5), rng.randint(1, 2)))
              for _ in range(rng.randint(1, 4))]
-    return poly.mul(f, poly.trim(other) or [Q.one()], Q)
+    return poly.mul(f, poly.trim(other, Q) or [Q.one()], Q)
 
 
 def test_rational_roots_equal_the_rational_root_test_in_order():
